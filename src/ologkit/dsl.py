@@ -33,12 +33,12 @@ serialized document and serializing again reproduces it byte for byte.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
-from dataclasses import dataclass
 from pathlib import Path as FsPath
 
-from .errors import DuplicateIdError, ParseError, SourceSpan
+from .errors import DuplicateIdError, MalformedPathError, ParseError, SourceSpan
 from .graphs import Graph
 from .instance import (
     GraphPayload,
@@ -48,7 +48,6 @@ from .instance import (
     RealPayload,
     TextPayload,
 )
-from .ordering import natural_key
 from .schema import (
     ArrowDecl,
     BoxDecl,
@@ -69,11 +68,12 @@ __all__ = [
     "serialize_instance",
 ]
 
+# One match per token or per run of whitespace and comments; the run is the
+# unnamed group, so its lastgroup is None.  ``bad`` catches any other
+# character, so matches tile the text with no gaps.
 _TOKEN_RE = re.compile(
     r"""
-      (?P<ws>[^\S\n]+)
-    | (?P<comment>\#[^\n]*)
-    | (?P<nl>\n)
+      (?:\s|\#[^\n]*)+
     | (?P<string>"(?:[^"\\\n]|\\.)*")
     | (?P<number>-?\d+\.\d+(?:[eE][+-]?\d+)?|-?\d+[eE][+-]\d+|-\d+|-inf)
     | (?P<ident>[A-Za-z0-9_]+)
@@ -81,109 +81,93 @@ _TOKEN_RE = re.compile(
     | (?P<dotdot>\.\.)
     | (?P<times>×)
     | (?P<punct>[{}()\[\]:=,])
+    | (?P<bad>.)
     """,
     re.VERBOSE,
 )
+_ESCAPE_RE = re.compile(r"\\(.)")
 
 
-@dataclass(frozen=True, slots=True)
-class _Token:
-    kind: str
-    text: str
-    line: int
-    column: int
+def _span(text: str, filename: str, offset: int) -> SourceSpan:
+    line = text.count("\n", 0, offset) + 1
+    return SourceSpan(filename, line, offset - text.rfind("\n", 0, offset))
 
 
-def _tokenize(text: str, filename: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            ch = text[pos]
-            span = SourceSpan(filename, line, col)
-            if ch == '"':
-                raise ParseError("unterminated string", span)
-            raise ParseError(f"unexpected character {ch!r}", span)
+def _tokenize(text: str, filename: str) -> list[tuple[str, str]]:
+    """(kind, text) pairs.  The whole list is built before parsing starts, so a
+    lexical error anywhere wins over a parse error earlier in the text."""
+    tokens: list[tuple[str, str]] = []
+    for match in _TOKEN_RE.finditer(text):
         kind = match.lastgroup
-        lexeme = match.group()
-        if kind == "nl":
-            line += 1
-            col = 1
-        else:
-            if kind not in ("ws", "comment"):
-                tokens.append(_Token(kind, lexeme, line, col))
-            col += len(lexeme)
-        pos = match.end()
+        if kind == "bad":
+            span = _span(text, filename, match.start())
+            if match.group() == '"':
+                raise ParseError("unterminated string", span)
+            raise ParseError(f"unexpected character {match.group()!r}", span)
+        if kind:
+            tokens.append((kind, match.group()))
     return tokens
-
-
-def _unescape(raw: str, span: SourceSpan) -> str:
-    body = raw[1:-1]
-    out: list[str] = []
-    i = 0
-    while i < len(body):
-        ch = body[i]
-        if ch == "\\":
-            if i + 1 >= len(body) or body[i + 1] not in ('"', "\\"):
-                raise ParseError(
-                    f"invalid escape \\{body[i + 1 : i + 2]} in string", span
-                )
-            out.append(body[i + 1])
-            i += 2
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
 
 
 class _Parser:
     def __init__(self, text: str, filename: str):
+        self.text = text
         self.filename = filename
         self.tokens = _tokenize(text, filename)
         self.pos = 0
 
     # -- primitives --------------------------------------------------------
 
-    def span(self) -> SourceSpan:
-        if self.pos < len(self.tokens):
-            tok = self.tokens[self.pos]
-            return SourceSpan(self.filename, tok.line, tok.column)
-        if self.tokens:
-            last = self.tokens[-1]
-            return SourceSpan(self.filename, last.line, last.column + len(last.text))
-        return SourceSpan(self.filename, 1, 1)
+    def span(self, index: int) -> SourceSpan:
+        """Location of token ``index``, or of the end of the last token past it.
+        Token offsets are not kept, so this rescans the text: call it on errors."""
+        if not self.tokens:
+            return _span(self.text, self.filename, 0)
+        last = min(index, len(self.tokens) - 1)
+        starts = (m.start() for m in _TOKEN_RE.finditer(self.text) if m.lastgroup)
+        offset = next(itertools.islice(starts, last, None))
+        if index > last:
+            offset += len(self.tokens[last][1])
+        return _span(self.text, self.filename, offset)
 
-    def peek(self) -> _Token | None:
+    def peek(self) -> tuple[str, str] | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
     def at(self, kind: str, text: str | None = None) -> bool:
         tok = self.peek()
-        return tok is not None and tok.kind == kind and (text is None or tok.text == text)
+        return tok is not None and tok[0] == kind and (text is None or tok[1] == text)
 
-    def take(self, kind: str, text: str | None = None) -> _Token | None:
+    def take(self, kind: str, text: str | None = None) -> tuple[str, str] | None:
         if self.at(kind, text):
             tok = self.tokens[self.pos]
             self.pos += 1
             return tok
         return None
 
-    def expect(self, kind: str, text: str | None = None, what: str = "") -> _Token:
+    def expect(
+        self, kind: str, text: str | None = None, what: str = ""
+    ) -> tuple[str, str]:
         tok = self.take(kind, text)
         if tok is None:
             wanted = what or (text if text is not None else kind)
             got = self.peek()
-            found = f"{got.text!r}" if got else "end of input"
-            raise ParseError(f"expected {wanted}, found {found}", self.span())
+            found = f"{got[1]!r}" if got else "end of input"
+            message = f"expected {wanted}, found {found}"
+            raise ParseError(message, self.span(self.pos))
         return tok
 
     def ident(self, what: str = "identifier") -> str:
-        return self.expect("ident", what=what).text
+        return self.expect("ident", what=what)[1]
 
     def string(self, what: str = "string") -> str:
-        span = self.span()
-        return _unescape(self.expect("string", what=what).text, span)
+        here = self.pos
+        body = self.expect("string", what=what)[1][1:-1]
+        for match in _ESCAPE_RE.finditer(body):
+            if match.group(1) not in '"\\':
+                raise ParseError(
+                    f"invalid escape \\{match.group(1)} in string", self.span(here)
+                )
+        return _ESCAPE_RE.sub(r"\1", body)
 
     def done(self) -> bool:
         return self.pos >= len(self.tokens)
@@ -225,24 +209,26 @@ class _Parser:
         boxes: list[BoxDecl] = []
         arrows: list[ArrowDecl] = []
         equations: list[PathEquation] = []
-        eq_spans: list[tuple[SourceSpan, str, str]] = []
+        eq_sites: list[tuple[int, str, str]] = []
         fps: list[FiberProductDecl] = []
-        fp_spans: list[tuple[SourceSpan, str, str, str]] = []
+        fp_sites: list[tuple[int, str, str, str]] = []
         box_ids: set[str] = set()
         arrow_ids: set[str] = set()
         apexes: set[str] = set()
 
         while not self.at("punct", "}"):
-            span = self.span()
+            here = self.pos
             tok = self.peek()
             if tok is None:
-                raise ParseError("unterminated schema block", span)
+                raise ParseError("unterminated schema block", self.span(here))
             if self.take("ident", "box"):
                 box_id = self.ident("box id")
                 label = self.string("box label")
                 tags = self.tag_group()
                 if box_id in box_ids:
-                    raise DuplicateIdError(f"box {box_id!r} declared twice", span)
+                    raise DuplicateIdError(
+                        f"box {box_id!r} declared twice", self.span(here)
+                    )
                 box_ids.add(box_id)
                 boxes.append(BoxDecl(box_id, label, tags))
             elif self.take("ident", "arrow"):
@@ -254,7 +240,9 @@ class _Parser:
                 label = self.string() if self.at("string") else ""
                 tags = self.tag_group()
                 if arrow_id in arrow_ids:
-                    raise DuplicateIdError(f"arrow {arrow_id!r} declared twice", span)
+                    raise DuplicateIdError(
+                        f"arrow {arrow_id!r} declared twice", self.span(here)
+                    )
                 arrow_ids.add(arrow_id)
                 arrows.append(ArrowDecl(arrow_id, src, dst, label, tags))
             elif self.take("ident", "eq"):
@@ -267,7 +255,7 @@ class _Parser:
                 rhs = self.path_literal(start)
                 note = self.string() if self.at("string") else ""
                 equations.append(PathEquation(lhs, rhs, note))
-                eq_spans.append((span, start, end))
+                eq_sites.append((here, start, end))
             elif self.take("ident", "pullback"):
                 apex = self.ident("apex box")
                 self.expect("punct", "=")
@@ -291,42 +279,42 @@ class _Parser:
                 self.expect("punct", ")")
                 if apex in apexes:
                     raise DuplicateIdError(
-                        f"pullback for apex {apex!r} declared twice", span
+                        f"pullback for apex {apex!r} declared twice", self.span(here)
                     )
                 apexes.add(apex)
                 fps.append(FiberProductDecl(apex, proj1, proj2, leg1, leg2))
-                fp_spans.append((span, x, y, z))
+                fp_sites.append((here, x, y, z))
             else:
                 raise ParseError(
-                    f"expected a schema declaration, found {tok.text!r}", span
+                    f"expected a schema declaration, found {tok[1]!r}", self.span(here)
                 )
         self.expect("punct", "}")
 
         schema = OlogSchema(name, tuple(boxes), tuple(arrows), tuple(equations), tuple(fps))
-        self._cross_check_eqs(schema, eq_spans)
-        self._cross_check_fps(schema, fp_spans)
+        self._cross_check_eqs(schema, eq_sites)
+        self._cross_check_fps(schema, fp_sites)
         return with_fiber_product_squares(schema)
 
     def _cross_check_eqs(
-        self, schema: OlogSchema, eq_spans: list[tuple[SourceSpan, str, str]]
+        self, schema: OlogSchema, eq_sites: list[tuple[int, str, str]]
     ) -> None:
-        for eq, (span, start, end) in zip(schema.equations, eq_spans):
+        for eq, (here, start, end) in zip(schema.equations, eq_sites):
             for side in (eq.lhs, eq.rhs):
                 try:
                     got = path_endpoints(schema, side)
-                except Exception:
+                except MalformedPathError:
                     continue  # undeclared pieces: schema validation reports those
                 if got != (start, end):
                     raise ParseError(
                         f"path [{','.join(side.arrows)}] runs {got[0]}->{got[1]} "
                         f"but the equation declares {start}..{end}",
-                        span,
+                        self.span(here),
                     )
 
     def _cross_check_fps(
-        self, schema: OlogSchema, fp_spans: list[tuple[SourceSpan, str, str, str]]
+        self, schema: OlogSchema, fp_sites: list[tuple[int, str, str, str]]
     ) -> None:
-        for fp, (span, x, y, z) in zip(schema.fiber_products, fp_spans):
+        for fp, (here, x, y, z) in zip(schema.fiber_products, fp_sites):
             stated = {
                 fp.proj1: (fp.apex, x),
                 fp.proj2: (fp.apex, y),
@@ -342,7 +330,7 @@ class _Parser:
                         f"pullback {fp.apex}: arrow {arrow_id} runs "
                         f"{decl.src}->{decl.dst}, but the declaration needs "
                         f"{want_src}->{want_dst}",
-                        span,
+                        self.span(here),
                     )
 
     # -- instance -----------------------------------------------------------
@@ -358,27 +346,28 @@ class _Parser:
         functions: dict[str, dict[str, str]] = {}
 
         while not self.at("punct", "}"):
-            span = self.span()
+            here = self.pos
             tok = self.peek()
             if tok is None:
-                raise ParseError("unterminated instance block", span)
+                raise ParseError("unterminated instance block", self.span(here))
             if self.take("ident", "set"):
                 box_id = self.ident("box id")
                 if box_id in sets:
                     raise DuplicateIdError(
-                        f"set block for box {box_id!r} declared twice", span
+                        f"set block for box {box_id!r} declared twice", self.span(here)
                     )
                 sets[box_id] = self._set_entries(box_id)
             elif self.take("ident", "fn"):
                 arrow_id = self.ident("arrow id")
                 if arrow_id in functions:
                     raise DuplicateIdError(
-                        f"fn block for arrow {arrow_id!r} declared twice", span
+                        f"fn block for arrow {arrow_id!r} declared twice",
+                        self.span(here),
                     )
                 functions[arrow_id] = self._fn_entries(arrow_id)
             else:
                 raise ParseError(
-                    f"expected 'set', 'fn' or '}}', found {tok.text!r}", span
+                    f"expected 'set', 'fn' or '}}', found {tok[1]!r}", self.span(here)
                 )
         self.expect("punct", "}")
         return Instance(name, schema_name, sets, functions)
@@ -387,14 +376,14 @@ class _Parser:
         self.expect("punct", "{")
         elems: dict[str, Payload | None] = {}
         while not self.at("punct", "}"):
-            span = self.span()
+            here = self.pos
             eid = self.ident("element id")
             payload: Payload | None = None
             if self.take("punct", "="):
                 payload = self._payload()
             if eid in elems:
                 raise DuplicateIdError(
-                    f"element {eid!r} listed twice in box {box_id}", span
+                    f"element {eid!r} listed twice in box {box_id}", self.span(here)
                 )
             elems[eid] = payload
             if not self.take("punct", ","):
@@ -406,13 +395,13 @@ class _Parser:
         self.expect("punct", "{")
         table: dict[str, str] = {}
         while not self.at("punct", "}"):
-            span = self.span()
+            here = self.pos
             src = self.ident("element id")
             self.expect("arrowsym", what="'->'")
             dst = self.ident("element id")
             if src in table:
                 raise DuplicateIdError(
-                    f"element {src!r} mapped twice by arrow {arrow_id}", span
+                    f"element {src!r} mapped twice by arrow {arrow_id}", self.span(here)
                 )
             table[src] = dst
             if not self.take("punct", ","):
@@ -421,9 +410,8 @@ class _Parser:
         return table
 
     def _payload(self) -> Payload:
-        span = self.span()
-        kind_tok = self.expect("ident", what="payload kind (real/pair/graph/text)")
-        kind = kind_tok.text
+        here = self.pos
+        kind = self.ident("payload kind (real/pair/graph/text)")
         if kind == "real":
             return RealPayload(self._real_value())
         if kind == "pair":
@@ -437,20 +425,20 @@ class _Parser:
             return GraphPayload(self._graph_value())
         if kind == "text":
             return TextPayload(self.string("text value"))
-        raise ParseError(f"unknown payload kind {kind!r}", span)
+        raise ParseError(f"unknown payload kind {kind!r}", self.span(here))
 
     def _real_value(self) -> float:
-        span = self.span()
+        here = self.pos
         tok = self.take("number")
         if tok is not None:
-            return float(tok.text)
+            return float(tok[1])
         tok = self.take("ident")
         if tok is not None:
-            if tok.text == "inf":
+            if tok[1] == "inf":
                 return math.inf
-            if tok.text.isdigit():
-                return float(tok.text)
-        raise ParseError("expected a real value", span)
+            if tok[1].isdigit():
+                return float(tok[1])
+        raise ParseError("expected a real value", self.span(here))
 
     def _graph_value(self) -> Graph:
         self.expect("punct", "{")
@@ -487,7 +475,7 @@ def parse_schema(text: str, filename: str = "<string>") -> OlogSchema:
     schema = parser.schema_block()
     if not parser.done():
         raise ParseError(
-            f"unexpected trailing content {parser.peek().text!r}", parser.span()
+            f"unexpected trailing content {parser.peek()[1]!r}", parser.span(parser.pos)
         )
     return schema
 
@@ -498,7 +486,7 @@ def parse_instance(text: str, filename: str = "<string>") -> Instance:
     instance = parser.instance_block()
     if not parser.done():
         raise ParseError(
-            f"unexpected trailing content {parser.peek().text!r}", parser.span()
+            f"unexpected trailing content {parser.peek()[1]!r}", parser.span(parser.pos)
         )
     return instance
 
@@ -549,7 +537,7 @@ def serialize_schema(schema: OlogSchema) -> str:
     for eq in s.equations:
         try:
             start, end = path_endpoints(s, eq.lhs)
-        except Exception:
+        except MalformedPathError:
             start, end = eq.lhs.start, "?"
         note = f" {_quote(eq.note)}" if eq.note else ""
         lines.append(

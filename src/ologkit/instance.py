@@ -2,7 +2,7 @@
 
 An instance assigns a finite set of elements to every box and a total function
 table to every arrow.  Everything here is deterministic: element order is
-canonical (natural key), counterexamples are lexicographically first, and the
+canonical (natural key), counterexamples are first in that order, and the
 isomorphism search re-verifies any map it finds before reporting success.
 """
 
@@ -234,6 +234,11 @@ def validate_instance(schema: OlogSchema, instance: Instance) -> list[Diagnostic
 def eval_path(schema: OlogSchema, instance: Instance, path: Path, element: str) -> str:
     """Evaluate a path on one element by chasing arrow tables left to right."""
     path_endpoints(schema, path)  # raises MalformedPathError on bad paths
+    return _chase(instance, path, element)
+
+
+def _chase(instance: Instance, path: Path, element: str) -> str:
+    """eval_path for a path already known to be well-formed."""
     if element not in instance.elements(path.start):
         raise ElementNotInSourceError(f"element {element!r} is not in box {path.start}")
     at = element
@@ -257,7 +262,7 @@ class EquationReport:
     """Outcome of checking one path equation over every element of its start box.
 
     On failure ``witness`` is (element, lhs image, rhs image) for the
-    lexicographically first offending element.
+    first offending element in natural-key order.
     """
 
     equation: PathEquation
@@ -274,10 +279,13 @@ def check_equation(
     schema: OlogSchema, instance: Instance, equation: PathEquation
 ) -> EquationReport:
     elems = sorted(instance.elements(equation.lhs.start), key=natural_key)
+    if elems:
+        path_endpoints(schema, equation.lhs)  # raises MalformedPathError on bad paths
+        path_endpoints(schema, equation.rhs)
     checked = 0
     for eid in elems:
-        lhs_val = eval_path(schema, instance, equation.lhs, eid)
-        rhs_val = eval_path(schema, instance, equation.rhs, eid)
+        lhs_val = _chase(instance, equation.lhs, eid)
+        rhs_val = _chase(instance, equation.rhs, eid)
         checked += 1
         if lhs_val != rhs_val:
             return EquationReport(
@@ -298,7 +306,7 @@ def check_all_equations(schema: OlogSchema, instance: Instance) -> list[Equation
 def compute_pullback(
     schema: OlogSchema, instance: Instance, leg1: str, leg2: str
 ) -> list[tuple[str, str]]:
-    """All pairs (x, y) with leg1(x) = leg2(y), in lexicographic order.
+    """All pairs (x, y) with leg1(x) = leg2(y), in natural-key order.
 
     The legs must form a cospan (same target box); raises CospanMismatchError
     otherwise.

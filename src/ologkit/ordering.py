@@ -11,8 +11,8 @@ def natural_key(ident: str) -> tuple:
     """Sort key that orders digit runs numerically: br2 < br10, '9' < '42'.
 
     Used for canonical serialization so arrow ids 1..42 appear in numeric
-    order.  Purely lexicographic ordering (plain ``sorted``) is still used for
-    element enumeration inside the instance engine.
+    order, and by the instance engine to enumerate elements, so equation
+    counterexamples and pullback pairs come first in this order too.
     """
     parts: list[tuple[int, int | str]] = []
     for run in _RUNS.findall(ident):

@@ -294,12 +294,7 @@ def validate_schema(schema: OlogSchema) -> list[Diagnostic]:
                 )
             )
 
-    declared_squares = {
-        (eq.lhs.start, eq.lhs.arrows, eq.rhs.arrows) for eq in schema.equations
-    }
-    declared_squares |= {
-        (eq.lhs.start, eq.rhs.arrows, eq.lhs.arrows) for eq in schema.equations
-    }
+    undeclared = set(_undeclared_squares(schema))
     for fp in schema.fiber_products:
         loc = f"pullback {fp.apex}"
         if schema.box(fp.apex) is None:
@@ -350,8 +345,7 @@ def validate_schema(schema: OlogSchema) -> list[Diagnostic]:
                 )
             )
             continue
-        square = (fp.apex, (fp.proj1, fp.leg1), (fp.proj2, fp.leg2))
-        if square not in declared_squares:
+        if fp in undeclared:
             diags.append(
                 error(
                     "FP_SQUARE_MISSING",
@@ -363,27 +357,33 @@ def validate_schema(schema: OlogSchema) -> list[Diagnostic]:
     return diags
 
 
+def _undeclared_squares(schema: OlogSchema) -> list[FiberProductDecl]:
+    """Fiber products whose square ``[proj1,leg1] = [proj2,leg2]`` is not among
+    the equations in either orientation, in declaration order."""
+    declared = {(eq.lhs.start, eq.lhs.arrows, eq.rhs.arrows) for eq in schema.equations}
+    declared |= {(eq.lhs.start, eq.rhs.arrows, eq.lhs.arrows) for eq in schema.equations}
+    return [
+        fp
+        for fp in schema.fiber_products
+        if (fp.apex, (fp.proj1, fp.leg1), (fp.proj2, fp.leg2)) not in declared
+    ]
+
+
 def with_fiber_product_squares(schema: OlogSchema) -> OlogSchema:
     """Return the schema with every missing fiber-product square equation added.
 
     The DSL parser applies this after reading a schema block, so hand-written
     files may omit squares that are implied.  Already-present squares (either
-    orientation) are left alone.
+    orientation) are left alone, and a repeated declaration adds its square once.
     """
-    declared = {(eq.lhs.start, eq.lhs.arrows, eq.rhs.arrows) for eq in schema.equations}
-    declared |= {(eq.lhs.start, eq.rhs.arrows, eq.lhs.arrows) for eq in schema.equations}
-    additions: list[PathEquation] = []
-    for fp in schema.fiber_products:
-        square = (fp.apex, (fp.proj1, fp.leg1), (fp.proj2, fp.leg2))
-        if square not in declared:
-            additions.append(
-                PathEquation(
-                    Path(fp.apex, (fp.proj1, fp.leg1)),
-                    Path(fp.apex, (fp.proj2, fp.leg2)),
-                    note=f"pullback square of {fp.apex}",
-                )
-            )
-            declared.add(square)
+    additions = [
+        PathEquation(
+            Path(fp.apex, (fp.proj1, fp.leg1)),
+            Path(fp.apex, (fp.proj2, fp.leg2)),
+            note=f"pullback square of {fp.apex}",
+        )
+        for fp in dict.fromkeys(_undeclared_squares(schema))
+    ]
     if not additions:
         return schema
     return OlogSchema(

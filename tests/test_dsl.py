@@ -14,12 +14,16 @@ from ologkit import (
     GraphPayload,
     Instance,
     OlogSchema,
+    PROTEIN_DEFAULTS,
+    SOCIAL_MATCHED_DEFAULTS,
     PairPayload,
     ParseError,
     PathEquation,
     RealPayload,
     TextPayload,
+    bundled_schema,
     bundled_text,
+    generate_instance,
     load_instance,
     load_schema,
     parse_instance,
@@ -151,6 +155,72 @@ def test_truncated_arrow_declaration():
     assert (exc.value.span.line, exc.value.span.column) == (4, 1)
 
 
+@pytest.mark.parametrize(
+    "text, error, position, message",
+    [
+        pytest.param(
+            '# a note\nschema "t" { box A $ }',
+            ParseError, (2, 20), "unexpected character '$'",
+            id="after-comment-line",
+        ),
+        pytest.param(
+            'schema "t" {\r\n  box A "an a"\r\n  $\r\n}\r\n',
+            ParseError, (3, 3), "unexpected character '$'",
+            id="crlf",
+        ),
+        pytest.param(
+            'schema "t" {\n\tbox A "an a" $ }',
+            ParseError, (2, 15), "unexpected character '$'",
+            id="tab",
+        ),
+        pytest.param(
+            'schema "x" { pullback P = X × Z }',
+            ParseError, (1, 31), "expected [, found 'Z'",
+            id="after-times",
+        ),
+        pytest.param(
+            'schema "x" { pullback P = X ×[Z] Y proj (p1 p2) }',
+            ParseError, (1, 45), "expected ,, found 'p2'",
+            id="later-after-times",
+        ),
+        pytest.param(
+            'schema "t" { box A "an a"   \n  ',
+            ParseError, (1, 26), "unterminated schema block",
+            id="eof-after-whitespace",
+        ),
+        pytest.param(
+            'schema "t" { box A "an a"\n# trailing comment\n',
+            ParseError, (1, 26), "unterminated schema block",
+            id="eof-after-comment",
+        ),
+        pytest.param(
+            'instance "d" of "s" {\n  set X {\n    x1,\n    x1 } }',
+            DuplicateIdError, (4, 5), "element 'x1' listed twice in box X",
+            id="duplicate-on-later-line",
+        ),
+        pytest.param(
+            'schema "x" {\n  box A "an a" box B "a b" arrow f : A -> B\n'
+            "  eq A..A : [f] = [f] }",
+            ParseError, (3, 3), "path [f] runs A->B but the equation declares A..A",
+            id="equation-endpoints",
+        ),
+        pytest.param(
+            'schema "t" {\n  box A "a\\qb" }',
+            ParseError, (2, 9), "invalid escape \\q in string",
+            id="invalid-escape",
+        ),
+    ],
+)
+def test_error_positions_and_messages(text, error, position, message):
+    parse = parse_instance if text.startswith("instance") else parse_schema
+    with pytest.raises(ParseError) as exc:
+        parse(text, filename="f.olog")
+    assert type(exc.value) is error
+    assert exc.value.span.file == "f.olog"
+    assert (exc.value.span.line, exc.value.span.column) == position
+    assert exc.value.bare_message == message
+
+
 def test_missing_colon_in_arrow():
     with pytest.raises(ParseError) as exc:
         parse_schema('schema "t" { box A "an a" arrow f A -> A }')
@@ -252,6 +322,15 @@ def test_bundled_instances_round_trip_bytes():
     for name in ("protein.oinst", "social.oinst"):
         text = bundled_text(name)
         assert serialize_instance(parse_instance(text)) == text
+
+
+@pytest.mark.parametrize(
+    "params, name",
+    [(PROTEIN_DEFAULTS, "protein.oinst"), (SOCIAL_MATCHED_DEFAULTS, "social.oinst")],
+)
+def test_generated_instances_match_bundled_bytes(params, name):
+    generated = generate_instance(params, bundled_schema())
+    assert serialize_instance(generated) == bundled_text(name)
 
 
 def test_load_helpers_read_files(tmp_path):
