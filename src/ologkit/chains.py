@@ -34,7 +34,7 @@ from .instance import (
     RealPayload,
     TextPayload,
 )
-from .ordering import pad_width
+from .ordering import natural_key, pad_width
 from .schema import OlogSchema
 
 __all__ = [
@@ -502,6 +502,9 @@ def generate_instance(
     The two per-hypothesis arrows are filled in only when the classification
     actually licenses them; otherwise their tables stay partial and validation
     reports the gap.
+
+    Every set and table comes out in natural-key order by construction, as
+    :meth:`Instance.canonical` would leave it, without a closing re-sort.
     """
     _check_params(params, comparators)
     chain = build_chain(params)
@@ -572,7 +575,11 @@ def generate_instance(
         "glue": flavor.glue_text,
         "lifeline": flavor.lifeline_text,
     }
-    for block in chain.bricks + chain.glues + chain.lifelines:
+    # The three block prefixes (e.g. aa/hb/bb) interleave in natural-key order.
+    blocks = sorted(
+        chain.bricks + chain.glues + chain.lifelines, key=lambda block: natural_key(block.id)
+    )
+    for block in blocks:
         put("U", block.id, TextPayload(kind_text[block.kind]))
         put(kind_box[block.kind], block.id)
         link(kind_arrow[block.kind], block.id, block.id)
@@ -664,11 +671,13 @@ def generate_instance(
         link("25", lid, m_id[(brick_f, conn.failure_extension)])
         link("27", lid, brick.id)
 
+    strong_by_brick: dict[str, list[BuildingBlock]] = {}
+    for brick, strong in l_entries:
+        strong_by_brick.setdefault(brick.id, []).append(strong)
     k_entries = [
         (brick, glue, strong)
         for brick, glue in n_entries
-        for other, strong in l_entries
-        if other.id == brick.id
+        for strong in strong_by_brick.get(brick.id, ())
     ]
     k_pad = pad_width(max(len(k_entries), 1))
     for index, (brick, glue, strong) in enumerate(k_entries, 1):
@@ -684,5 +693,11 @@ def generate_instance(
         link("17", iid, m_id[(rest, glue_f)])
         link("19", iid, strong.id)
 
-    instance = Instance(name or params.domain, schema.name, sets, functions)
-    return instance.canonical()
+    # Element ids are zero-padded counters inserted in ascending order, so only
+    # the box and arrow ids need sorting for the result to be canonical.
+    return Instance(
+        name or params.domain,
+        schema.name,
+        {box: sets[box] for box in sorted(sets, key=natural_key)},
+        {arrow: functions[arrow] for arrow in sorted(functions, key=natural_key)},
+    )

@@ -6,9 +6,9 @@ it), ``simulate`` (generate a chain instance and write it out), ``iso``
 instances and match them), and ``pullback`` (print a canonical pullback).
 
 Exit codes: 0 success, 1 semantic violation, 2 parse/usage error,
-3 parameter constraint.  Reports are deterministic except for the trailing
-``elapsed_ms`` line, which is always last so tools can strip it before
-comparing runs byte for byte.
+3 parameter constraint, 4 internal error (a bug, reported as one line).
+Reports are deterministic except for the trailing ``elapsed_ms`` line, which
+is always last so tools can strip it before comparing runs byte for byte.
 """
 
 from __future__ import annotations
@@ -46,7 +46,13 @@ from .schema import OlogSchema, path_endpoints, validate_schema
 
 __all__ = ["main"]
 
-_EXIT_CODES = {"ok": 0, "violation": 1, "parse-error": 2, "param-constraint": 3}
+_EXIT_CODES = {
+    "ok": 0,
+    "violation": 1,
+    "parse-error": 2,
+    "param-constraint": 3,
+    "internal": 4,
+}
 
 
 class RunReport:
@@ -377,6 +383,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         report.line(f"error: {exc}")
         report.fail("parse-error")
+    except Exception as exc:  # a bug; exceptions outside Exception still propagate
+        report.line(f"error[INTERNAL]: {type(exc).__name__}: {exc}")
+        report.fail("internal")
 
     elapsed_ms = int((time.perf_counter() - started) * 1000)
     print(report.render(getattr(args, "quiet", False), elapsed_ms))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .diagnostics import Diagnostic, error
@@ -201,16 +202,16 @@ def validate_instance(schema: OlogSchema, instance: Instance) -> list[Diagnostic
         table = instance.table(arrow.id)
         source = instance.elements(arrow.src)
         target = instance.elements(arrow.dst)
-        for eid in sorted(source, key=natural_key):
-            if eid not in table:
-                diags.append(
-                    error(
-                        "MISSING_IMAGE",
-                        f"arrow {arrow.id} has no image for element {eid!r} of {arrow.src}",
-                        f"{arrow.id}/{eid}",
-                    )
+        for eid in sorted(source.keys() - table.keys(), key=natural_key):
+            diags.append(
+                error(
+                    "MISSING_IMAGE",
+                    f"arrow {arrow.id} has no image for element {eid!r} of {arrow.src}",
+                    f"{arrow.id}/{eid}",
                 )
-        for eid in sorted(table, key=natural_key):
+            )
+        bad = [eid for eid, image in table.items() if eid not in source or image not in target]
+        for eid in sorted(bad, key=natural_key):
             if eid not in source:
                 diags.append(
                     error(
@@ -219,7 +220,7 @@ def validate_instance(schema: OlogSchema, instance: Instance) -> list[Diagnostic
                         f"{arrow.id}/{eid}",
                     )
                 )
-            elif table[eid] not in target:
+            else:
                 diags.append(
                     error(
                         "IMAGE_NOT_IN_TARGET",
@@ -278,12 +279,16 @@ class EquationReport:
 def check_equation(
     schema: OlogSchema, instance: Instance, equation: PathEquation
 ) -> EquationReport:
-    elems = sorted(instance.elements(equation.lhs.start), key=natural_key)
+    elems = instance.elements(equation.lhs.start)
     if elems:
         path_endpoints(schema, equation.lhs)  # raises MalformedPathError on bad paths
         path_endpoints(schema, equation.rhs)
+        if _holds_everywhere(instance, equation, elems):
+            return EquationReport(equation, holds=True, checked=len(elems))
+    # Something fails: rescan in natural-key order, so the witness, ``checked``
+    # and any error raised are those of the first offending element.
     checked = 0
-    for eid in elems:
+    for eid in sorted(elems, key=natural_key):
         lhs_val = _chase(instance, equation.lhs, eid)
         rhs_val = _chase(instance, equation.rhs, eid)
         checked += 1
@@ -292,6 +297,26 @@ def check_equation(
                 equation, holds=False, checked=checked, witness=(eid, lhs_val, rhs_val)
             )
     return EquationReport(equation, holds=True, checked=checked)
+
+
+def _holds_everywhere(
+    instance: Instance, equation: PathEquation, elems: dict[str, Payload | None]
+) -> bool:
+    """True iff both sides are defined and agree on every element, in any order."""
+    lhs_tables = [instance.table(arrow_id) for arrow_id in equation.lhs.arrows]
+    rhs_tables = [instance.table(arrow_id) for arrow_id in equation.rhs.arrows]
+    try:
+        for eid in elems:
+            lhs_val = rhs_val = eid
+            for table in lhs_tables:
+                lhs_val = table[lhs_val]
+            for table in rhs_tables:
+                rhs_val = table[rhs_val]
+            if lhs_val != rhs_val:
+                return False
+    except KeyError:  # a partial table; the ordered rescan raises for it
+        return False
+    return True
 
 
 def check_all_equations(schema: OlogSchema, instance: Instance) -> list[EquationReport]:
@@ -308,9 +333,21 @@ def compute_pullback(
 ) -> list[tuple[str, str]]:
     """All pairs (x, y) with leg1(x) = leg2(y), in natural-key order.
 
+    A hash join: leg 2's sources are indexed by image, so the cost is
+    |X| + |Y| + the number of pairs, plus sorting X and Y by natural key.
     The legs must form a cospan (same target box); raises CospanMismatchError
     otherwise.
     """
+    xs, table1, ys, table2 = _cospan(schema, instance, leg1, leg2)
+    return _join(
+        sorted(xs, key=natural_key), table1, sorted(ys, key=natural_key), table2
+    )
+
+
+def _cospan(
+    schema: OlogSchema, instance: Instance, leg1: str, leg2: str
+) -> tuple[dict, dict[str, str], dict, dict[str, str]]:
+    """Both legs' source sets and tables, once the legs are known to form a cospan."""
     decl1 = schema.arrow(leg1)
     decl2 = schema.arrow(leg2)
     if decl1 is None or decl2 is None:
@@ -321,19 +358,29 @@ def compute_pullback(
             f"legs do not form a cospan: {leg1} ends at {decl1.dst}, "
             f"{leg2} ends at {decl2.dst}"
         )
-    table1 = instance.table(leg1)
-    table2 = instance.table(leg2)
-    xs = sorted(instance.elements(decl1.src), key=natural_key)
-    ys = sorted(instance.elements(decl2.src), key=natural_key)
-    pairs: list[tuple[str, str]] = []
-    for x in xs:
-        fx = table1.get(x)
-        if fx is None:
-            continue
-        for y in ys:
-            if table2.get(y) == fx:
-                pairs.append((x, y))
-    return pairs
+    return (
+        instance.elements(decl1.src),
+        instance.table(leg1),
+        instance.elements(decl2.src),
+        instance.table(leg2),
+    )
+
+
+def _join(
+    xs: Iterable[str], table1: dict[str, str], ys: Iterable[str], table2: dict[str, str]
+) -> list[tuple[str, str]]:
+    """Pairs with table1[x] == table2[y], x-major, each side in the order given."""
+    by_image: dict[str, list[str]] = {}
+    for y in ys:
+        image = table2.get(y)
+        if image is not None:
+            by_image.setdefault(image, []).append(y)
+    return [
+        (x, y)
+        for x in xs
+        if (image := table1.get(x)) is not None
+        for y in by_image.get(image, ())
+    ]
 
 
 @dataclass(frozen=True, slots=True)
@@ -361,12 +408,24 @@ class FiberProductReport:
 def verify_fiber_product(
     schema: OlogSchema, instance: Instance, decl: FiberProductDecl
 ) -> FiberProductReport:
-    canonical = compute_pullback(schema, instance, decl.leg1, decl.leg2)
-    canonical_set = set(canonical)
+    xs, table1, ys, table2 = _cospan(schema, instance, decl.leg1, decl.leg2)
     proj1 = instance.table(decl.proj1)
     proj2 = instance.table(decl.proj2)
-    apex_elems = sorted(instance.elements(decl.apex), key=natural_key)
+    apex = instance.elements(decl.apex)
 
+    # The apex passes iff its projections are distinct and are exactly the
+    # canonical pairs; that needs no order.
+    canonical = _join(xs, table1, ys, table2)
+    projected = {(proj1.get(eid, ""), proj2.get(eid, "")) for eid in apex}
+    if len(projected) == len(apex) and projected == set(canonical):
+        return FiberProductReport(
+            decl, holds=True, apex_size=len(apex), pullback_size=len(canonical)
+        )
+
+    # It fails: rescan in natural-key order for the first witness.
+    canonical = compute_pullback(schema, instance, decl.leg1, decl.leg2)
+    canonical_set = set(canonical)
+    apex_elems = sorted(apex, key=natural_key)
     seen: dict[tuple[str, str], str] = {}
     for eid in apex_elems:
         pair = (proj1.get(eid, ""), proj2.get(eid, ""))
@@ -425,11 +484,13 @@ class IsoResult:
     """Result of the isomorphism search.
 
     On FOUND, ``mapping`` holds one bijection per box and has been re-verified
-    against every arrow table.  On NOT_FOUND, ``certificate`` names the first
-    obstruction: CARDINALITY_MISMATCH, PAYLOAD_TYPE_MISMATCH,
+    against every arrow table; a found map that fails that check raises
+    RuntimeError instead of becoming a result.  On NOT_FOUND, ``certificate``
+    names the first obstruction: CARDINALITY_MISMATCH, PAYLOAD_TYPE_MISMATCH,
     SIGNATURE_MISMATCH (structural refinement separated the instances), or
     SEARCH_EXHAUSTED (full backtracking found no commuting bijection).
-    ``detail`` carries the box id (or similar) the certificate points at.
+    ``detail`` names the box the first three point at (with both sizes for
+    CARDINALITY_MISMATCH) and is empty for SEARCH_EXHAUSTED.
     """
 
     outcome: IsoOutcome
@@ -623,10 +684,10 @@ def check_instance_isomorphism(
     mapping = {box_id: m for box_id, m in mapping.items() if m}
 
     if not verify_isomorphism(schema, a, b, mapping):
-        # The search is believed sound, but success is only ever reported
-        # after independent re-verification.
-        return IsoResult(
-            IsoOutcome.NOT_FOUND, certificate="SEARCH_EXHAUSTED", detail="verify"
+        # Success is only ever reported after independent re-verification; a
+        # map the search built that fails it is a bug, not a certificate.
+        raise RuntimeError(
+            "isomorphism search produced a map that fails re-verification"
         )
     return IsoResult(IsoOutcome.FOUND, mapping=mapping)
 

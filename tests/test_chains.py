@@ -426,6 +426,26 @@ def test_generated_instances_pass_all_checks(schema):
         assert all(r.holds for r in verify_all_fiber_products(schema, inst))
 
 
+@pytest.mark.parametrize("domain", ["protein", "social", "generic"])
+@pytest.mark.parametrize("bricks", [2, 9, 12])
+@pytest.mark.parametrize(
+    "chain",
+    [
+        {"lifeline_present": True},  # ductile
+        {"lifeline_present": True, "brick_failure": 100.0, "lifeline_failure": 110.0},
+        {},  # brittle
+    ],
+    ids=["ductile", "bonded", "brittle"],
+)
+def test_generated_instance_is_already_canonical(schema, domain, bricks, chain):
+    inst = generate_instance(SimParams(brick_count=bricks, domain=domain, **chain), schema)
+    canon = inst.canonical()
+    for got, want in ((inst.sets, canon.sets), (inst.functions, canon.functions)):
+        assert list(got) == list(want)
+        for key in want:
+            assert list(got[key].items()) == list(want[key].items())
+
+
 def test_domain_flavors_name_the_blocks():
     protein = build_chain(PROTEIN_DEFAULTS)
     assert protein.bricks[0].id == "aa1"

@@ -237,3 +237,39 @@ def test_module_is_runnable_as_a_script():
     )
     assert proc.returncode == 0
     assert proc.stdout == "ok\n"
+
+
+# ---------------------------------------------------------------------------
+# internal errors
+# ---------------------------------------------------------------------------
+
+
+def test_a_crash_is_an_internal_error_not_a_violation(capsys, monkeypatch):
+    import ologkit.cli
+
+    def crash(args, report, comparators):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setitem(ologkit.cli._HANDLERS, "check", crash)
+    code, out = run_cli(capsys, "check", "paper.olog")
+    assert code == 4
+    assert body_of(out) == [
+        "command: check",
+        "error[INTERNAL]: RecursionError: maximum recursion depth exceeded",
+        "verdict: internal",
+    ]
+
+
+def test_exceptions_outside_exception_still_propagate(capsys, monkeypatch):
+    import ologkit.cli
+
+    class Stop(BaseException):
+        pass
+
+    def stop(args, report, comparators):
+        raise Stop
+
+    monkeypatch.setitem(ologkit.cli._HANDLERS, "check", stop)
+    with pytest.raises(Stop):
+        main(["check", "paper.olog"])
+    assert capsys.readouterr().out == ""

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from pathlib import Path as FsPath
 
@@ -17,6 +18,7 @@ from ologkit import (
     PROTEIN_DEFAULTS,
     SOCIAL_MATCHED_DEFAULTS,
     PairPayload,
+    SimParams,
     ParseError,
     PathEquation,
     RealPayload,
@@ -331,6 +333,28 @@ def test_bundled_instances_round_trip_bytes():
 def test_generated_instances_match_bundled_bytes(params, name):
     generated = generate_instance(params, bundled_schema())
     assert serialize_instance(generated) == bundled_text(name)
+
+
+@pytest.mark.parametrize(
+    "bricks, domain, digest",
+    [
+        (6, "protein", "f6fbc51799dd39300939dd4b7ea82b86b9a6ec452e0ec4a98cd68e30e6e5a1d7"),
+        (6, "social", "9ec9cfa2e87f94ef065f20c305c4c9931b006fcb240e36d985b9b4e8168146b6"),
+        (12, "social", "822d736d8d749d225a015a39e4074525a71eafcdc478e68745f5b5f0654bda05"),
+    ],
+)
+def test_generated_bonded_instance_bytes_are_pinned(bricks, domain, digest):
+    # Bonded chains fill boxes K and I, which the bundled (ductile) files leave
+    # empty, so these digests pin the K/I join's numbering too.
+    params = SimParams(
+        brick_count=bricks,
+        brick_failure=100.0,
+        lifeline_present=True,
+        lifeline_failure=110.0,
+        domain=domain,
+    )
+    text = serialize_instance(generate_instance(params, bundled_schema()))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
 def test_load_helpers_read_files(tmp_path):

@@ -36,6 +36,16 @@ from ologkit import (
 )
 
 
+def _reversed(inst):
+    """The same instance with every set and table inserted in reverse order."""
+    return Instance(
+        inst.name,
+        inst.schema_name,
+        {box: dict(reversed(elems.items())) for box, elems in inst.sets.items()},
+        {arrow: dict(reversed(table.items())) for arrow, table in inst.functions.items()},
+    )
+
+
 # ---------------------------------------------------------------------------
 # payloads
 # ---------------------------------------------------------------------------
@@ -135,6 +145,22 @@ def test_partial_table_is_flagged_per_element():
     diags = validate_instance(s, inst)
     assert [d.code for d in diags] == ["MISSING_IMAGE", "MISSING_IMAGE"]
     assert [d.location for d in diags] == ["f/x1", "f/x3"]
+
+    # Ids crossing x9/x10, inserted in natural and in reverse order: the
+    # diagnostics come out in natural-key order either way.
+    xs = [f"x{i}" for i in range(1, 13) if i != 10]
+    table = {x: "y1" for x in xs if x not in ("x2", "x11")}
+    table.update({"x9": "nowhere", "x10": "y1", "x12": "nowhere"})
+    wide = Instance("partial", "toy", {"X": dict.fromkeys(xs), "Y": {"y1": None}}, {"f": table})
+    for inst in (wide, _reversed(wide)):
+        diags = validate_instance(s, inst)
+        assert [(d.code, d.location) for d in diags] == [
+            ("MISSING_IMAGE", "f/x2"),
+            ("MISSING_IMAGE", "f/x11"),
+            ("IMAGE_NOT_IN_TARGET", "f/x9"),
+            ("UNKNOWN_ELEMENT", "f/x10"),
+            ("IMAGE_NOT_IN_TARGET", "f/x12"),
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +270,44 @@ def test_counterexample_reports_first_element_in_natural_order():
     assert report.witness == ("x2", "y1", "y2")
     assert report.checked == 2  # stopped at the first offender
 
+    # Ids crossing x9/x10: in the reversed dicts the offenders x11 and x10
+    # come before x3, but the witness is still the first in natural order.
+    xs = [f"x{i}" for i in range(1, 13)]
+    wide = Instance(
+        "cex",
+        "sq",
+        sets={"X": dict.fromkeys(xs), "Y": {"y1": None, "y2": None}},
+        functions={
+            "f": dict.fromkeys(xs, "y1"),
+            "g": {x: "y2" if x in ("x3", "x10", "x11") else "y1" for x in xs},
+        },
+    )
+    for inst in (wide, _reversed(wide)):
+        report = check_equation(s, inst, s.equations[0])
+        assert (report.witness, report.checked) == (("x3", "y1", "y2"), 3)
+
+    # A partial table raises for the first element in natural order that hits
+    # it, unless a counterexample comes before that element.
+    partial = Instance(
+        "partial",
+        "sq",
+        sets=wide.sets,
+        functions={
+            "f": wide.functions["f"],
+            "g": {x: "y1" for x in xs if x not in ("x4", "x10", "x11")},
+        },
+    )
+    for inst in (partial, _reversed(partial)):
+        with pytest.raises(ElementNotInSourceError, match="'x4'"):
+            check_equation(s, inst, s.equations[0])
+    partial.functions["g"]["x2"] = "y2"
+    for inst in (partial, _reversed(partial)):
+        report = check_equation(s, inst, s.equations[0])
+        assert (report.witness, report.checked) == (("x2", "y1", "y2"), 2)
+    for inst in (wide, _reversed(wide)):
+        report = check_equation(s, inst, PathEquation(Path("X", ("f",)), Path("X", ("f",))))
+        assert (report.holds, report.checked) == (True, 12)
+
 
 # ---------------------------------------------------------------------------
 # pullbacks
@@ -292,6 +356,28 @@ def test_pullback_matches_brute_force(data):
     assert got == sorted(got)  # already emitted in lexicographic order
 
 
+def test_pullback_pairs_come_in_natural_key_order_whatever_the_insertion_order():
+    rng = random.Random(3)
+    nx, ny, nz = 12, 11, 3
+    fmap = [rng.randrange(nz) for _ in range(nx)]
+    gmap = [rng.randrange(nz) for _ in range(ny)]
+    s, inst = _cospan_instance(nx, ny, nz, fmap, gmap)
+    want = [
+        (f"x{i}", f"y{j}")
+        for i in range(nx)
+        for j in range(ny)
+        if fmap[i] == gmap[j]
+    ]
+    for _ in range(5):
+        shuffled = Instance(
+            inst.name,
+            inst.schema_name,
+            {box: dict(rng.sample(list(e.items()), len(e))) for box, e in inst.sets.items()},
+            {a: dict(rng.sample(list(t.items()), len(t))) for a, t in inst.functions.items()},
+        )
+        assert compute_pullback(s, shuffled, "f", "g") == want
+
+
 def test_pullback_rejects_non_cospans(schema, protein):
     with pytest.raises(CospanMismatchError):
         compute_pullback(schema, protein, "9", "14")  # -> H vs -> Q
@@ -307,7 +393,7 @@ def test_bundled_fiber_products_all_pass(schema, protein, social):
         assert all(r.apex_size == r.pullback_size for r in reports)
 
 
-def _square_instance(apex_pairs):
+def _square_instance(apex_pairs, nx=2):
     """A P = X ×_Z Y square over a fixed cospan, with a configurable apex."""
     s = OlogSchema(
         "square",
@@ -321,21 +407,21 @@ def _square_instance(apex_pairs):
         (PathEquation(Path("P", ("p1", "f")), Path("P", ("p2", "g"))),),
         (FiberProductDecl("P", "p1", "p2", "f", "g"),),
     )
-    # f: x1,x2 -> z1; g: y1 -> z1, y2 -> z2.  Canonical pullback:
-    # {(x1,y1), (x2,y1)}
+    # f: x1..x{nx} -> z1; g: y1 -> z1, y2 -> z2.  Canonical pullback:
+    # {(x1,y1), ..., (x{nx},y1)}
     inst = Instance(
         "sq",
         "square",
         sets={
             "P": {pid: None for pid, _, _ in apex_pairs},
-            "X": {"x1": None, "x2": None},
+            "X": {f"x{i}": None for i in range(1, nx + 1)},
             "Y": {"y1": None, "y2": None},
             "Z": {"z1": None, "z2": None},
         },
         functions={
             "p1": {pid: x for pid, x, _ in apex_pairs},
             "p2": {pid: y for pid, _, y in apex_pairs},
-            "f": {"x1": "z1", "x2": "z1"},
+            "f": {f"x{i}": "z1" for i in range(1, nx + 1)},
             "g": {"y1": "z1", "y2": "z2"},
         },
     )
@@ -366,6 +452,30 @@ def test_fiber_product_pass_and_each_failure_witness():
     report = verify_fiber_product(s, extra, s.fiber_products[0])
     assert (report.verdict, report.witness_kind) == ("FAIL", "EXTRA_PAIR")
     assert report.witness == ("p3", "x1", "y2")
+
+    # Ids crossing p9/p10 and x9/x10, inserted in natural and in reverse
+    # order: each witness is the first in natural-key order.
+    diagonal = [(f"p{i}", f"x{i}", "y1") for i in range(1, 13)]
+    cases = [
+        (diagonal, None, ()),
+        (diagonal[:9] + [("p10", "x2", "y1")] + diagonal[10:], "COLLIDING_PAIR", ("p2", "p10")),
+        (diagonal[:1] + diagonal[2:10] + diagonal[11:], "MISSING_PAIR", ("x2", "y1")),
+        (
+            [(p, x, "y2" if p in ("p3", "p11") else y) for p, x, y in diagonal],
+            "EXTRA_PAIR",
+            ("p3", "x3", "y2"),
+        ),
+    ]
+    for apex_pairs, kind, witness in cases:
+        s, inst = _square_instance(apex_pairs, nx=12)
+        for variant in (inst, _reversed(inst)):
+            report = verify_fiber_product(s, variant, s.fiber_products[0])
+            assert (report.holds, report.witness_kind, report.witness) == (
+                kind is None,
+                kind,
+                witness,
+            )
+            assert (report.apex_size, report.pullback_size) == (len(apex_pairs), 12)
 
 
 # ---------------------------------------------------------------------------
@@ -544,6 +654,16 @@ def test_iso_outcome_is_symmetric(seed):
     if forward.found:
         assert verify_isomorphism(s, a, b, forward.mapping)
         assert verify_isomorphism(s, b, a, backward.mapping)
+
+
+def test_a_found_map_failing_reverification_is_an_internal_error(
+    schema, protein, monkeypatch
+):
+    import ologkit.instance
+
+    monkeypatch.setattr(ologkit.instance, "verify_isomorphism", lambda *args: False)
+    with pytest.raises(RuntimeError, match="re-verification"):
+        check_instance_isomorphism(schema, protein, protein)
 
 
 def test_verify_isomorphism_rejects_non_commuting_maps(schema, protein):
