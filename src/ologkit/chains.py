@@ -266,17 +266,22 @@ def classify(chain: ChainSystem, comparators: Comparators = Comparators()) -> Cl
 # ---------------------------------------------------------------------------
 
 
+def _check_link_args(tau: float, length: int) -> float:
+    if isinstance(length, bool) or not isinstance(length, int) or length < 1:
+        raise DomainError(f"message length must be a positive integer, got {length!r}")
+    tau = float(tau)
+    if not 0.0 < tau <= 1.0:
+        raise DomainError(f"success probability must lie in (0, 1], got {tau!r}")
+    return tau
+
+
 def link_failure_noise(tau: float, length: int) -> float:
     """Largest per-link noise p with P(error-free message of given length) >= tau.
 
     Each of the ``length`` links independently corrupts the message with
     probability p, so the threshold solves (1-p)^length = tau.
     """
-    if isinstance(length, bool) or not isinstance(length, int) or length < 1:
-        raise DomainError(f"message length must be a positive integer, got {length!r}")
-    tau = float(tau)
-    if not 0.0 < tau <= 1.0:
-        raise DomainError(f"success probability must lie in (0, 1], got {tau!r}")
+    tau = _check_link_args(tau, length)
     return 1.0 - tau ** (1.0 / length)
 
 
@@ -289,11 +294,7 @@ def estimate_link_failure_noise_mc(
     exactly when the trial minimum is at least p, so the threshold is the
     (1 - tau) quantile of the per-trial minima, located here by bisection.
     """
-    if isinstance(length, bool) or not isinstance(length, int) or length < 1:
-        raise DomainError(f"message length must be a positive integer, got {length!r}")
-    tau = float(tau)
-    if not 0.0 < tau <= 1.0:
-        raise DomainError(f"success probability must lie in (0, 1], got {tau!r}")
+    tau = _check_link_args(tau, length)
     if trials < 10_000:
         raise DomainError(f"at least 10000 trials required, got {trials!r}")
 

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import enum
 import math
-from collections.abc import Iterable
+from collections import Counter
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 from .diagnostics import Diagnostic, error
@@ -507,50 +508,53 @@ def _payload_type_multiset(elems: dict[str, Payload | None]) -> tuple[str, ...]:
     return tuple(sorted(payload_type_name(p) for p in elems.values()))
 
 
+_OutArrows = dict[str, list[tuple[str, str, dict[str, str]]]]
+
+
+def _out_arrows(schema: OlogSchema, instance: Instance) -> _OutArrows:
+    """Per box, its out-arrows as (arrow id, target box, table) in schema order."""
+    index: _OutArrows = {box.id: [] for box in schema.boxes}
+    for arrow in schema.arrows:
+        index[arrow.src].append((arrow.id, arrow.dst, instance.table(arrow.id)))
+    return index
+
+
 def _refine_colors(
-    schema: OlogSchema, instance: Instance, rounds: int
+    schema: OlogSchema, instance: Instance, out_arrows: _OutArrows
 ) -> dict[str, dict[str, int]]:
     """Stable coloring of every element by its function-graph neighborhood.
 
-    Classic color refinement: start from (box, payload type), then repeatedly
-    hash each element with the colors of its images and preimages under every
-    arrow.  Colors are normalized each round so they are comparable across
-    instances.
+    Classic color refinement (1-dimensional Weisfeiler-Leman): start from
+    (box, payload type), then hash each element with the colors of its images
+    and preimages under every arrow until the coloring is a fixed point.
     """
     # Palettes are rank-normalized over the sorted key set each round, so the
     # same structural situation gets the same color index in both instances
-    # regardless of element naming.
-    init_keys: dict[tuple[str, str], tuple] = {}
-    for box in schema.boxes:
-        for eid, payload in instance.elements(box.id).items():
-            init_keys[(box.id, eid)] = (box.id, payload_type_name(payload))
-    init_palette = {key: rank for rank, key in enumerate(sorted(set(init_keys.values())))}
-    color = {elem: init_palette[key] for elem, key in init_keys.items()}
-
-    arrows = [(a.id, a.src, a.dst) for a in schema.arrows]
-    for _ in range(rounds):
-        preimage_sig: dict[tuple[str, str], list[tuple[str, int]]] = {}
-        for arrow_id, src, dst in arrows:
-            for eid, image in instance.table(arrow_id).items():
-                if (src, eid) not in color:
-                    continue
-                preimage_sig.setdefault((dst, image), []).append(
-                    (arrow_id, color[(src, eid)])
-                )
-        keys: dict[tuple[str, str], tuple] = {}
-        for (box_id, eid), current in color.items():
-            out_sig = tuple(
-                (arrow_id, color.get((dst, instance.table(arrow_id).get(eid, "")), -1))
-                for arrow_id, src, dst in arrows
-                if src == box_id
-            )
-            in_sig = tuple(sorted(preimage_sig.get((box_id, eid), [])))
-            keys[(box_id, eid)] = (current, out_sig, in_sig)
+    # regardless of element naming.  Keys lead with the current color, so the
+    # ranks repeat exactly once the partition stops splitting.
+    keys: dict[tuple[str, str], tuple] = {
+        (box.id, eid): (box.id, payload_type_name(payload))
+        for box in schema.boxes
+        for eid, payload in instance.elements(box.id).items()
+    }
+    color: dict[tuple[str, str], int] = {}
+    while True:
         palette = {key: rank for rank, key in enumerate(sorted(set(keys.values())))}
         new_color = {elem: palette[key] for elem, key in keys.items()}
         if new_color == color:
             break
         color = new_color
+        preimage_sig: dict[tuple[str, str], list[tuple[str, int]]] = {}
+        for (box_id, eid), current in color.items():
+            images = []
+            for arrow_id, dst, table in out_arrows[box_id]:
+                image = table.get(eid)
+                if image is not None:
+                    preimage_sig.setdefault((dst, image), []).append((arrow_id, current))
+                images.append((arrow_id, color.get((dst, image), -1)))
+            keys[(box_id, eid)] = (current, tuple(images))
+        for elem, key in keys.items():
+            keys[elem] = (*key, tuple(sorted(preimage_sig.get(elem, []))))
 
     result: dict[str, dict[str, int]] = {}
     for (box_id, eid), c in color.items():
@@ -565,9 +569,9 @@ def check_instance_isomorphism(
 
     Payload *types* must agree per box; payload values are deliberately never
     compared — two instances with different numbers can still be structurally
-    identical.  The search refines candidate classes first, then backtracks
-    with forced propagation along every arrow table; any map it finds is
-    independently re-verified before being reported.
+    identical.  Candidate classes are refined to a fixed point, then a loop
+    (no recursion) backtracks with forced propagation along every arrow table;
+    any map it finds is independently re-verified before being reported.
     """
     for inst in (a, b):
         if inst.schema_name != schema.name:
@@ -592,33 +596,22 @@ def check_instance_isomorphism(
                 detail=box_id,
             )
 
-    total = sum(len(a.elements(box_id)) for box_id in box_ids)
-    rounds = max(4, total.bit_length())
-    colors_a = _refine_colors(schema, a, rounds)
-    colors_b = _refine_colors(schema, b, rounds)
+    out_a, out_b = _out_arrows(schema, a), _out_arrows(schema, b)
+    colors_a, colors_b = _refine_colors(schema, a, out_a), _refine_colors(schema, b, out_b)
 
     # Candidate sets: a-element -> the b-elements sharing its color class.
     candidates: dict[tuple[str, str], list[str]] = {}
     for box_id in box_ids:
-        hist_a: dict[int, int] = {}
-        hist_b: dict[int, int] = {}
-        for c in colors_a.get(box_id, {}).values():
-            hist_a[c] = hist_a.get(c, 0) + 1
-        for c in colors_b.get(box_id, {}).values():
-            hist_b[c] = hist_b.get(c, 0) + 1
-        if hist_a != hist_b:
+        box_a, box_b = colors_a.get(box_id, {}), colors_b.get(box_id, {})
+        if Counter(box_a.values()) != Counter(box_b.values()):
             return IsoResult(
                 IsoOutcome.NOT_FOUND, certificate="SIGNATURE_MISMATCH", detail=box_id
             )
         by_color: dict[int, list[str]] = {}
-        for eid in sorted(colors_b.get(box_id, {}), key=natural_key):
-            by_color.setdefault(colors_b[box_id][eid], []).append(eid)
-        for eid, c in colors_a.get(box_id, {}).items():
+        for eid in sorted(box_b, key=natural_key):
+            by_color.setdefault(box_b[eid], []).append(eid)
+        for eid, c in box_a.items():
             candidates[(box_id, eid)] = by_color.get(c, [])
-
-    out_arrows: dict[str, list[tuple[str, str]]] = {box_id: [] for box_id in box_ids}
-    for arrow in schema.arrows:
-        out_arrows[arrow.src].append((arrow.id, arrow.dst))
 
     # Order: most-constrained elements first (fewest candidates).
     order = sorted(
@@ -644,14 +637,12 @@ def check_instance_isomorphism(
             assignment[(box_id, eid)] = target
             used[box_id].add(target)
             trail.append((box_id, eid))
-            for arrow_id, dst in out_arrows[box_id]:
-                image_a = a.table(arrow_id).get(eid)
-                image_b = b.table(arrow_id).get(target)
-                if image_a is None or image_b is None:
-                    if image_a != image_b:
-                        return False
-                    continue
-                stack.append(((dst, image_a), image_b))
+            for (_, dst, table_a), (_, _, table_b) in zip(out_a[box_id], out_b[box_id]):
+                image_a, image_b = table_a.get(eid), table_b.get(target)
+                if (image_a is None) != (image_b is None):
+                    return False
+                if image_a is not None:
+                    stack.append(((dst, image_a), image_b))
         return True
 
     def undo(trail: list[tuple[str, str]]) -> None:
@@ -659,24 +650,30 @@ def check_instance_isomorphism(
             target = assignment.pop((box_id, eid))
             used[box_id].discard(target)
 
-    def search(index: int) -> bool:
-        while index < len(order) and order[index] in assignment:
-            index += 1
-        if index == len(order):
-            return True
+    # Depth-first search; each choice is (index, its untried candidates, trail).
+    choices: list[tuple[int, Iterator[str], list[tuple[str, str]]]] = []
+    index, untried = 0, None
+    while index < len(order):
         key = order[index]
-        box_id, _ = key
-        for target in candidates[key]:
-            if target in used[box_id]:
+        if key in assignment:
+            index += 1
+            continue
+        untried = untried or iter(candidates[key])
+        taken = used[key[0]]
+        for target in untried:
+            if target in taken:
                 continue
             trail: list[tuple[str, str]] = []
-            if propagate(key, target, trail) and search(index + 1):
-                return True
+            if propagate(key, target, trail):
+                choices.append((index, untried, trail))
+                index, untried = index + 1, None
+                break
             undo(trail)
-        return False
-
-    if not search(0):
-        return IsoResult(IsoOutcome.NOT_FOUND, certificate="SEARCH_EXHAUSTED", detail="")
+        else:
+            if not choices:
+                return IsoResult(IsoOutcome.NOT_FOUND, certificate="SEARCH_EXHAUSTED")
+            index, untried, trail = choices.pop()
+            undo(trail)
 
     mapping: dict[str, dict[str, str]] = {box_id: {} for box_id in box_ids}
     for (box_id, eid), target in assignment.items():

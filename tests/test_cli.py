@@ -1,3 +1,4 @@
+import hashlib
 import subprocess
 import sys
 
@@ -137,6 +138,51 @@ def test_iso_instance_with_itself(capsys):
     code, out = run_cli(capsys, "iso", "paper.olog", "protein.oinst", "protein.oinst")
     assert code == 0
     assert "Found" in body_of(out)
+
+
+def _simulate_twins(capsys, *flags):
+    """Write the protein and social instances for the same chain flags."""
+    names = []
+    for domain in ("protein", "social"):
+        name = f"twin-{domain}.oinst"
+        code, _ = run_cli(capsys, "simulate", "--domain", domain, *flags, "-o", name)
+        assert code == 0
+        names.append(name)
+    return names
+
+
+def test_iso_on_bonded_twins_past_the_old_recursion_line(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    twins = _simulate_twins(
+        capsys, "--bricks", "12", "--glue-fail", "20.6", "--brick-fail", "100",
+        "--lifeline", "--ll-rest", "23.45", "--ll-fail", "110",
+    )
+    code, out = run_cli(capsys, "iso", "paper.olog", *twins)
+    assert code == 0
+    assert "Found" in body_of(out)
+
+
+@pytest.mark.parametrize(
+    "flags, digest",
+    [
+        ((), "90397ab729694a8805c290991f5a468f92d299256d3396c9adcda9f5ef3f02c4"),
+        (
+            ("--bricks", "16", "--glue-fail", "20.6", "--lifeline",
+             "--ll-rest", "23.45", "--ll-fail", "100"),
+            "7a1fb2a15d8f05d6673b70834ee8a740faec95bb0d90bf2ecd3671470d43e1c6",
+        ),
+    ],
+    ids=["bundled", "ductile-n16"],
+)
+def test_iso_report_pins_the_search_order(capsys, tmp_path, monkeypatch, flags, digest):
+    # The report lists the whole map, so its bytes fix which of the many
+    # isomorphisms the search finds first.
+    monkeypatch.chdir(tmp_path)
+    pair = _simulate_twins(capsys, *flags) if flags else ["protein.oinst", "social.oinst"]
+    code, out = run_cli(capsys, "iso", "paper.olog", *pair)
+    assert code == 0
+    body = "".join(line + "\n" for line in body_of(out))
+    assert hashlib.sha256(body.encode()).hexdigest() == digest
 
 
 def test_analogy_default_bricks_match(capsys):

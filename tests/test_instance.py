@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,7 @@ from ologkit import (
     PathEquation,
     RealPayload,
     SchemaMismatchError,
+    SimParams,
     TextPayload,
     check_all_equations,
     check_equation,
@@ -28,6 +30,7 @@ from ologkit import (
     compose,
     compute_pullback,
     eval_path,
+    generate_instance,
     identity,
     validate_instance,
     verify_all_fiber_products,
@@ -612,9 +615,10 @@ def test_signature_certificate_on_structural_difference():
         sets={"X": {"x1": None, "x2": None}, "Y": {"y1": None, "y2": None}},
         functions={"f": {"x1": "y1", "x2": "y2"}},
     )
-    res = check_instance_isomorphism(s, onto_one, onto_two)
-    assert not res.found
-    assert res.certificate in ("SIGNATURE_MISMATCH", "SEARCH_EXHAUSTED")
+    for a, b in ((onto_one, onto_two), (onto_two, onto_one)):
+        res = check_instance_isomorphism(s, a, b)
+        assert not res.found
+        assert (res.certificate, res.detail) == ("SIGNATURE_MISMATCH", "Y")
 
 
 def test_iso_requires_matching_schema_name(schema, protein):
@@ -675,3 +679,31 @@ def test_verify_isomorphism_rejects_non_commuting_maps(schema, protein):
         broken["V"][v_ids[0]],
     )
     assert not verify_isomorphism(schema, protein, protein, broken)
+
+
+def test_bonded_twins_past_the_old_recursion_line_are_found(schema):
+    # Bonded n=12 twins need more search decisions than the default recursion
+    # limit allows a recursive search.
+    a, b = (
+        generate_instance(SimParams(12, 20.6, 100.0, True, 23.45, 110.0, domain), schema)
+        for domain in ("protein", "social")
+    )
+    res = check_instance_isomorphism(schema, a, b)
+    assert res.outcome is IsoOutcome.FOUND
+    assert verify_isomorphism(schema, a, b, res.mapping)
+
+
+def test_iso_search_does_not_recurse(schema, protein, social):
+    # 30 frames above the caller: enough for a loop, far too few for one
+    # frame per search decision.
+    depth = 0
+    frame = sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 30)
+    try:
+        res = check_instance_isomorphism(schema, protein, social)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert res.found
