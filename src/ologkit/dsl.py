@@ -48,6 +48,7 @@ from .instance import (
     RealPayload,
     TextPayload,
 )
+from .ordering import natural_order
 from .schema import (
     ArrowDecl,
     BoxDecl,
@@ -585,21 +586,35 @@ def _payload_lit(payload: Payload) -> str:
 
 
 def serialize_instance(instance: Instance) -> str:
-    """Canonical text for an instance (sorted, empties dropped, stable bytes)."""
-    inst = instance.canonical()
-    lines = [f"instance {_quote(inst.name)} of {_quote(inst.schema_name)} {{"]
-    for box_id, elems in inst.sets.items():
+    """Canonical text for an instance (sorted, empties dropped, stable bytes).
+
+    Boxes, arrows and the ids within each are written in natural-key order,
+    through :func:`natural_order`, so ids are sorted only when they are not
+    already in that order (an exact check: ASCII ids of one length and one
+    digit/non-digit layout, ascending as strings). No copy of the instance
+    is built.
+    """
+    sets, functions = instance.sets, instance.functions
+    lines = [f"instance {_quote(instance.name)} of {_quote(instance.schema_name)} {{"]
+    for box_id in natural_order(sets):
+        elems = sets[box_id]
+        if not elems:
+            continue
         lines.append(f"  set {box_id} {{")
         entries = []
-        for eid, payload in elems.items():
+        for eid in natural_order(elems):
+            payload = elems[eid]
             entries.append(
                 f"    {eid}" if payload is None else f"    {eid} = {_payload_lit(payload)}"
             )
         lines.append(",\n".join(entries))
         lines.append("  }")
-    for arrow_id, table in inst.functions.items():
+    for arrow_id in natural_order(functions):
+        table = functions[arrow_id]
+        if not table:
+            continue
         lines.append(f"  fn {arrow_id} {{")
-        lines.append(",\n".join(f"    {src} -> {dst}" for src, dst in table.items()))
+        lines.append(",\n".join(f"    {src} -> {table[src]}" for src in natural_order(table)))
         lines.append("  }")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -21,7 +21,7 @@ from .errors import (
     SchemaMismatchError,
 )
 from .graphs import Graph
-from .ordering import natural_key
+from .ordering import natural_key, natural_order
 from .schema import FiberProductDecl, OlogSchema, Path, PathEquation, path_endpoints
 
 __all__ = [
@@ -139,20 +139,21 @@ class Instance:
         return self.functions.get(arrow_id, {})
 
     def canonical(self) -> "Instance":
-        """Same instance with sorted keys and empty tables dropped."""
+        """Same instance in fresh dicts, keys in natural-key order, empties dropped.
+
+        Keys go through :func:`natural_order`, so ids are sorted only when
+        they are not already in natural-key order (an exact check: ASCII ids
+        of one length and one digit/non-digit layout, ascending as strings).
+        """
         sets = {
-            box_id: {eid: elems[eid] for eid in sorted(elems, key=natural_key)}
-            for box_id, elems in sorted(
-                self.sets.items(), key=lambda kv: natural_key(kv[0])
-            )
-            if elems
+            box_id: {eid: elems[eid] for eid in natural_order(elems)}
+            for box_id in natural_order(self.sets)
+            if (elems := self.sets[box_id])
         }
         functions = {
-            arrow_id: {eid: table[eid] for eid in sorted(table, key=natural_key)}
-            for arrow_id, table in sorted(
-                self.functions.items(), key=lambda kv: natural_key(kv[0])
-            )
-            if table
+            arrow_id: {eid: table[eid] for eid in natural_order(table)}
+            for arrow_id in natural_order(self.functions)
+            if (table := self.functions[arrow_id])
         }
         return Instance(self.name, self.schema_name, sets, functions)
 
@@ -335,14 +336,14 @@ def compute_pullback(
     """All pairs (x, y) with leg1(x) = leg2(y), in natural-key order.
 
     A hash join: leg 2's sources are indexed by image, so the cost is
-    |X| + |Y| + the number of pairs, plus sorting X and Y by natural key.
-    The legs must form a cospan (same target box); raises CospanMismatchError
-    otherwise.
+    |X| + |Y| + the number of pairs, plus putting X and Y in natural-key
+    order with :func:`natural_order`, which sorts them only when they are not
+    already in that order (an exact check: ASCII ids of one length and one
+    digit/non-digit layout, ascending as strings). The legs must form a
+    cospan (same target box); raises CospanMismatchError otherwise.
     """
     xs, table1, ys, table2 = _cospan(schema, instance, leg1, leg2)
-    return _join(
-        sorted(xs, key=natural_key), table1, sorted(ys, key=natural_key), table2
-    )
+    return _join(natural_order(xs), table1, natural_order(ys), table2)
 
 
 def _cospan(
@@ -608,7 +609,7 @@ def check_instance_isomorphism(
                 IsoOutcome.NOT_FOUND, certificate="SIGNATURE_MISMATCH", detail=box_id
             )
         by_color: dict[int, list[str]] = {}
-        for eid in sorted(box_b, key=natural_key):
+        for eid in natural_order(box_b):
             by_color.setdefault(box_b[eid], []).append(eid)
         for eid, c in box_a.items():
             candidates[(box_id, eid)] = by_color.get(c, [])

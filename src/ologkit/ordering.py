@@ -1,10 +1,21 @@
-"""Deterministic ordering helpers shared by the serializer and the engines."""
+"""Deterministic ordering helpers shared by the serializer and the engines.
+
+Ids are put in natural-key order (see :func:`natural_key`), but
+:func:`natural_order` sorts them only when they are not already in that
+order: ASCII ids of one length and one digit/non-digit layout, already in
+strictly ascending string order, are returned as they are, because for them
+string order and natural-key order agree.
+"""
 
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable
 
 _RUNS = re.compile(r"\d+|\D+")
+
+# bytes.translate table: ASCII digits to b"0", every other byte to b"a".
+_LAYOUT = b"a" * 48 + b"0" * 10 + b"a" * 198
 
 
 def natural_key(ident: str) -> tuple:
@@ -21,6 +32,32 @@ def natural_key(ident: str) -> tuple:
         else:
             parts.append((1, run))
     return tuple(parts)
+
+
+def natural_order(keys: Iterable[str]) -> list[str]:
+    """The keys in the order ``sorted(keys, key=natural_key)`` gives.
+
+    Sorts only when a cheap check cannot prove the keys already in that
+    order. The check is exact: if every key is ASCII, every key has the same
+    length and the same digit/non-digit layout, and the keys ascend strictly
+    as plain strings, then each digit run is compared at one fixed width,
+    where string order is numeric order, so natural-key order is the order
+    given. Anything else (non-ASCII digits, mixed widths, keys out of order)
+    is sorted by :func:`natural_key`, which keeps ties in input order.
+    """
+    keys = list(keys)
+    if keys:
+        first = keys[0]
+        joined = "".join(keys)
+        if (
+            joined.isascii()
+            and set(map(len, keys)) == {len(first)}
+            and all(map(str.__lt__, keys, keys[1:]))
+            and joined.encode().translate(_LAYOUT)
+            == first.encode().translate(_LAYOUT) * len(keys)
+        ):
+            return keys
+    return sorted(keys, key=natural_key)
 
 
 def pad_width(count: int) -> int:

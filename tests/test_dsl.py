@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ologkit.instance
+import ologkit.ordering
 from ologkit import (
     ArrowDecl,
     BoxDecl,
@@ -35,6 +37,7 @@ from ologkit import (
     validate_schema,
     with_fiber_product_squares,
 )
+from ologkit.ordering import natural_key
 from ologkit.schema import Path, path_endpoints
 
 GOLDEN = FsPath(__file__).parent / "golden" / "paper.canonical.olog"
@@ -355,6 +358,55 @@ def test_generated_bonded_instance_bytes_are_pinned(bricks, domain, digest):
     )
     text = serialize_instance(generate_instance(params, bundled_schema()))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.fixture(scope="module")
+def bonded12():
+    params = SimParams(
+        brick_count=12, brick_failure=100.0, lifeline_present=True, lifeline_failure=110.0
+    )
+    return generate_instance(params, bundled_schema())
+
+
+def test_serializing_ordered_ids_sorts_none_of_them(bonded12, monkeypatch):
+    seen = []
+
+    def counting_key(ident):
+        seen.append(ident)
+        return natural_key(ident)
+
+    monkeypatch.setattr(ologkit.ordering, "natural_key", counting_key)
+    monkeypatch.setattr(ologkit.instance, "natural_key", counting_key)
+    serialize_instance(bonded12)
+    # Generated element and box ids are already in natural-key order; only
+    # the arrow ids 1..42, of mixed widths, may need the sort.
+    assert not [ident for ident in seen if ident not in bonded12.functions]
+    assert len(seen) <= len(bonded12.functions)
+
+
+def test_serialized_bytes_do_not_depend_on_insertion_order(bonded12):
+    reversed_sets = {
+        box: dict(reversed(elems.items())) for box, elems in reversed(bonded12.sets.items())
+    }
+    reversed_functions = {
+        arrow: dict(reversed(table.items()))
+        for arrow, table in reversed(bonded12.functions.items())
+    }
+    reversed_sets["Z"] = {}
+    reversed_functions["99"] = {}
+    shuffled = Instance(
+        bonded12.name, bonded12.schema_name, reversed_sets, reversed_functions
+    )
+    assert serialize_instance(shuffled) == serialize_instance(bonded12)
+
+
+def test_canonical_returns_fresh_dicts(bonded12):
+    canon = bonded12.canonical()
+    canon.sets["K"]["k999"] = None
+    canon.sets["Z"] = {"z1": None}
+    canon.functions["24"]["k999"] = "n01"
+    assert "k999" not in bonded12.sets["K"] and "Z" not in bonded12.sets
+    assert "k999" not in bonded12.functions["24"]
 
 
 def test_load_helpers_read_files(tmp_path):
