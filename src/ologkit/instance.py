@@ -492,7 +492,10 @@ class IsoResult:
     SIGNATURE_MISMATCH (structural refinement separated the instances), or
     SEARCH_EXHAUSTED (full backtracking found no commuting bijection).
     ``detail`` names the box the first three point at (with both sizes for
-    CARDINALITY_MISMATCH) and is empty for SEARCH_EXHAUSTED.
+    CARDINALITY_MISMATCH) and is empty for SEARCH_EXHAUSTED.  For
+    SIGNATURE_MISMATCH it is the first box, in schema order, whose colour
+    histograms differ at the first refinement round where any do, both
+    instances being coloured over one shared palette.
     """
 
     outcome: IsoOutcome
@@ -503,10 +506,6 @@ class IsoResult:
     @property
     def found(self) -> bool:
         return self.outcome is IsoOutcome.FOUND
-
-
-def _payload_type_multiset(elems: dict[str, Payload | None]) -> tuple[str, ...]:
-    return tuple(sorted(payload_type_name(p) for p in elems.values()))
 
 
 _OutArrows = dict[str, list[tuple[str, str, dict[str, str]]]]
@@ -520,47 +519,53 @@ def _out_arrows(schema: OlogSchema, instance: Instance) -> _OutArrows:
     return index
 
 
-def _refine_colors(
-    schema: OlogSchema, instance: Instance, out_arrows: _OutArrows
-) -> dict[str, dict[str, int]]:
-    """Stable coloring of every element by its function-graph neighborhood.
+_Element = tuple[int, str, str]  # (side, box id, element id)
 
-    Classic color refinement (1-dimensional Weisfeiler-Leman): start from
-    (box, payload type), then hash each element with the colors of its images
-    and preimages under every arrow until the coloring is a fixed point.
+
+def _refine_colors(
+    schema: OlogSchema, pair: tuple[Instance, Instance], out_arrows: tuple[_OutArrows, _OutArrows]
+) -> tuple[dict[_Element, int], int, str | None]:
+    """Colour both instances together, over one shared palette.
+
+    Colour refinement (1-dimensional Weisfeiler-Leman) on their disjoint
+    union: start from (box, payload type), then rank each element's key (its
+    colour and the colours of its images and preimages under every arrow)
+    among the sorted keys of both sides.  Keys lead with the current colour,
+    so a colour never spans two boxes and the partition only splits.  Returns
+    ``(color, round, box)``: ``box`` is the first box in schema order whose
+    per-side histograms differ at the first round where any do, or None at
+    the fixed point.
     """
-    # Palettes are rank-normalized over the sorted key set each round, so the
-    # same structural situation gets the same color index in both instances
-    # regardless of element naming.  Keys lead with the current color, so the
-    # ranks repeat exactly once the partition stops splitting.
-    keys: dict[tuple[str, str], tuple] = {
-        (box.id, eid): (box.id, payload_type_name(payload))
+    keys: dict[_Element, tuple] = {
+        (side, box.id, eid): (box.id, payload_type_name(payload))
+        for side, instance in enumerate(pair)
         for box in schema.boxes
         for eid, payload in instance.elements(box.id).items()
     }
-    color: dict[tuple[str, str], int] = {}
+    color: dict[_Element, int] = {}
+    classes, round_ = -1, 0
     while True:
         palette = {key: rank for rank, key in enumerate(sorted(set(keys.values())))}
-        new_color = {elem: palette[key] for elem, key in keys.items()}
-        if new_color == color:
-            break
-        color = new_color
-        preimage_sig: dict[tuple[str, str], list[tuple[str, int]]] = {}
-        for (box_id, eid), current in color.items():
+        if len(palette) == classes:
+            return color, round_, None
+        classes = len(palette)
+        color = {elem: palette[key] for elem, key in keys.items()}
+        hist = Counter((side, box_id, c) for (side, box_id, _), c in color.items())
+        differ = {box_id for (side, box_id, c), n in hist.items() if hist[1 - side, box_id, c] != n}
+        if differ:
+            return color, round_, next(box.id for box in schema.boxes if box.id in differ)
+        preimage_sig: dict[_Element, list[tuple[str, int]]] = {}
+        for (side, box_id, eid), current in color.items():
             images = []
-            for arrow_id, dst, table in out_arrows[box_id]:
+            for arrow_id, dst, table in out_arrows[side][box_id]:
                 image = table.get(eid)
                 if image is not None:
-                    preimage_sig.setdefault((dst, image), []).append((arrow_id, current))
-                images.append((arrow_id, color.get((dst, image), -1)))
-            keys[(box_id, eid)] = (current, tuple(images))
+                    preimage_sig.setdefault((side, dst, image), []).append((arrow_id, current))
+                images.append((arrow_id, color.get((side, dst, image), -1)))
+            keys[side, box_id, eid] = (current, tuple(images))
         for elem, key in keys.items():
             keys[elem] = (*key, tuple(sorted(preimage_sig.get(elem, []))))
-
-    result: dict[str, dict[str, int]] = {}
-    for (box_id, eid), c in color.items():
-        result.setdefault(box_id, {})[eid] = c
-    return result
+        round_ += 1
 
 
 def check_instance_isomorphism(
@@ -570,9 +575,12 @@ def check_instance_isomorphism(
 
     Payload *types* must agree per box; payload values are deliberately never
     compared — two instances with different numbers can still be structurally
-    identical.  Candidate classes are refined to a fixed point, then a loop
-    (no recursion) backtracks with forced propagation along every arrow table;
-    any map it finds is independently re-verified before being reported.
+    identical.  Both instances are colour-refined over one shared palette up
+    to the first round whose per-box histograms differ (round 0: sizes or
+    payload types; later: SIGNATURE_MISMATCH).  Then a loop (no recursion)
+    maps each a-element within its colour, backtracking with forced
+    propagation along every arrow table; any map it finds is independently
+    re-verified before being reported.
     """
     for inst in (a, b):
         if inst.schema_name != schema.name:
@@ -581,43 +589,31 @@ def check_instance_isomorphism(
                 f"not {schema.name!r}"
             )
 
-    box_ids = [box.id for box in schema.boxes]
-    for box_id in box_ids:
-        ea, eb = a.elements(box_id), b.elements(box_id)
-        if len(ea) != len(eb):
-            return IsoResult(
-                IsoOutcome.NOT_FOUND,
-                certificate="CARDINALITY_MISMATCH",
-                detail=f"{box_id}: {len(ea)} vs {len(eb)}",
-            )
-        if _payload_type_multiset(ea) != _payload_type_multiset(eb):
-            return IsoResult(
-                IsoOutcome.NOT_FOUND,
-                certificate="PAYLOAD_TYPE_MISMATCH",
-                detail=box_id,
-            )
-
     out_a, out_b = _out_arrows(schema, a), _out_arrows(schema, b)
-    colors_a, colors_b = _refine_colors(schema, a, out_a), _refine_colors(schema, b, out_b)
+    color, round_, box_id = _refine_colors(schema, (a, b), (out_a, out_b))
+    if box_id is not None:
+        na, nb = len(a.elements(box_id)), len(b.elements(box_id))
+        if round_ > 0:
+            certificate, detail = "SIGNATURE_MISMATCH", box_id
+        elif na != nb:
+            certificate, detail = "CARDINALITY_MISMATCH", f"{box_id}: {na} vs {nb}"
+        else:
+            certificate, detail = "PAYLOAD_TYPE_MISMATCH", box_id
+        return IsoResult(IsoOutcome.NOT_FOUND, certificate=certificate, detail=detail)
 
-    # Candidate sets: a-element -> the b-elements sharing its color class.
-    candidates: dict[tuple[str, str], list[str]] = {}
+    # Candidates of every a-element: the b-elements of its colour, in natural-key order.
+    box_ids = [box.id for box in schema.boxes]
+    members: dict[int, list[str]] = {}
     for box_id in box_ids:
-        box_a, box_b = colors_a.get(box_id, {}), colors_b.get(box_id, {})
-        if Counter(box_a.values()) != Counter(box_b.values()):
-            return IsoResult(
-                IsoOutcome.NOT_FOUND, certificate="SIGNATURE_MISMATCH", detail=box_id
-            )
-        by_color: dict[int, list[str]] = {}
-        for eid in natural_order(box_b):
-            by_color.setdefault(box_b[eid], []).append(eid)
-        for eid, c in box_a.items():
-            candidates[(box_id, eid)] = by_color.get(c, [])
+        for eid in natural_order(b.elements(box_id)):
+            members.setdefault(color[1, box_id, eid], []).append(eid)
 
     # Order: most-constrained elements first (fewest candidates).
     order = sorted(
-        candidates,
-        key=lambda key: (len(candidates[key]), natural_key(key[0]), natural_key(key[1])),
+        ((box_id, eid) for box_id in box_ids for eid in a.elements(box_id)),
+        key=lambda key: (
+            len(members[color[(0, *key)]]), natural_key(key[0]), natural_key(key[1])
+        ),
     )
 
     assignment: dict[tuple[str, str], str] = {}
@@ -633,7 +629,8 @@ def check_instance_isomorphism(
                 if current != target:
                     return False
                 continue
-            if target in used[box_id] or target not in candidates.get((box_id, eid), ()):
+            own = color.get((0, box_id, eid))
+            if target in used[box_id] or own is None or own != color.get((1, box_id, target)):
                 return False
             assignment[(box_id, eid)] = target
             used[box_id].add(target)
@@ -659,7 +656,7 @@ def check_instance_isomorphism(
         if key in assignment:
             index += 1
             continue
-        untried = untried or iter(candidates[key])
+        untried = untried or iter(members[color[(0, *key)]])
         taken = used[key[0]]
         for target in untried:
             if target in taken:

@@ -21,13 +21,16 @@ _LAYOUT = b"a" * 48 + b"0" * 10 + b"a" * 198
 def natural_key(ident: str) -> tuple:
     """Sort key that orders digit runs numerically: br2 < br10, '9' < '42'.
 
+    A digit run is what ``\\d`` matches (``str.isdecimal``), so a character
+    such as '²' is text, not a number.
+
     Used for canonical serialization so arrow ids 1..42 appear in numeric
     order, and by the instance engine to enumerate elements, so equation
     counterexamples and pullback pairs come first in this order too.
     """
     parts: list[tuple[int, int | str]] = []
     for run in _RUNS.findall(ident):
-        if run.isdigit():
+        if run.isdecimal():
             parts.append((0, int(run)))
         else:
             parts.append((1, run))

@@ -79,10 +79,6 @@ class Path:
         if not isinstance(self.arrows, tuple):
             object.__setattr__(self, "arrows", tuple(self.arrows))
 
-    @property
-    def is_identity(self) -> bool:
-        return not self.arrows
-
     def __str__(self) -> str:
         return f"{self.start}:[{','.join(self.arrows)}]"
 

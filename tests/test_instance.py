@@ -574,11 +574,15 @@ def test_changed_payload_type_gives_type_certificate(schema, protein):
     )
 
 
+LOOP = OlogSchema("loop", (BoxDecl("X", "an x"),), (ArrowDecl("a", "X", "X"),))
+
+
 def _loop_instance(name, table):
+    """An instance of LOOP whose box X holds exactly the keys of ``table``."""
     return Instance(
         name,
         "loop",
-        sets={"X": {"x1": None, "x2": None}},
+        sets={"X": dict.fromkeys(table)},
         functions={"a": table},
     )
 
@@ -586,15 +590,19 @@ def _loop_instance(name, table):
 def test_refinement_blind_spot_falls_to_search():
     # identity vs swap on two elements: colour refinement cannot separate
     # them, so only the backtracking search can (and must) say NotFound.
-    s = OlogSchema("loop", (BoxDecl("X", "an x"),), (ArrowDecl("a", "X", "X"),))
     fixed = _loop_instance("fixed", {"x1": "x1", "x2": "x2"})
     swapped = _loop_instance("swapped", {"x1": "x2", "x2": "x1"})
-    res = check_instance_isomorphism(s, fixed, swapped)
-    assert not res.found
-    assert res.certificate == "SEARCH_EXHAUSTED"
+    # images outside the box have no colour on either side, so refinement
+    # cannot tell them apart either, and the search must not pair them.
+    ghost = _loop_instance("ghost", {"x1": "ghost"})
+    phantom = _loop_instance("phantom", {"x1": "phantom"})
+    for a, b in ((fixed, swapped), (ghost, phantom)):
+        res = check_instance_isomorphism(LOOP, a, b)
+        assert not res.found
+        assert res.certificate == "SEARCH_EXHAUSTED"
     # sanity: each one is still isomorphic to itself
-    assert check_instance_isomorphism(s, fixed, fixed).found
-    assert check_instance_isomorphism(s, swapped, swapped).found
+    assert check_instance_isomorphism(LOOP, fixed, fixed).found
+    assert check_instance_isomorphism(LOOP, swapped, swapped).found
 
 
 def test_signature_certificate_on_structural_difference():
@@ -615,10 +623,16 @@ def test_signature_certificate_on_structural_difference():
         sets={"X": {"x1": None, "x2": None}, "Y": {"y1": None, "y2": None}},
         functions={"f": {"x1": "y1", "x2": "y2"}},
     )
-    for a, b in ((onto_one, onto_two), (onto_two, onto_one)):
-        res = check_instance_isomorphism(s, a, b)
-        assert not res.found
-        assert (res.certificate, res.detail) == ("SIGNATURE_MISMATCH", "Y")
+    # Round 1 counts preimages, 2, 1 and 0 on both sides, and leaves each side
+    # discrete.  Round 2 sees that x1's preimage x2 has one preimage in chain
+    # and none in stub, which only colours shared by both sides can compare.
+    chain = _loop_instance("chain", {"x1": "x1", "x2": "x1", "x3": "x2"})
+    stub = _loop_instance("stub", {"x1": "x1", "x2": "x1", "x3": "x3"})
+    for schema, one, two, box in ((s, onto_one, onto_two, "Y"), (LOOP, chain, stub, "X")):
+        for a, b in ((one, two), (two, one)):
+            res = check_instance_isomorphism(schema, a, b)
+            assert not res.found
+            assert (res.certificate, res.detail) == ("SIGNATURE_MISMATCH", box)
 
 
 def test_iso_requires_matching_schema_name(schema, protein):

@@ -14,7 +14,11 @@ ALPHABET = string.ascii_letters + string.digits + "_²٩۱"
 
 
 def _outcome(order, keys):
-    """The order given, or the ValueError raised (natural_key rejects '²' runs)."""
+    """The order given, or the ValueError raised, so that both sides must fail alike.
+
+    natural_key tests digit runs with str.isdecimal, which is what \\d
+    matches, so a '²' run is text and no id over ALPHABET raises.
+    """
     try:
         return order(keys)
     except ValueError as exc:
@@ -82,6 +86,8 @@ def test_natural_order_equals_the_natural_key_sort(keys):
         (["00", "010", "1"], ["00", "1", "010"]),
         ([], []),
         ([""], [""]),
+        # '²' is a digit to str.isdigit but not to \d: a text run, after numbers
+        (["²", "1²", "1"], ["1", "1²", "²"]),
     ],
 )
 def test_natural_order_fixed_cases(keys, want):
