@@ -41,7 +41,7 @@ from .instance import (
     validate_instance,
     verify_all_fiber_products,
 )
-from .ordering import natural_key
+from .ordering import natural_order
 from .schema import OlogSchema, path_endpoints, validate_schema
 
 __all__ = ["main"]
@@ -217,11 +217,9 @@ def _cmd_simulate(args: argparse.Namespace, report: RunReport, comparators: Comp
 
 
 def _report_mapping(report: RunReport, mapping: dict[str, dict[str, str]]) -> None:
-    for box_id in sorted(mapping, key=natural_key):
+    for box_id in natural_order(mapping):
         pairs = mapping[box_id]
-        shown = ", ".join(
-            f"{src}->{pairs[src]}" for src in sorted(pairs, key=natural_key)
-        )
+        shown = ", ".join(f"{src}->{pairs[src]}" for src in natural_order(pairs))
         report.line(f"{box_id}: {shown}")
 
 

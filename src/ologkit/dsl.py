@@ -589,10 +589,7 @@ def serialize_instance(instance: Instance) -> str:
     """Canonical text for an instance (sorted, empties dropped, stable bytes).
 
     Boxes, arrows and the ids within each are written in natural-key order,
-    through :func:`natural_order`, so ids are sorted only when they are not
-    already in that order (an exact check: ASCII ids of one length and one
-    digit/non-digit layout, ascending as strings). No copy of the instance
-    is built.
+    through :func:`natural_order`. No copy of the instance is built.
     """
     sets, functions = instance.sets, instance.functions
     lines = [f"instance {_quote(instance.name)} of {_quote(instance.schema_name)} {{"]

@@ -11,8 +11,10 @@ from __future__ import annotations
 import enum
 import math
 from collections import Counter
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import groupby
 
 from .diagnostics import Diagnostic, error
 from .errors import (
@@ -139,12 +141,7 @@ class Instance:
         return self.functions.get(arrow_id, {})
 
     def canonical(self) -> "Instance":
-        """Same instance in fresh dicts, keys in natural-key order, empties dropped.
-
-        Keys go through :func:`natural_order`, so ids are sorted only when
-        they are not already in natural-key order (an exact check: ASCII ids
-        of one length and one digit/non-digit layout, ascending as strings).
-        """
+        """Same instance in fresh dicts, keys in natural-key order, empties dropped."""
         sets = {
             box_id: {eid: elems[eid] for eid in natural_order(elems)}
             for box_id in natural_order(self.sets)
@@ -158,16 +155,20 @@ class Instance:
         return Instance(self.name, self.schema_name, sets, functions)
 
 
-def validate_instance(schema: OlogSchema, instance: Instance) -> list[Diagnostic]:
-    """Structural diagnostics: unknown ids, partial or ill-targeted tables.
-
-    Raises SchemaMismatchError when the instance names a different schema.
-    """
+def _require_schema(schema: OlogSchema, instance: Instance) -> None:
     if instance.schema_name != schema.name:
         raise SchemaMismatchError(
             f"instance {instance.name!r} targets schema {instance.schema_name!r}, "
             f"not {schema.name!r}"
         )
+
+
+def validate_instance(schema: OlogSchema, instance: Instance) -> list[Diagnostic]:
+    """Structural diagnostics: unknown ids, partial or ill-targeted tables.
+
+    Raises SchemaMismatchError when the instance names a different schema.
+    """
+    _require_schema(schema, instance)
     diags: list[Diagnostic] = []
 
     for box_id in instance.sets:
@@ -264,8 +265,9 @@ def _chase(instance: Instance, path: Path, element: str) -> str:
 class EquationReport:
     """Outcome of checking one path equation over every element of its start box.
 
-    On failure ``witness`` is (element, lhs image, rhs image) for the
-    first offending element in natural-key order.
+    The elements are walked once, in natural-key order.  On failure
+    ``witness`` is (element, lhs image, rhs image) for the first offending
+    element, and ``checked`` counts the elements up to and including it.
     """
 
     equation: PathEquation
@@ -281,44 +283,34 @@ class EquationReport:
 def check_equation(
     schema: OlogSchema, instance: Instance, equation: PathEquation
 ) -> EquationReport:
+    """Walk the start box once in natural-key order; the first offender is the witness.
+
+    An element on which either side is undefined raises ElementNotInSourceError
+    naming the arrow, unless a counterexample comes before it.
+    """
     elems = instance.elements(equation.lhs.start)
     if elems:
         path_endpoints(schema, equation.lhs)  # raises MalformedPathError on bad paths
         path_endpoints(schema, equation.rhs)
-        if _holds_everywhere(instance, equation, elems):
-            return EquationReport(equation, holds=True, checked=len(elems))
-    # Something fails: rescan in natural-key order, so the witness, ``checked``
-    # and any error raised are those of the first offending element.
+    lhs_tables = [instance.table(arrow_id) for arrow_id in equation.lhs.arrows]
+    rhs_tables = [instance.table(arrow_id) for arrow_id in equation.rhs.arrows]
     checked = 0
-    for eid in sorted(elems, key=natural_key):
-        lhs_val = _chase(instance, equation.lhs, eid)
-        rhs_val = _chase(instance, equation.rhs, eid)
-        checked += 1
+    for checked, eid in enumerate(natural_order(elems), 1):
+        lhs_val = rhs_val = eid
+        try:
+            for table in lhs_tables:
+                lhs_val = table[lhs_val]
+            for table in rhs_tables:
+                rhs_val = table[rhs_val]
+        except KeyError:  # a partial table: _chase raises the message naming the arrow
+            _chase(instance, equation.lhs, eid)
+            _chase(instance, equation.rhs, eid)
+            raise
         if lhs_val != rhs_val:
             return EquationReport(
                 equation, holds=False, checked=checked, witness=(eid, lhs_val, rhs_val)
             )
     return EquationReport(equation, holds=True, checked=checked)
-
-
-def _holds_everywhere(
-    instance: Instance, equation: PathEquation, elems: dict[str, Payload | None]
-) -> bool:
-    """True iff both sides are defined and agree on every element, in any order."""
-    lhs_tables = [instance.table(arrow_id) for arrow_id in equation.lhs.arrows]
-    rhs_tables = [instance.table(arrow_id) for arrow_id in equation.rhs.arrows]
-    try:
-        for eid in elems:
-            lhs_val = rhs_val = eid
-            for table in lhs_tables:
-                lhs_val = table[lhs_val]
-            for table in rhs_tables:
-                rhs_val = table[rhs_val]
-            if lhs_val != rhs_val:
-                return False
-    except KeyError:  # a partial table; the ordered rescan raises for it
-        return False
-    return True
 
 
 def check_all_equations(schema: OlogSchema, instance: Instance) -> list[EquationReport]:
@@ -337,19 +329,11 @@ def compute_pullback(
 
     A hash join: leg 2's sources are indexed by image, so the cost is
     |X| + |Y| + the number of pairs, plus putting X and Y in natural-key
-    order with :func:`natural_order`, which sorts them only when they are not
-    already in that order (an exact check: ASCII ids of one length and one
-    digit/non-digit layout, ascending as strings). The legs must form a
-    cospan (same target box); raises CospanMismatchError otherwise.
+    order with :func:`natural_order`.  The legs must form a cospan (same
+    target box); raises CospanMismatchError otherwise, and SchemaMismatchError
+    when the instance names a different schema.
     """
-    xs, table1, ys, table2 = _cospan(schema, instance, leg1, leg2)
-    return _join(natural_order(xs), table1, natural_order(ys), table2)
-
-
-def _cospan(
-    schema: OlogSchema, instance: Instance, leg1: str, leg2: str
-) -> tuple[dict, dict[str, str], dict, dict[str, str]]:
-    """Both legs' source sets and tables, once the legs are known to form a cospan."""
+    _require_schema(schema, instance)
     decl1 = schema.arrow(leg1)
     decl2 = schema.arrow(leg2)
     if decl1 is None or decl2 is None:
@@ -360,26 +344,15 @@ def _cospan(
             f"legs do not form a cospan: {leg1} ends at {decl1.dst}, "
             f"{leg2} ends at {decl2.dst}"
         )
-    return (
-        instance.elements(decl1.src),
-        instance.table(leg1),
-        instance.elements(decl2.src),
-        instance.table(leg2),
-    )
-
-
-def _join(
-    xs: Iterable[str], table1: dict[str, str], ys: Iterable[str], table2: dict[str, str]
-) -> list[tuple[str, str]]:
-    """Pairs with table1[x] == table2[y], x-major, each side in the order given."""
+    table1, table2 = instance.table(leg1), instance.table(leg2)
     by_image: dict[str, list[str]] = {}
-    for y in ys:
+    for y in natural_order(instance.elements(decl2.src)):
         image = table2.get(y)
         if image is not None:
             by_image.setdefault(image, []).append(y)
     return [
         (x, y)
-        for x in xs
+        for x in natural_order(instance.elements(decl1.src))
         if (image := table1.get(x)) is not None
         for y in by_image.get(image, ())
     ]
@@ -410,59 +383,32 @@ class FiberProductReport:
 def verify_fiber_product(
     schema: OlogSchema, instance: Instance, decl: FiberProductDecl
 ) -> FiberProductReport:
-    xs, table1, ys, table2 = _cospan(schema, instance, decl.leg1, decl.leg2)
+    """Walk the apex once in natural-key order; the first offender is the witness.
+
+    An apex element colliding with an earlier one, or projecting outside the
+    canonical pullback, stops the walk.  Otherwise the first canonical pair
+    no apex element projected to is the MISSING_PAIR witness.
+    """
+    canonical = compute_pullback(schema, instance, decl.leg1, decl.leg2)
+    canonical_set = set(canonical)
     proj1 = instance.table(decl.proj1)
     proj2 = instance.table(decl.proj2)
     apex = instance.elements(decl.apex)
-
-    # The apex passes iff its projections are distinct and are exactly the
-    # canonical pairs; that needs no order.
-    canonical = _join(xs, table1, ys, table2)
-    projected = {(proj1.get(eid, ""), proj2.get(eid, "")) for eid in apex}
-    if len(projected) == len(apex) and projected == set(canonical):
-        return FiberProductReport(
-            decl, holds=True, apex_size=len(apex), pullback_size=len(canonical)
-        )
-
-    # It fails: rescan in natural-key order for the first witness.
-    canonical = compute_pullback(schema, instance, decl.leg1, decl.leg2)
-    canonical_set = set(canonical)
-    apex_elems = sorted(apex, key=natural_key)
-    seen: dict[tuple[str, str], str] = {}
-    for eid in apex_elems:
-        pair = (proj1.get(eid, ""), proj2.get(eid, ""))
-        if pair in seen:
-            return FiberProductReport(
-                decl,
-                holds=False,
-                apex_size=len(apex_elems),
-                pullback_size=len(canonical),
-                witness_kind="COLLIDING_PAIR",
-                witness=(seen[pair], eid),
-            )
-        seen[pair] = eid
-        if pair not in canonical_set:
-            return FiberProductReport(
-                decl,
-                holds=False,
-                apex_size=len(apex_elems),
-                pullback_size=len(canonical),
-                witness_kind="EXTRA_PAIR",
-                witness=(eid,) + pair,
-            )
-    for pair in canonical:
-        if pair not in seen:
-            return FiberProductReport(
-                decl,
-                holds=False,
-                apex_size=len(apex_elems),
-                pullback_size=len(canonical),
-                witness_kind="MISSING_PAIR",
-                witness=pair,
-            )
-    return FiberProductReport(
-        decl, holds=True, apex_size=len(apex_elems), pullback_size=len(canonical)
+    report = partial(
+        FiberProductReport, decl, apex_size=len(apex), pullback_size=len(canonical)
     )
+    seen: dict[tuple[str, str], str] = {}
+    for eid in natural_order(apex):
+        pair = (proj1.get(eid, ""), proj2.get(eid, ""))
+        first = seen.setdefault(pair, eid)
+        if first != eid:
+            return report(holds=False, witness_kind="COLLIDING_PAIR", witness=(first, eid))
+        if pair not in canonical_set:
+            return report(holds=False, witness_kind="EXTRA_PAIR", witness=(eid,) + pair)
+    if len(seen) < len(canonical):  # seen is a subset of canonical_set by now
+        missing = next(pair for pair in canonical if pair not in seen)
+        return report(holds=False, witness_kind="MISSING_PAIR", witness=missing)
+    return report(holds=True)
 
 
 def verify_all_fiber_products(
@@ -583,11 +529,7 @@ def check_instance_isomorphism(
     re-verified before being reported.
     """
     for inst in (a, b):
-        if inst.schema_name != schema.name:
-            raise SchemaMismatchError(
-                f"instance {inst.name!r} targets schema {inst.schema_name!r}, "
-                f"not {schema.name!r}"
-            )
+        _require_schema(schema, inst)
 
     out_a, out_b = _out_arrows(schema, a), _out_arrows(schema, b)
     color, round_, box_id = _refine_colors(schema, (a, b), (out_a, out_b))
@@ -608,13 +550,15 @@ def check_instance_isomorphism(
         for eid in natural_order(b.elements(box_id)):
             members.setdefault(color[1, box_id, eid], []).append(eid)
 
-    # Order: most-constrained elements first (fewest candidates).
-    order = sorted(
-        ((box_id, eid) for box_id in box_ids for eid in a.elements(box_id)),
-        key=lambda key: (
-            len(members[color[(0, *key)]]), natural_key(key[0]), natural_key(key[1])
-        ),
-    )
+    # Order: most-constrained elements first (fewest candidates), ties in the
+    # natural-key order of (box id, element id).  Boxes whose ids tie under
+    # natural_key (B1, B01) share one run, ordered by element id.
+    walk: list[tuple[str, str]] = []
+    for _, group in groupby(natural_order(box_ids), key=natural_key):
+        tied = list(group)
+        run = [(box_id, eid) for box_id in tied for eid in natural_order(a.elements(box_id))]
+        walk += sorted(run, key=lambda key: natural_key(key[1])) if len(tied) > 1 else run
+    order = sorted(walk, key=lambda key: len(members[color[(0, *key)]]))
 
     assignment: dict[tuple[str, str], str] = {}
     used: dict[str, set[str]] = {box_id: set() for box_id in box_ids}

@@ -1,10 +1,8 @@
 """Deterministic ordering helpers shared by the serializer and the engines.
 
-Ids are put in natural-key order (see :func:`natural_key`), but
-:func:`natural_order` sorts them only when they are not already in that
-order: ASCII ids of one length and one digit/non-digit layout, already in
-strictly ascending string order, are returned as they are, because for them
-string order and natural-key order agree.
+Ids are put in natural-key order (see :func:`natural_key`) by
+:func:`natural_order`, which sorts them only when it cannot prove them
+already in that order.
 """
 
 from __future__ import annotations
@@ -42,11 +40,12 @@ def natural_order(keys: Iterable[str]) -> list[str]:
 
     Sorts only when a cheap check cannot prove the keys already in that
     order. The check is exact: if every key is ASCII, every key has the same
-    length and the same digit/non-digit layout, and the keys ascend strictly
-    as plain strings, then each digit run is compared at one fixed width,
-    where string order is numeric order, so natural-key order is the order
-    given. Anything else (non-ASCII digits, mixed widths, keys out of order)
-    is sorted by :func:`natural_key`, which keeps ties in input order.
+    length and the same digit/non-digit layout, and the keys ascend as plain
+    strings, then each digit run is compared at one fixed width, where
+    string order is numeric order, so natural-key order is the order given.
+    (Equal neighbours are then identical strings, so ascending need not be
+    strict.) Anything else (non-ASCII digits, mixed widths, keys out of
+    order) is sorted by :func:`natural_key`, which keeps ties in input order.
     """
     keys = list(keys)
     if keys:
@@ -55,9 +54,9 @@ def natural_order(keys: Iterable[str]) -> list[str]:
         if (
             joined.isascii()
             and set(map(len, keys)) == {len(first)}
-            and all(map(str.__lt__, keys, keys[1:]))
             and joined.encode().translate(_LAYOUT)
             == first.encode().translate(_LAYOUT) * len(keys)
+            and keys == sorted(keys)
         ):
             return keys
     return sorted(keys, key=natural_key)

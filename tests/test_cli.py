@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from ologkit import load_instance, validate_instance
+from ologkit import bundled_text, load_instance, validate_instance
 from ologkit.cli import main
 
 
@@ -231,6 +231,19 @@ def test_pullback_rejects_non_cospans(capsys):
     code, out = run_cli(capsys, "pullback", "paper.olog", "protein.oinst", "9", "14")
     assert code == 1
     assert "error[COSPAN_MISMATCH]" in out
+
+
+def test_pullback_rejects_an_instance_of_another_schema(capsys, tmp_path):
+    # check and iso already refuse such a file; pullback must too.
+    stranger = tmp_path / "stranger.oinst"
+    stranger.write_text(
+        bundled_text("protein.oinst").replace('of "chain-systems"', 'of "other"'),
+        encoding="utf-8",
+    )
+    code, out = run_cli(capsys, "pullback", "paper.olog", str(stranger), "30", "27")
+    assert code == 1
+    assert "error[SCHEMA_MISMATCH]" in out
+    assert "pairs" not in out
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ologkit.instance
+import ologkit.ordering
 from ologkit import (
     ArrowDecl,
     BoxDecl,
@@ -37,6 +39,7 @@ from ologkit import (
     verify_fiber_product,
     verify_isomorphism,
 )
+from ologkit.ordering import natural_key
 
 
 def _reversed(inst):
@@ -388,6 +391,14 @@ def test_pullback_rejects_non_cospans(schema, protein):
         compute_pullback(schema, protein, "9", "999")
 
 
+def test_pullback_requires_matching_schema_name(schema, protein):
+    stranger = Instance("s", "not-this-schema", protein.sets, protein.functions)
+    with pytest.raises(SchemaMismatchError):
+        compute_pullback(schema, stranger, "30", "27")
+    with pytest.raises(SchemaMismatchError):
+        verify_fiber_product(schema, stranger, schema.fiber_products[0])
+
+
 def test_bundled_fiber_products_all_pass(schema, protein, social):
     for inst in (protein, social):
         reports = verify_all_fiber_products(schema, inst)
@@ -479,6 +490,164 @@ def test_fiber_product_pass_and_each_failure_witness():
                 witness,
             )
             assert (report.apex_size, report.pullback_size) == (len(apex_pairs), 12)
+
+
+# Ids of mixed widths whose natural keys tie (x1, x01, x001; x3 and x٣).
+_TIED_IDS = ("1", "01", "001", "2", "02", "3", "٣", "9", "10", "010", "11", "1a2", "01a2")
+
+
+def _random_square(rng):
+    """A P = X ×_Z Y square plus a Z -> W leg, with random, partial, shuffled tables.
+
+    The apex projections are drawn mostly from the canonical pairs, with
+    drops, duplicates and strays, so every fiber-product witness kind occurs.
+    """
+    s = OlogSchema(
+        "square",
+        tuple(BoxDecl(b, f"a {b}") for b in ("P", "X", "Y", "Z", "W")),
+        (
+            ArrowDecl("p1", "P", "X"),
+            ArrowDecl("p2", "P", "Y"),
+            ArrowDecl("f", "X", "Z"),
+            ArrowDecl("g", "Y", "Z"),
+            ArrowDecl("h", "Z", "W"),
+            ArrowDecl("k", "X", "W"),
+        ),
+        (
+            PathEquation(Path("P", ("p1", "f")), Path("P", ("p2", "g"))),
+            PathEquation(Path("X", ("f", "h")), Path("X", ("k",))),
+        ),
+        (FiberProductDecl("P", "p1", "p2", "f", "g"),),
+    )
+    boxes = {
+        box: [box.lower() + tail for tail in rng.sample(_TIED_IDS, rng.randint(lo, 6))]
+        for box, lo in (("X", 0), ("Y", 0), ("Z", 1), ("W", 1))
+    }
+    tables = {
+        "f": {x: rng.choice(boxes["Z"]) for x in boxes["X"]},
+        "g": {y: rng.choice(boxes["Z"]) for y in boxes["Y"]},
+        "h": {z: rng.choice(boxes["W"]) for z in boxes["Z"]},
+    }
+    tables["k"] = {x: tables["h"][z] for x, z in tables["f"].items()}
+    if boxes["X"] and rng.random() < 0.5:
+        tables["k"][rng.choice(boxes["X"])] = rng.choice(boxes["W"])
+    pairs = [
+        (x, y) for x in boxes["X"] for y in boxes["Y"] if tables["f"][x] == tables["g"][y]
+    ]
+    if pairs and rng.random() < 0.5:
+        pairs.pop(rng.randrange(len(pairs)))
+    if pairs and rng.random() < 0.3:
+        pairs.append(rng.choice(pairs))
+    if boxes["X"] and boxes["Y"] and rng.random() < 0.3:
+        pairs.append((rng.choice(boxes["X"]), rng.choice(boxes["Y"])))
+    rng.shuffle(pairs)
+    boxes["P"] = [f"p{tail}" for tail in rng.sample(_TIED_IDS, min(len(pairs), 13))]
+    pairs = pairs[: len(boxes["P"])]
+    tables["p1"] = {p: x for p, (x, _) in zip(boxes["P"], pairs)}
+    tables["p2"] = {p: y for p, (_, y) in zip(boxes["P"], pairs)}
+    for table in tables.values():
+        if table and rng.random() < 0.2:
+            del table[rng.choice(list(table))]
+
+    def shuffled(d):
+        return dict(rng.sample(list(d.items()), len(d)))
+
+    sets = {box: dict.fromkeys(elems) for box, elems in boxes.items()}
+    return s, Instance(
+        "sq",
+        "square",
+        shuffled({box: shuffled(elems) for box, elems in sets.items()}),
+        shuffled({arrow: shuffled(table) for arrow, table in tables.items()}),
+    )
+
+
+def _ref_pullback(inst, leg1, leg2, xbox, ybox):
+    """Brute force: every (x, y) in X × Y, each sorted by natural key, x-major."""
+    t1, t2 = inst.table(leg1), inst.table(leg2)
+    return [
+        (x, y)
+        for x in sorted(inst.elements(xbox), key=natural_key)
+        for y in sorted(inst.elements(ybox), key=natural_key)
+        if x in t1 and y in t2 and t1[x] == t2[y]
+    ]
+
+
+def _ref_equation(inst, eq):
+    """First offender in natural-key order: ("raise", arrow, at) or a report tuple."""
+    elems = sorted(inst.elements(eq.lhs.start), key=natural_key)
+    for checked, eid in enumerate(elems, 1):
+        sides = []
+        for path in (eq.lhs, eq.rhs):
+            at = eid
+            for arrow in path.arrows:
+                if at not in inst.table(arrow):
+                    return ("raise", arrow, at)
+                at = inst.table(arrow)[at]
+            sides.append(at)
+        if sides[0] != sides[1]:
+            return (False, checked, (eid, *sides))
+    return (True, len(elems), None)
+
+
+def _ref_fiber_product(inst, decl, canonical):
+    """First offender in natural-key order, by list scans instead of hashing."""
+    apex = sorted(inst.elements(decl.apex), key=natural_key)
+    proj1, proj2 = inst.table(decl.proj1), inst.table(decl.proj2)
+    projected = [(proj1.get(e, ""), proj2.get(e, "")) for e in apex]
+    for i, pair in enumerate(projected):
+        if pair in projected[:i]:
+            return "COLLIDING_PAIR", (apex[projected.index(pair)], apex[i])
+        if pair not in canonical:
+            return "EXTRA_PAIR", (apex[i], *pair)
+    missing = [pair for pair in canonical if pair not in projected]
+    return ("MISSING_PAIR", missing[0]) if missing else (None, ())
+
+
+def _compare_with_references(seed):
+    """Check every walk against its sorting reference; return the outcomes seen."""
+    s, inst = _random_square(random.Random(seed))
+    outcomes = set()
+    canonical = _ref_pullback(inst, "f", "g", "X", "Y")
+    assert compute_pullback(s, inst, "f", "g") == canonical
+    assert compute_pullback(s, inst, "g", "f") == _ref_pullback(inst, "g", "f", "Y", "X")
+    for eq in s.equations:
+        want = _ref_equation(inst, eq)
+        if want[0] == "raise":
+            _, arrow, at = want
+            with pytest.raises(
+                ElementNotInSourceError, match=f"^arrow {arrow} is undefined on element {at!r}$"
+            ):
+                check_equation(s, inst, eq)
+            outcomes.add("raise")
+        else:
+            report = check_equation(s, inst, eq)
+            assert (report.holds, report.checked, report.witness) == want
+            outcomes.add(report.verdict)
+    decl = s.fiber_products[0]
+    report = verify_fiber_product(s, inst, decl)
+    assert (report.witness_kind, report.witness) == _ref_fiber_product(inst, decl, canonical)
+    assert (report.holds, report.apex_size, report.pullback_size) == (
+        report.witness_kind is None,
+        len(inst.elements("P")),
+        len(canonical),
+    )
+    outcomes.add(report.witness_kind or "PASS")
+    return outcomes
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_ordered_walks_match_a_sorting_reference(seed):
+    _compare_with_references(seed)
+
+
+def test_sorting_reference_sees_every_outcome():
+    # The property above is not vacuous: its inputs reach every outcome.
+    seen = set().union(*(_compare_with_references(seed) for seed in range(300)))
+    assert seen == {
+        "AllHold", "Counterexample", "raise",
+        "PASS", "COLLIDING_PAIR", "EXTRA_PAIR", "MISSING_PAIR",
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -721,3 +890,49 @@ def test_iso_search_does_not_recurse(schema, protein, social):
     finally:
         sys.setrecursionlimit(limit)
     assert res.found
+
+
+def test_iso_order_merges_boxes_whose_ids_tie_under_natural_key():
+    # B1 and B01 have one natural key, so their elements share one run of
+    # the search order, by element id: b1 (in B01) is tried before b2 and
+    # b3 (in B1), and that first choice fixes which isomorphism is found.
+    s = OlogSchema(
+        "tied",
+        (BoxDecl("B1", "a b"), BoxDecl("B01", "a b"), BoxDecl("C", "a c")),
+        (ArrowDecl("f", "B1", "C"), ArrowDecl("g", "B01", "C")),
+    )
+    sets = {
+        "B1": {"b2": None, "b3": None},
+        "B01": {"b1": None, "b4": None},
+        "C": {"c1": None, "c2": None},
+    }
+    g = {"b1": "c1", "b4": "c2"}
+    a = Instance("a", "tied", sets, {"f": {"b2": "c1", "b3": "c2"}, "g": g})
+    b = Instance("b", "tied", sets, {"f": {"b2": "c2", "b3": "c1"}, "g": g})
+    res = check_instance_isomorphism(s, a, b)
+    assert res.mapping == {
+        "B1": {"b2": "b3", "b3": "b2"},
+        "B01": {"b1": "b1", "b4": "b4"},
+        "C": {"c1": "c1", "c2": "c2"},
+    }
+
+
+def test_checks_on_ordered_ids_call_natural_key_on_no_element(schema, monkeypatch):
+    params = SimParams(
+        brick_count=6, brick_failure=100.0, lifeline_present=True, lifeline_failure=110.0
+    )
+    inst = generate_instance(params, schema)
+    seen = []
+
+    def counting_key(ident):
+        seen.append(ident)
+        return natural_key(ident)
+
+    monkeypatch.setattr(ologkit.ordering, "natural_key", counting_key)
+    monkeypatch.setattr(ologkit.instance, "natural_key", counting_key)
+    assert all(r.holds for r in check_all_equations(schema, inst))
+    assert all(r.holds for r in verify_all_fiber_products(schema, inst))
+    assert check_instance_isomorphism(schema, inst, inst).found
+    # Generated ids are already in natural-key order; the iso search keys
+    # only the box ids, to find boxes whose ids tie.
+    assert set(seen) <= {box.id for box in schema.boxes}
