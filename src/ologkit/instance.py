@@ -11,9 +11,9 @@ from __future__ import annotations
 import enum
 import math
 from collections import Counter
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from itertools import groupby
 
 from .diagnostics import Diagnostic, error
@@ -280,6 +280,15 @@ class EquationReport:
         return "AllHold" if self.holds else "Counterexample"
 
 
+_BoxOrders = Callable[[str], list[str]]
+
+
+def _box_orders(instance: Instance) -> _BoxOrders:
+    """Box id -> the box's element ids in natural-key order, each box ordered
+    once: one per instance check, shared by all its equations or fiber products."""
+    return cache(lambda box_id: natural_order(instance.elements(box_id)))
+
+
 def check_equation(
     schema: OlogSchema, instance: Instance, equation: PathEquation
 ) -> EquationReport:
@@ -288,14 +297,20 @@ def check_equation(
     An element on which either side is undefined raises ElementNotInSourceError
     naming the arrow, unless a counterexample comes before it.
     """
-    elems = instance.elements(equation.lhs.start)
+    return _check_equation(schema, instance, equation, _box_orders(instance))
+
+
+def _check_equation(
+    schema: OlogSchema, instance: Instance, equation: PathEquation, orders: _BoxOrders
+) -> EquationReport:
+    elems = orders(equation.lhs.start)
     if elems:
         path_endpoints(schema, equation.lhs)  # raises MalformedPathError on bad paths
         path_endpoints(schema, equation.rhs)
     lhs_tables = [instance.table(arrow_id) for arrow_id in equation.lhs.arrows]
     rhs_tables = [instance.table(arrow_id) for arrow_id in equation.rhs.arrows]
     checked = 0
-    for checked, eid in enumerate(natural_order(elems), 1):
+    for checked, eid in enumerate(elems, 1):
         lhs_val = rhs_val = eid
         try:
             for table in lhs_tables:
@@ -314,7 +329,8 @@ def check_equation(
 
 
 def check_all_equations(schema: OlogSchema, instance: Instance) -> list[EquationReport]:
-    return [check_equation(schema, instance, eq) for eq in schema.equations]
+    orders = _box_orders(instance)
+    return [_check_equation(schema, instance, eq, orders) for eq in schema.equations]
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +349,12 @@ def compute_pullback(
     target box); raises CospanMismatchError otherwise, and SchemaMismatchError
     when the instance names a different schema.
     """
+    return _pullback(schema, instance, leg1, leg2, _box_orders(instance))
+
+
+def _pullback(
+    schema: OlogSchema, instance: Instance, leg1: str, leg2: str, orders: _BoxOrders
+) -> list[tuple[str, str]]:
     _require_schema(schema, instance)
     decl1 = schema.arrow(leg1)
     decl2 = schema.arrow(leg2)
@@ -346,13 +368,13 @@ def compute_pullback(
         )
     table1, table2 = instance.table(leg1), instance.table(leg2)
     by_image: dict[str, list[str]] = {}
-    for y in natural_order(instance.elements(decl2.src)):
+    for y in orders(decl2.src):
         image = table2.get(y)
         if image is not None:
             by_image.setdefault(image, []).append(y)
     return [
         (x, y)
-        for x in natural_order(instance.elements(decl1.src))
+        for x in orders(decl1.src)
         if (image := table1.get(x)) is not None
         for y in by_image.get(image, ())
     ]
@@ -389,16 +411,22 @@ def verify_fiber_product(
     canonical pullback, stops the walk.  Otherwise the first canonical pair
     no apex element projected to is the MISSING_PAIR witness.
     """
-    canonical = compute_pullback(schema, instance, decl.leg1, decl.leg2)
+    return _verify_fiber_product(schema, instance, decl, _box_orders(instance))
+
+
+def _verify_fiber_product(
+    schema: OlogSchema, instance: Instance, decl: FiberProductDecl, orders: _BoxOrders
+) -> FiberProductReport:
+    canonical = _pullback(schema, instance, decl.leg1, decl.leg2, orders)
     canonical_set = set(canonical)
     proj1 = instance.table(decl.proj1)
     proj2 = instance.table(decl.proj2)
-    apex = instance.elements(decl.apex)
+    apex = orders(decl.apex)
     report = partial(
         FiberProductReport, decl, apex_size=len(apex), pullback_size=len(canonical)
     )
     seen: dict[tuple[str, str], str] = {}
-    for eid in natural_order(apex):
+    for eid in apex:
         pair = (proj1.get(eid, ""), proj2.get(eid, ""))
         first = seen.setdefault(pair, eid)
         if first != eid:
@@ -414,7 +442,8 @@ def verify_fiber_product(
 def verify_all_fiber_products(
     schema: OlogSchema, instance: Instance
 ) -> list[FiberProductReport]:
-    return [verify_fiber_product(schema, instance, fp) for fp in schema.fiber_products]
+    orders = _box_orders(instance)
+    return [_verify_fiber_product(schema, instance, fp, orders) for fp in schema.fiber_products]
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,17 @@ their commuting square must itself be one of the declared equations (see
 
 Path equality is only semidecidable, so :func:`derive_equality` returns a
 two-valued verdict — ``HOLDS`` with a rewrite witness, or ``UNKNOWN``.  It
-never claims two paths are unequal.
+never claims two paths are unequal.  An ``UNKNOWN`` may rest on a proof all
+the same: when Knuth-Bendix completion of the equations finishes, different
+shortlex normal forms refute the pair without a search, but the verdict
+stays ``UNKNOWN``, exactly what the bounded search would have returned.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
+import heapq
 from dataclasses import dataclass, field
 
 from .diagnostics import Diagnostic, error, warning
@@ -43,6 +48,11 @@ __all__ = [
 # Rewrite search never keeps more than this many distinct paths; overflowing
 # the cap degrades the answer to UNKNOWN (never to a false HOLDS).
 _STATE_CAP = 100_000
+
+# Knuth-Bendix completion gives up once it has added this many rules beyond
+# one per equation; an equation set that does not complete within that leaves
+# every query over it to the rewrite search.
+_RULE_BUDGET = 32
 
 
 @dataclass(frozen=True, slots=True)
@@ -420,8 +430,9 @@ class EqualityResult:
 
     On ``HOLDS`` the witness is the full chain of paths from ``p`` to ``q``
     (inclusive) and ``rewrites`` records the step that produced each successive
-    path.  ``UNKNOWN`` means the budget was exhausted without reaching ``q`` —
-    it never asserts the paths are unequal.
+    path.  ``UNKNOWN`` means the budget was exhausted without reaching ``q``,
+    or that normal forms show no budget would reach it; it never asserts the
+    paths are unequal.
     """
 
     verdict: EqVerdict
@@ -468,6 +479,85 @@ def _rewrite_neighbors(
                     )
 
 
+def _normal_form(rules: dict[str, str], word: str) -> str:
+    """Rewrite ``word`` by ``rules`` (lhs -> rhs, one character per arrow) until
+    no left-hand side occurs in it."""
+    while True:
+        for lhs, rhs in rules.items():
+            if lhs in word:
+                word = word.replace(lhs, rhs)
+                break
+        else:
+            return word
+
+
+@functools.lru_cache(maxsize=256)
+def _shortlex_system(
+    equations: tuple[tuple[tuple[str, ...], tuple[str, ...]], ...],
+) -> tuple[dict[str, str], dict[str, str]] | None:
+    """Knuth-Bendix completion of the equations under shortlex order.
+
+    Arrows are coded as one character each, in sorted-id order, which is also
+    the letter order of shortlex.  Critical pairs are taken shortest first and
+    the rules are kept interreduced.  Returns (arrow code, rules): a confluent,
+    terminating system under which two words have one normal form exactly
+    when the equations, read as string equations, join them.  A rewrite of a
+    path by an equation is such a string step, so it never changes the normal
+    form.  Returns None once completion has added ``_RULE_BUDGET`` rules more
+    than there are equations.
+    """
+    arrows = sorted({a for sides in equations for side in sides for a in side})
+    code = {a: chr(i) for i, a in enumerate(arrows)}
+    heap: list[tuple[int, str, str]] = []
+
+    def push(x: str, y: str) -> None:
+        heapq.heappush(heap, (len(x) + len(y), x, y))
+
+    for lhs, rhs in equations:
+        push("".join(map(code.get, lhs)), "".join(map(code.get, rhs)))
+    rules: dict[str, str] = {}
+    added = 0
+    while heap:
+        _, x, y = heapq.heappop(heap)
+        x, y = _normal_form(rules, x), _normal_form(rules, y)
+        if x == y:
+            continue
+        if (len(x), x) < (len(y), y):
+            x, y = y, x
+        added += 1
+        if added > len(equations) + _RULE_BUDGET:
+            return None
+        for lhs, rhs in list(rules.items()):
+            if x in lhs:  # the new rule rewrites this left side: re-derive it
+                del rules[lhs]
+                push(lhs, rhs)
+        rules[x] = y
+        rules = {lhs: _normal_form(rules, rhs) for lhs, rhs in rules.items()}
+        for lhs, rhs in rules.items():
+            for a, b, c, d in ((x, y, lhs, rhs), (lhs, rhs, x, y)):
+                # a suffix of a overlaps a prefix of c in the word a + c[k:]
+                for k in range(1, min(len(a), len(c))):
+                    if a.endswith(c[:k]):
+                        push(b + c[k:], a[:-k] + d)
+    return code, rules
+
+
+def _normal_forms(
+    equations: tuple[tuple[tuple[str, ...], tuple[str, ...]], ...], paths: tuple[Path, ...]
+) -> list[str] | None:
+    """The paths' normal forms under the completed equations, in one letter
+    code, or None when the equations do not complete within the budget."""
+    system = _shortlex_system(equations)
+    if system is None:
+        return None
+    letters, rules = system
+    code = dict(letters)  # an arrow in no equation gets a fresh letter
+    return [
+        _normal_form(rules, "".join(code.setdefault(a, chr(len(code))) for a in path.arrows))
+        for path in paths
+    ]
+
+
 def derive_equality(
     schema: OlogSchema, p: Path, q: Path, max_steps: int
 ) -> EqualityResult:
@@ -477,6 +567,12 @@ def derive_equality(
     equation, matching any contiguous subpath.  Deterministic; emits the full
     witness chain on success.  Raises EndpointMismatchError when the two paths
     are not even parallel.
+
+    Before searching, the usable equations are completed into a shortlex
+    rewriting system (once per equation set, cached).  When that completes and
+    p and q have different normal forms, no rewrite chain joins them, so the
+    search could only end in UNKNOWN: that verdict is returned at once.  The
+    result is the same either way; only the time to reach it differs.
     """
     sp = path_endpoints(schema, p)
     sq = path_endpoints(schema, q)
@@ -488,6 +584,7 @@ def derive_equality(
     if p.arrows == q.arrows:
         return EqualityResult(EqVerdict.HOLDS, steps=0, witness=(p,))
 
+    equations: list[tuple[tuple[str, ...], tuple[str, ...]]] = []
     sides: list[tuple[int, str, tuple[str, ...], str, tuple[str, ...]]] = []
     for index, eq in enumerate(schema.equations):
         try:
@@ -495,8 +592,12 @@ def derive_equality(
             path_endpoints(schema, eq.rhs)
         except MalformedPathError:
             continue  # unusable equation; validate_schema reports it
+        equations.append((eq.lhs.arrows, eq.rhs.arrows))
         sides.append((index, eq.lhs.start, eq.lhs.arrows, "lhs->rhs", eq.rhs.arrows))
         sides.append((index, eq.rhs.start, eq.rhs.arrows, "rhs->lhs", eq.lhs.arrows))
+    forms = _normal_forms(tuple(equations), (p, q))
+    if forms is not None and forms[0] != forms[1]:
+        return EqualityResult(EqVerdict.UNKNOWN)  # no rewrite chain joins them
 
     start = p.arrows
     target = q.arrows

@@ -1,5 +1,7 @@
+import random
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ologkit.schema as schema_mod
@@ -7,11 +9,13 @@ from ologkit import (
     ArrowDecl,
     BoxDecl,
     EndpointMismatchError,
+    EqualityResult,
     EqVerdict,
     MalformedPathError,
     OlogSchema,
     Path,
     PathEquation,
+    RewriteStep,
     SchemaFunctor,
     check_functor,
     compose,
@@ -291,8 +295,6 @@ def _apply_random_rewrites(schema, path, rng, count):
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), steps=st.integers(0, 3))
 def test_rewrite_reachable_paths_are_proven(seed, steps):
-    import random
-
     from ologkit import bundled_schema
 
     schema = bundled_schema()
@@ -306,6 +308,204 @@ def test_rewrite_reachable_paths_are_proven(seed, steps):
     # symmetry: provable in the other direction too
     back = derive_equality(schema, other, start, max(steps, 1) + 2)
     assert back.holds
+
+
+# ---------------------------------------------------------------------------
+# shortlex normal forms
+# ---------------------------------------------------------------------------
+
+
+def _one_box(letters, equations, name="one-box"):
+    return OlogSchema(
+        name,
+        (BoxDecl("X", "an x"),),
+        tuple(ArrowDecl(x, "X", "X") for x in letters),
+        tuple(PathEquation(Path("X", lhs), Path("X", rhs)) for lhs, rhs in equations),
+    )
+
+
+def _equation_key(schema):
+    return tuple((eq.lhs.arrows, eq.rhs.arrows) for eq in schema.equations)
+
+
+def _completes(schema):
+    return schema_mod._shortlex_system(_equation_key(schema)) is not None
+
+
+def _normal_forms(schema, paths):
+    return schema_mod._normal_forms(_equation_key(schema), tuple(paths))
+
+
+BRAID = _one_box("ab", [(("a", "b", "a"), ("b", "a", "b"))], "braid")
+COMMUTING_3 = _one_box("abc", [((x, y), (y, x)) for x, y in ("ab", "ac", "bc")], "commuting-3")
+
+
+def _no_search(*args):
+    raise AssertionError("the rewrite search ran")
+
+
+def test_unequal_normal_forms_refute_without_a_search(schema, monkeypatch):
+    monkeypatch.setattr(schema_mod, "_rewrite_neighbors", _no_search)
+    p, q = Path("X", tuple("abcabcab")), Path("X", tuple("abcabcac"))
+    assert derive_equality(COMMUTING_3, p, q, 1_000) == EqualityResult(EqVerdict.UNKNOWN)
+    brick, glue = Path("N", ("30", "39")), Path("N", ("31", "40"))
+    assert derive_equality(schema, brick, glue, 10_000) == EqualityResult(EqVerdict.UNKNOWN)
+
+
+def test_bundled_equations_complete_within_the_rule_budget(schema):
+    assert _completes(schema)
+    _assert_completed(schema)
+
+
+def test_bundled_normal_forms_agree_with_the_search(schema):
+    paths = _all_paths(schema, 3)
+    forms = dict(zip(paths, _normal_forms(schema, paths)))
+    ends = {p: path_endpoints(schema, p) for p in paths}
+    pairs = [(p, q) for i, p in enumerate(paths) for q in paths[i + 1 :] if ends[p] == ends[q]]
+    equal = 0
+    for p, q in pairs:
+        holds = derive_equality(schema, p, q, 64).holds
+        assert (forms[p] == forms[q]) == holds, (p, q)
+        equal += holds
+    assert 0 < equal < len(pairs)
+
+
+def test_state_cap_still_bounds_a_pair_with_equal_normal_forms(monkeypatch):
+    s = _one_box("ab", [(("a",), ())])
+    p, q = Path("X", ("b",)), Path("X", ("b",) + ("a",) * 600)
+    forms = _normal_forms(s, (p, q))
+    assert forms[0] == forms[1]  # so the search decides, and the cap stops it
+    monkeypatch.setattr(schema_mod, "_STATE_CAP", 500)
+    assert derive_equality(s, p, q, 10**9) == EqualityResult(EqVerdict.UNKNOWN)
+
+
+def test_search_proves_equalities_when_completion_gives_up():
+    assert not _completes(BRAID)
+    res = derive_equality(BRAID, Path("X", tuple("abab")), Path("X", tuple("babb")), 8)
+    assert res.holds
+    assert replay_witness(BRAID, res)
+
+
+def _reference_derive(equations, p, q, max_steps):
+    """derive_equality on a one-box schema as a plain breadth-first search."""
+    if p == q:
+        return EqualityResult(EqVerdict.HOLDS, steps=0, witness=(Path("X", p),))
+    sides = []
+    for index, (lhs, rhs) in enumerate(equations):
+        sides += [(index, lhs, "lhs->rhs", rhs), (index, rhs, "rhs->lhs", lhs)]
+    parents = {p: None}
+    frontier = [p]
+    for depth in range(1, max_steps + 1):
+        found = []
+        for word in frontier:
+            for index, pattern, direction, replacement in sides:
+                k = len(pattern)
+                for pos in range(len(word) - k + 1):
+                    if word[pos : pos + k] != pattern:
+                        continue
+                    new = word[:pos] + replacement + word[pos + k :]
+                    if new in parents:
+                        continue
+                    parents[new] = (word, RewriteStep(index, pos, direction))
+                    if new == q:
+                        chain, steps = [new], []
+                        while parents[chain[-1]] is not None:
+                            before, step = parents[chain[-1]]
+                            chain.append(before)
+                            steps.append(step)
+                        return EqualityResult(
+                            EqVerdict.HOLDS,
+                            steps=depth,
+                            witness=tuple(Path("X", w) for w in reversed(chain)),
+                            rewrites=tuple(reversed(steps)),
+                        )
+                    if len(parents) >= schema_mod._STATE_CAP:
+                        return EqualityResult(EqVerdict.UNKNOWN)
+                    found.append(new)
+        if not found:
+            break
+        frontier = found
+    return EqualityResult(EqVerdict.UNKNOWN)
+
+
+def _random_presentation(seed):
+    """A one-box presentation over 2-3 letters with 1-3 equations (sides may
+    be empty), and queries: some pairs a few rewrites apart, some random."""
+    rng = random.Random(seed)
+    letters = "abc"[: rng.choice((2, 3))]
+
+    def word(longest):
+        return tuple(rng.choice(letters) for _ in range(rng.randint(0, longest)))
+
+    equations = [(word(4), word(4)) for _ in range(rng.randint(1, 3))]
+    schema = _one_box(letters, equations)
+    queries = []
+    for _ in range(4):
+        p = word(5)
+        q = _apply_random_rewrites(schema, Path("X", p), rng, rng.randint(1, 3)).arrows
+        queries.append((p, q if rng.random() < 0.5 else word(5), rng.randint(0, 4)))
+    return schema, equations, queries
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+@example(seed=56)  # over the rule budget; the search proves a query
+def test_normal_forms_change_no_result_of_the_search(seed):
+    schema, equations, queries = _random_presentation(seed)
+    for p, q, max_steps in queries:
+        expected = _reference_derive(equations, p, q, max_steps)
+        assert derive_equality(schema, Path("X", p), Path("X", q), max_steps) == expected
+
+
+def _critical_pairs(rules):
+    """Both one-step rewrites of every word where two left sides overlap or
+    one contains the other."""
+    for l1, r1 in rules.items():
+        for l2, r2 in rules.items():
+            for at in range(len(l1) - len(l2) + 1):
+                if l1 != l2 and l1[at : at + len(l2)] == l2:
+                    yield r1, l1[:at] + r2 + l1[at + len(l2) :]
+            for k in range(1, min(len(l1), len(l2))):
+                if l1.endswith(l2[:k]):
+                    yield r1 + l2[k:], l1[:-k] + r2
+
+
+def _assert_completed(presentation):
+    """The rules decrease in shortlex, join every critical pair and join each
+    equation's two sides."""
+    _, rules = schema_mod._shortlex_system(_equation_key(presentation))
+    for lhs, rhs in rules.items():
+        assert (len(lhs), lhs) > (len(rhs), rhs)  # shortlex-decreasing: terminates
+    for u, v in _critical_pairs(rules):
+        assert schema_mod._normal_form(rules, u) == schema_mod._normal_form(rules, v)
+    for eq in presentation.equations:
+        forms = _normal_forms(presentation, (eq.lhs, eq.rhs))
+        assert forms[0] == forms[1]
+
+
+def test_completed_random_systems_are_confluent_and_keep_the_equations():
+    for seed in range(300):
+        presentation = _random_presentation(seed)[0]
+        if _completes(presentation):
+            _assert_completed(presentation)
+
+
+def test_random_presentations_reach_every_case():
+    over_budget = refuted = held = searched_over_budget = 0
+    for seed in range(300):
+        schema, equations, queries = _random_presentation(seed)
+        completes = _completes(schema)
+        over_budget += not completes
+        for p, q, max_steps in queries:
+            if completes:
+                forms = _normal_forms(schema, (Path("X", p), Path("X", q)))
+                refuted += forms[0] != forms[1]
+                held += forms[0] == forms[1] and p != q
+            else:
+                proved = _reference_derive(equations, p, q, max_steps).holds
+                searched_over_budget += proved and p != q
+    counts = (over_budget, refuted, held, searched_over_budget)
+    assert min(counts[:3]) >= 20 and searched_over_budget >= 5, counts
 
 
 # ---------------------------------------------------------------------------
