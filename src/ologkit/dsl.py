@@ -33,10 +33,11 @@ serialized document and serializing again reproduces it byte for byte.
 
 from __future__ import annotations
 
-import itertools
 import math
 import re
+from collections.abc import Callable
 from pathlib import Path as FsPath
+from typing import TypeVar
 
 from .errors import DuplicateIdError, MalformedPathError, ParseError, SourceSpan
 from .graphs import Graph
@@ -88,90 +89,115 @@ _TOKEN_RE = re.compile(
 )
 _ESCAPE_RE = re.compile(r"\\(.)")
 
+# Set and fn bodies that hold only ids, ``->``, commas and whitespace, in the
+# token loop's grammar ``{ (E (, E)* ,?)? }``, written ``{ (E ,)* E? }``, are
+# read in one match: their ids are what is left once the punctuation becomes
+# spaces.  The lexer reads the same ids there.  Each is a whole run of id
+# characters, and where the lexer would read a number instead (``3e-4``,
+# ``1e+5``, ``12.5``) the run is followed by ``-`` and a digit, ``+`` or
+# ``.``, which the patterns refuse.  They allow no comment, since inside one
+# a pattern could take a ``}`` or ``,`` for a real one.  Every other body goes
+# through the token loop, which owns every error message.
+_ID = r"[A-Za-z0-9_]+"
+
+
+def _body_re(entry: str) -> re.Pattern[str]:
+    return re.compile(rf"\{{\s*(?:{entry}\s*,\s*)*(?:{entry}\s*)?\}}")
+
+
+_SET_BODY_RE = _body_re(_ID)
+_FN_BODY_RE = _body_re(rf"{_ID}\s*->\s*{_ID}")
+_PUNCT_TO_SPACE = str.maketrans("{},->", "     ")
+
+
+def _body_ids(body: re.Match[str]) -> list[str]:
+    return body.group().translate(_PUNCT_TO_SPACE).split()
+
 
 def _span(text: str, filename: str, offset: int) -> SourceSpan:
     line = text.count("\n", 0, offset) + 1
     return SourceSpan(filename, line, offset - text.rfind("\n", 0, offset))
 
 
-def _tokenize(text: str, filename: str) -> list[tuple[str, str]]:
-    """(kind, text) pairs.  The whole list is built before parsing starts, so a
-    lexical error anywhere wins over a parse error earlier in the text."""
-    tokens: list[tuple[str, str]] = []
+def _tokenize(text: str, filename: str) -> None:
+    """Raise the first lexical error in ``text``, if there is one.
+
+    The parser lexes lazily and stops at its first error, so the entry points
+    run this only on their error path: a lexical error anywhere in the text
+    wins over a parse error earlier in it."""
     for match in _TOKEN_RE.finditer(text):
-        kind = match.lastgroup
-        if kind == "bad":
+        if match.lastgroup == "bad":
             span = _span(text, filename, match.start())
             if match.group() == '"':
                 raise ParseError("unterminated string", span)
             raise ParseError(f"unexpected character {match.group()!r}", span)
-        if kind:
-            tokens.append((kind, match.group()))
-    return tokens
 
 
 class _Parser:
+    """Recursive descent over text lexed one token ahead.
+
+    ``kind`` and ``value`` are the current token's kind and text, ``kind``
+    being None once input runs out.  ``pos`` is a text offset: the current
+    token's start, or the end of the last token at end of input.  A character
+    the lexer rejects becomes a ``bad`` token that no rule takes, so parsing
+    fails on it and the entry point reports it through :func:`_tokenize`.
+    """
+
     def __init__(self, text: str, filename: str):
         self.text = text
         self.filename = filename
-        self.tokens = _tokenize(text, filename)
-        self.pos = 0
+        self._seek(0)
 
     # -- primitives --------------------------------------------------------
 
-    def span(self, index: int) -> SourceSpan:
-        """Location of token ``index``, or of the end of the last token past it.
-        Token offsets are not kept, so this rescans the text: call it on errors."""
-        if not self.tokens:
-            return _span(self.text, self.filename, 0)
-        last = min(index, len(self.tokens) - 1)
-        starts = (m.start() for m in _TOKEN_RE.finditer(self.text) if m.lastgroup)
-        offset = next(itertools.islice(starts, last, None))
-        if index > last:
-            offset += len(self.tokens[last][1])
+    def _seek(self, offset: int) -> None:
+        """Lex on from ``offset``, where the last consumed token ended."""
+        self._matches = _TOKEN_RE.finditer(self.text, offset)
+        self._advance(offset)
+
+    def _advance(self, end: int) -> None:
+        """Make the next token current; ``end`` is where the last one ended."""
+        for match in self._matches:
+            if match.lastgroup:
+                self.kind, self.value = match.lastgroup, match.group()
+                self.pos = match.start()
+                return
+        self.kind, self.value, self.pos = None, "", end
+
+    def span(self, offset: int) -> SourceSpan:
         return _span(self.text, self.filename, offset)
 
-    def peek(self) -> tuple[str, str] | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
     def at(self, kind: str, text: str | None = None) -> bool:
-        tok = self.peek()
-        return tok is not None and tok[0] == kind and (text is None or tok[1] == text)
+        return self.kind == kind and (text is None or self.value == text)
 
-    def take(self, kind: str, text: str | None = None) -> tuple[str, str] | None:
-        if self.at(kind, text):
-            tok = self.tokens[self.pos]
-            self.pos += 1
-            return tok
-        return None
+    def take(self, kind: str, text: str | None = None) -> str | None:
+        """Consume the current token and return its text, if it matches."""
+        if not self.at(kind, text):
+            return None
+        value = self.value
+        self._advance(self.pos + len(value))
+        return value
 
-    def expect(
-        self, kind: str, text: str | None = None, what: str = ""
-    ) -> tuple[str, str]:
-        tok = self.take(kind, text)
-        if tok is None:
+    def expect(self, kind: str, text: str | None = None, what: str = "") -> str:
+        value = self.take(kind, text)
+        if value is None:
             wanted = what or (text if text is not None else kind)
-            got = self.peek()
-            found = f"{got[1]!r}" if got else "end of input"
-            message = f"expected {wanted}, found {found}"
-            raise ParseError(message, self.span(self.pos))
-        return tok
+            found = "end of input" if self.kind is None else repr(self.value)
+            raise ParseError(f"expected {wanted}, found {found}", self.span(self.pos))
+        return value
 
     def ident(self, what: str = "identifier") -> str:
-        return self.expect("ident", what=what)[1]
+        return self.expect("ident", what=what)
 
     def string(self, what: str = "string") -> str:
         here = self.pos
-        body = self.expect("string", what=what)[1][1:-1]
+        body = self.expect("string", what=what)[1:-1]
         for match in _ESCAPE_RE.finditer(body):
             if match.group(1) not in '"\\':
                 raise ParseError(
                     f"invalid escape \\{match.group(1)} in string", self.span(here)
                 )
         return _ESCAPE_RE.sub(r"\1", body)
-
-    def done(self) -> bool:
-        return self.pos >= len(self.tokens)
 
     # -- shared pieces ------------------------------------------------------
 
@@ -219,8 +245,7 @@ class _Parser:
 
         while not self.at("punct", "}"):
             here = self.pos
-            tok = self.peek()
-            if tok is None:
+            if self.kind is None:
                 raise ParseError("unterminated schema block", self.span(here))
             if self.take("ident", "box"):
                 box_id = self.ident("box id")
@@ -287,7 +312,7 @@ class _Parser:
                 fp_sites.append((here, x, y, z))
             else:
                 raise ParseError(
-                    f"expected a schema declaration, found {tok[1]!r}", self.span(here)
+                    f"expected a schema declaration, found {self.value!r}", self.span(here)
                 )
         self.expect("punct", "}")
 
@@ -348,8 +373,7 @@ class _Parser:
 
         while not self.at("punct", "}"):
             here = self.pos
-            tok = self.peek()
-            if tok is None:
+            if self.kind is None:
                 raise ParseError("unterminated instance block", self.span(here))
             if self.take("ident", "set"):
                 box_id = self.ident("box id")
@@ -368,14 +392,21 @@ class _Parser:
                 functions[arrow_id] = self._fn_entries(arrow_id)
             else:
                 raise ParseError(
-                    f"expected 'set', 'fn' or '}}', found {tok[1]!r}", self.span(here)
+                    f"expected 'set', 'fn' or '}}', found {self.value!r}", self.span(here)
                 )
         self.expect("punct", "}")
         return Instance(name, schema_name, sets, functions)
 
     def _set_entries(self, box_id: str) -> dict[str, Payload | None]:
+        body = _SET_BODY_RE.match(self.text, self.pos)
+        if body:
+            ids = _body_ids(body)
+            elems: dict[str, Payload | None] = dict.fromkeys(ids)
+            if len(elems) == len(ids):  # else an id repeats: the loop reports it
+                self._seek(body.end())
+                return elems
         self.expect("punct", "{")
-        elems: dict[str, Payload | None] = {}
+        elems = {}
         while not self.at("punct", "}"):
             here = self.pos
             eid = self.ident("element id")
@@ -393,8 +424,15 @@ class _Parser:
         return elems
 
     def _fn_entries(self, arrow_id: str) -> dict[str, str]:
+        body = _FN_BODY_RE.match(self.text, self.pos)
+        if body:
+            ids = _body_ids(body)
+            table: dict[str, str] = dict(zip(ids[::2], ids[1::2]))
+            if 2 * len(table) == len(ids):  # else a source repeats: the loop reports it
+                self._seek(body.end())
+                return table
         self.expect("punct", "{")
-        table: dict[str, str] = {}
+        table = {}
         while not self.at("punct", "}"):
             here = self.pos
             src = self.ident("element id")
@@ -430,15 +468,15 @@ class _Parser:
 
     def _real_value(self) -> float:
         here = self.pos
-        tok = self.take("number")
-        if tok is not None:
-            return float(tok[1])
-        tok = self.take("ident")
-        if tok is not None:
-            if tok[1] == "inf":
+        value = self.take("number")
+        if value is not None:
+            return float(value)
+        value = self.take("ident")
+        if value is not None:
+            if value == "inf":
                 return math.inf
-            if tok[1].isdigit():
-                return float(tok[1])
+            if value.isdigit():
+                return float(value)
         raise ParseError("expected a real value", self.span(here))
 
     def _graph_value(self) -> Graph:
@@ -470,26 +508,33 @@ class _Parser:
 # ---------------------------------------------------------------------------
 
 
+_Block = TypeVar("_Block", OlogSchema, Instance)
+
+
+def _parse(text: str, filename: str, block: Callable[[_Parser], _Block]) -> _Block:
+    """Parse one block that must end the text.  On failure, a lexical error
+    anywhere in the text wins over the parse error found first."""
+    parser = _Parser(text, filename)
+    try:
+        result = block(parser)
+        if parser.kind is not None:
+            raise ParseError(
+                f"unexpected trailing content {parser.value!r}", parser.span(parser.pos)
+            )
+    except ParseError:
+        _tokenize(text, filename)
+        raise
+    return result
+
+
 def parse_schema(text: str, filename: str = "<string>") -> OlogSchema:
     """Parse a document holding exactly one schema block."""
-    parser = _Parser(text, filename)
-    schema = parser.schema_block()
-    if not parser.done():
-        raise ParseError(
-            f"unexpected trailing content {parser.peek()[1]!r}", parser.span(parser.pos)
-        )
-    return schema
+    return _parse(text, filename, _Parser.schema_block)
 
 
 def parse_instance(text: str, filename: str = "<string>") -> Instance:
     """Parse a document holding exactly one instance block."""
-    parser = _Parser(text, filename)
-    instance = parser.instance_block()
-    if not parser.done():
-        raise ParseError(
-            f"unexpected trailing content {parser.peek()[1]!r}", parser.span(parser.pos)
-        )
-    return instance
+    return _parse(text, filename, _Parser.instance_block)
 
 
 def load_schema(path: str | FsPath) -> OlogSchema:

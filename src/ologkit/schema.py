@@ -588,8 +588,8 @@ def derive_equality(
     sides: list[tuple[int, str, tuple[str, ...], str, tuple[str, ...]]] = []
     for index, eq in enumerate(schema.equations):
         try:
-            path_endpoints(schema, eq.lhs)
-            path_endpoints(schema, eq.rhs)
+            if path_endpoints(schema, eq.lhs) != path_endpoints(schema, eq.rhs):
+                continue  # sides not parallel: validate_schema reports it
         except MalformedPathError:
             continue  # unusable equation; validate_schema reports it
         equations.append((eq.lhs.arrows, eq.rhs.arrows))

@@ -1,11 +1,14 @@
 import hashlib
 import math
+import random
+import re
 from pathlib import Path as FsPath
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ologkit.dsl as dsl
 import ologkit.instance
 import ologkit.ordering
 from ologkit import (
@@ -160,6 +163,9 @@ def test_truncated_arrow_declaration():
     assert (exc.value.span.line, exc.value.span.column) == (4, 1)
 
 
+_HEAD = 'instance "i" of "s" {\n'
+
+
 @pytest.mark.parametrize(
     "text, error, position, message",
     [
@@ -214,6 +220,46 @@ def test_truncated_arrow_declaration():
             ParseError, (2, 9), "invalid escape \\q in string",
             id="invalid-escape",
         ),
+        pytest.param(
+            _HEAD + "  fn 1 {\n    n1 -> w#f1,\n    n2 -> wf1 }\n}\n",
+            ParseError, (4, 5), "expected }, found 'n2'",
+            id="comment-inside-an-id",
+        ),
+        pytest.param(
+            _HEAD + "  set X { a, 3e-4 }\n}\n",
+            ParseError, (2, 14), "expected element id, found '3e-4'",
+            id="exponent-as-id",
+        ),
+        pytest.param(
+            _HEAD + "  set X { a, 1e+5 }\n}\n",
+            ParseError, (2, 14), "expected element id, found '1e+5'",
+            id="signed-exponent-as-id",
+        ),
+        pytest.param(
+            _HEAD + "  fn 1 { a -> 12.5 }\n}\n",
+            ParseError, (2, 15), "expected element id, found '12.5'",
+            id="decimal-as-id",
+        ),
+        pytest.param(
+            _HEAD + "  set X {\n    x1,\n    x2,\n    x1\n  }\n}\n",
+            DuplicateIdError, (5, 5), "element 'x1' listed twice in box X",
+            id="duplicate-element-in-a-plain-body",
+        ),
+        pytest.param(
+            _HEAD + "  fn 1 {\n    a -> b,\n    c -> d,\n    a -> e\n  }\n}\n",
+            DuplicateIdError, (5, 5), "element 'a' mapped twice by arrow 1",
+            id="duplicate-source-in-a-plain-body",
+        ),
+        pytest.param(
+            _HEAD + "  fn 1 { a -> b, a -> c }\n  set X { @ }\n}\n",
+            ParseError, (3, 11), "unexpected character '@'",
+            id="lexical-error-beats-earlier-duplicate",
+        ),
+        pytest.param(
+            _HEAD + '  fn 1 { a b }\n  set X { x = text "oops }\n}\n',
+            ParseError, (3, 20), "unterminated string",
+            id="lexical-error-beats-earlier-parse-error",
+        ),
     ],
 )
 def test_error_positions_and_messages(text, error, position, message):
@@ -243,6 +289,58 @@ def test_string_where_block_expected():
     with pytest.raises(ParseError) as exc:
         parse_instance('instance "i" of "s" { pullback }')
     assert "expected 'set', 'fn'" in exc.value.bare_message
+
+
+# ---------------------------------------------------------------------------
+# set and fn bodies read in bulk
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "body, expected",
+    [
+        pytest.param(
+            "  fn 1 { a -> b, # c -> d }\n  c -> e }\n",
+            ({}, {"1": {"a": "b", "c": "e"}}),
+            id="comment-hides-an-entry",
+        ),
+        pytest.param("  set X {#}\n  }\n", ({"X": {}}, {}), id="comment-hides-the-brace"),
+    ],
+)
+def test_comments_inside_bodies(body, expected):
+    inst = parse_instance(_HEAD + body + "}\n")
+    assert (inst.sets, inst.functions) == expected
+
+
+def test_canonical_instance_is_read_without_a_token_per_entry(monkeypatch):
+    params = SimParams(
+        brick_count=6, brick_failure=100.0, lifeline_present=True, lifeline_failure=110.0
+    )
+    text = serialize_instance(generate_instance(params, bundled_schema()))
+    blocks = re.finditer(r"\n  (?:set|fn) \w+ (\{.*?\n  \})", text, re.S)
+    bodies = [block.span(1) for block in blocks]
+    id_only = [(a, b) for a, b in bodies if "=" not in text[a:b]]
+    with_payloads = [(a, b) for a, b in bodies if "=" in text[a:b]]
+
+    def no_tokenize(*args):
+        raise AssertionError("the whole text was tokenized")
+
+    taken_at = []
+    take = dsl._Parser.take
+
+    def recording_take(self, *args):
+        taken_at.append(self.pos)
+        return take(self, *args)
+
+    monkeypatch.setattr(dsl, "_tokenize", no_tokenize)
+    monkeypatch.setattr(dsl._Parser, "take", recording_take)
+    inst = parse_instance(text)
+    assert serialize_instance(inst) == text
+    entries = text.count("\n    ")
+    assert len(bodies) == len(inst.sets) + len(inst.functions) and entries > 1000
+    assert not [pos for pos in taken_at for a, b in id_only if a <= pos < b]
+    outside = [pos for pos in taken_at if not any(a <= pos < b for a, b in with_payloads)]
+    assert len(outside) <= 4 * len(bodies) + 8
 
 
 # ---------------------------------------------------------------------------
@@ -559,3 +657,98 @@ def test_real_literals_round_trip_exactly(value):
     )
     back = parse_instance(text).elements("X")["x1"].value
     assert back == value and math.copysign(1, back) == math.copysign(1, value)
+
+
+# ---------------------------------------------------------------------------
+# property: bulk bodies read exactly what the token loop reads
+# ---------------------------------------------------------------------------
+
+_BONDED_2 = serialize_instance(
+    generate_instance(
+        SimParams(
+            brick_count=2, brick_failure=100.0, lifeline_present=True, lifeline_failure=110.0
+        ),
+        bundled_schema(),
+    )
+)
+_HAND_WRITTEN = (
+    'instance "d" of "s" {\n  set A { a1 = real 1.5, a2, }\n  set B {b1,b2}\n'
+    "  fn put { a1 -> b1, a2->b2, }\n  fn q {\n    x -> y,\n    z -> w\n  }\n"
+    "  set C {}\n}\n"
+)
+_PIECES = ["#", "# } -> ,\n", "->", "}", "{", ",", "3e-4", '"', "é", " ", "\x1f", "\u2028"]
+_EDITS = ["delete", "insert", "duplicate line"]
+_edits = st.lists(
+    st.tuples(st.sampled_from(_EDITS), st.integers(0, 3000), st.sampled_from(_PIECES)),
+    max_size=3,
+)
+
+
+def _mutate(text, edits):
+    for op, at, piece in edits:
+        at %= len(text) + 1
+        if op == "delete":
+            text = text[:at] + text[at + 1 :]
+        elif op == "insert":
+            text = text[:at] + piece + text[at:]
+        else:
+            lines = text.split("\n")
+            lines.insert(at % len(lines), lines[at % len(lines)])
+            text = "\n".join(lines)
+    return text
+
+
+def _outcome(text):
+    try:
+        inst = parse_instance(text, filename="f.oinst")
+    except ParseError as exc:
+        return type(exc), exc.span.line, exc.span.column, exc.bare_message
+    return inst.name, [(k, list(v.items())) for k, v in inst.sets.items()], [
+        (k, list(v.items())) for k, v in inst.functions.items()
+    ]
+
+
+_NEVER = re.compile(r"(?!)")
+
+
+def _token_loop_outcome(text):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dsl, "_SET_BODY_RE", _NEVER)
+        mp.setattr(dsl, "_FN_BODY_RE", _NEVER)
+        return _outcome(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(base=st.sampled_from([_BONDED_2, _HAND_WRITTEN]), edits=_edits)
+def test_bulk_bodies_parse_as_the_token_loop_does(base, edits):
+    text = _mutate(base, edits)
+    assert _outcome(text) == _token_loop_outcome(text)
+
+
+def test_mutated_documents_reach_bulk_and_token_loop_bodies(monkeypatch):
+    # The edits above must leave some bodies to bulk reading and send some
+    # bodies without payloads back to the token loop.
+    reached = {"bulk": 0, "token loop": 0}
+
+    class Counting:
+        def __init__(self, pattern):
+            self.pattern = pattern
+
+        def match(self, text, pos):
+            body = self.pattern.match(text, pos)
+            if body is not None:
+                reached["bulk"] += 1
+            elif "=" not in text[pos : text.find("}", pos)]:
+                reached["token loop"] += 1
+            return body
+
+    monkeypatch.setattr(dsl, "_SET_BODY_RE", Counting(dsl._SET_BODY_RE))
+    monkeypatch.setattr(dsl, "_FN_BODY_RE", Counting(dsl._FN_BODY_RE))
+    rng = random.Random(0)
+    for _ in range(100):
+        edits = [
+            (rng.choice(_EDITS), rng.randrange(3000), rng.choice(_PIECES))
+            for _ in range(rng.randint(1, 3))
+        ]
+        _outcome(_mutate(_BONDED_2, edits))
+    assert reached["bulk"] > 0 and reached["token loop"] > 0

@@ -386,6 +386,29 @@ def test_search_proves_equalities_when_completion_gives_up():
     assert replay_witness(BRAID, res)
 
 
+def test_equations_with_unparallel_sides_drive_no_rewrite():
+    # [f] = [g] runs A->B against A->C, which validate_schema flags.  Used as
+    # a rewrite it would turn [f,h] into the ill-typed [g,h] and "prove"
+    # [f,h] = [g,k] with a witness that does not replay.
+    s = OlogSchema(
+        "unparallel",
+        tuple(BoxDecl(b, f"a {b}") for b in "ABCD"),
+        (
+            ArrowDecl("f", "A", "B"),
+            ArrowDecl("g", "A", "C"),
+            ArrowDecl("h", "B", "D"),
+            ArrowDecl("k", "C", "D"),
+        ),
+        (
+            PathEquation(Path("A", ("f",)), Path("A", ("g",))),
+            PathEquation(Path("B", ("h",)), Path("C", ("k",))),
+        ),
+    )
+    assert [d.code for d in validate_schema(s)] == ["EQ_ENDPOINT_MISMATCH"] * 2
+    res = derive_equality(s, Path("A", ("f", "h")), Path("A", ("g", "k")), 4)
+    assert res == EqualityResult(EqVerdict.UNKNOWN)
+
+
 def _reference_derive(equations, p, q, max_steps):
     """derive_equality on a one-box schema as a plain breadth-first search."""
     if p == q:
