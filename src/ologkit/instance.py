@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import enum
 import math
-from collections import Counter
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cache, partial
-from itertools import groupby
+from itertools import chain, groupby, repeat
+
+import numpy as np
 
 from .diagnostics import Diagnostic, error
 from .errors import (
@@ -103,15 +104,18 @@ class TextPayload:
 Payload = RealPayload | PairPayload | GraphPayload | TextPayload
 
 
+_PAYLOAD_TYPES = {
+    type(None): "none",
+    RealPayload: "real",
+    PairPayload: "pair",
+    GraphPayload: "graph",
+    TextPayload: "text",
+}
+_PAYLOAD_CODE = {kind: code for code, kind in enumerate(_PAYLOAD_TYPES)}
+
+
 def payload_type_name(payload: Payload | None) -> str:
-    if payload is None:
-        return "none"
-    return {
-        RealPayload: "real",
-        PairPayload: "pair",
-        GraphPayload: "graph",
-        TextPayload: "text",
-    }[type(payload)]
+    return _PAYLOAD_TYPES[type(payload)]
 
 
 # ---------------------------------------------------------------------------
@@ -460,9 +464,10 @@ class IsoOutcome(enum.Enum):
 class IsoResult:
     """Result of the isomorphism search.
 
-    On FOUND, ``mapping`` holds one bijection per box and has been re-verified
-    against every arrow table; a found map that fails that check raises
-    RuntimeError instead of becoming a result.  On NOT_FOUND, ``certificate``
+    On FOUND, ``mapping`` holds one bijection per box, keyed in natural-key
+    order of the a-elements, and has been re-verified against every arrow
+    table; a found map that fails that check raises RuntimeError instead of
+    becoming a result.  On NOT_FOUND, ``certificate``
     names the first obstruction: CARDINALITY_MISMATCH, PAYLOAD_TYPE_MISMATCH,
     SIGNATURE_MISMATCH (structural refinement separated the instances), or
     SEARCH_EXHAUSTED (full backtracking found no commuting bijection).
@@ -483,64 +488,148 @@ class IsoResult:
         return self.outcome is IsoOutcome.FOUND
 
 
-_OutArrows = dict[str, list[tuple[str, str, dict[str, str]]]]
+# Image codes in the integer view, next to element numbers (which are >= 0).
+_MISSING = -1  # the table has no entry for the element
+_OUTSIDE = -2  # the table's entry is not an element of the arrow's target box
 
 
-def _out_arrows(schema: OlogSchema, instance: Instance) -> _OutArrows:
-    """Per box, its out-arrows as (arrow id, target box, table) in schema order."""
-    index: _OutArrows = {box.id: [] for box in schema.boxes}
+@dataclass(frozen=True)
+class _PairIndex:
+    """Both instances of an isomorphism check, their elements numbered.
+
+    Side a's elements come first, then side b's (``split`` is b's first
+    number).  Within a side, boxes come in schema order, each box's elements
+    in the instance's order: ``numbers[side * len(box_ids) + k]`` maps the
+    ids of box k to their numbers, and ``ids`` maps numbers back.
+    ``images[e, t]`` is the number of e's image under its box's t-th
+    out-arrow in schema order, or _MISSING / _OUTSIDE (also _MISSING past
+    the box's ``degree``).  ``edges`` holds (source, arrow index, image) of
+    every table entry whose source and image are both in their boxes; entries
+    whose source is not in the arrow's source box are dropped everywhere.
+    """
+
+    box_ids: list[str]
+    numbers: list[dict[str, int]]
+    ids: list[str]
+    split: int
+    box: np.ndarray
+    payload: np.ndarray
+    degree: list[int]
+    images: np.ndarray
+    edges: tuple[np.ndarray, np.ndarray, np.ndarray]
+    arrows: int
+
+
+def _index_pair(schema: OlogSchema, pair: tuple[Instance, Instance]) -> _PairIndex:
+    """Number the elements of both instances and turn every table into number arrays."""
+    box_ids = list(dict.fromkeys(box.id for box in schema.boxes))
+    box_at = {box_id: k for k, box_id in enumerate(box_ids)}
+    numbers: list[dict[str, int]] = []
+    ids: list[str] = []
+    payload: list[int] = []
+    for instance in pair:
+        for box_id in box_ids:
+            elems = instance.elements(box_id)
+            numbers.append(dict(zip(elems, range(len(ids), len(ids) + len(elems)))))
+            ids += elems
+            payload += map(_PAYLOAD_CODE.__getitem__, map(type, elems.values()))
+
+    degree = [0] * len(box_ids)
+    slot = []
     for arrow in schema.arrows:
-        index[arrow.src].append((arrow.id, arrow.dst, instance.table(arrow.id)))
-    return index
+        slot.append(degree[box_at[arrow.src]])
+        degree[box_at[arrow.src]] += 1
+    tables = [
+        (j, numbers[base + box_at[arrow.src]], numbers[base + box_at[arrow.dst]], table)
+        for base, instance in ((0, pair[0]), (len(box_ids), pair[1]))
+        for j, arrow in enumerate(schema.arrows)
+        if (table := instance.table(arrow.id))
+    ]
+    total = sum(len(table) for *_, table in tables)
+    source = np.fromiter(
+        chain.from_iterable(map(src.get, table, repeat(_MISSING)) for _, src, _, table in tables),
+        np.intp, total,
+    )
+    image = np.fromiter(
+        chain.from_iterable(
+            map(dst.get, table.values(), repeat(_OUTSIDE)) for _, _, dst, table in tables
+        ),
+        np.intp, total,
+    )
+    arrow = np.repeat(np.array([j for j, *_ in tables], np.intp), [len(t) for *_, t in tables])
+    kept = source >= 0
+    source, arrow, image = source[kept], arrow[kept], image[kept]
+    images = np.full((len(ids), max(degree, default=0)), _MISSING, np.intp)
+    images[source, np.array(slot, np.intp)[arrow]] = image
+    inside = image >= 0
+    box = np.repeat(np.tile(np.arange(len(box_ids)), 2), list(map(len, numbers)))
+    return _PairIndex(
+        box_ids, numbers, ids, sum(map(len, numbers[: len(box_ids)])), box,
+        np.array(payload, np.intp), degree, images,
+        (source[inside], arrow[inside], image[inside]), len(schema.arrows),
+    )
 
 
-_Element = tuple[int, str, str]  # (side, box id, element id)
+def _rank_rows(rows: np.ndarray) -> tuple[np.ndarray, int]:
+    """Rank the rows of a 2-D int array: equal rows get one rank, 0, 1, ...
+
+    Returns the rank of every row and the number of distinct rows.  One
+    ``np.lexsort`` of the columns, then a comparison of neighbouring rows.
+    """
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    starts = np.ones(len(rows), bool)
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=starts[1:])
+    rank = np.empty(len(rows), np.intp)
+    rank[order] = np.cumsum(starts) - 1
+    return rank, int(starts.sum())
 
 
-def _refine_colors(
-    schema: OlogSchema, pair: tuple[Instance, Instance], out_arrows: tuple[_OutArrows, _OutArrows]
-) -> tuple[dict[_Element, int], int, str | None]:
+def _refine_colors(pair: _PairIndex) -> tuple[np.ndarray, int, str | None]:
     """Colour both instances together, over one shared palette.
 
     Colour refinement (1-dimensional Weisfeiler-Leman) on their disjoint
-    union: start from (box, payload type), then rank each element's key (its
-    colour and the colours of its images and preimages under every arrow)
-    among the sorted keys of both sides.  Keys lead with the current colour,
-    so a colour never spans two boxes and the partition only splits.  Returns
-    ``(color, round, box)``: ``box`` is the first box in schema order whose
-    per-side histograms differ at the first round where any do, or None at
-    the fixed point.
+    union, in whole-array passes over the numbered pair (a few sorts per
+    round, no per-element Python).  Round 0 ranks (box, payload type).
+    Every later round ranks one row per element: its colour, the colours of
+    its images by out-arrow slot (-1 for no image or one outside the target
+    box), and its preimages as (arrow, colour, count) pairs in sorted order,
+    padded with -1.  Rows lead with the current colour, so a colour never
+    spans two boxes and the partition only splits.  Per-side histograms are
+    ``np.bincount``s, compared after every round.  Returns ``(colour, round,
+    box)``: ``colour[e]`` is element e's colour, and ``box`` is the first
+    box in schema order whose per-side histograms differ at the first round
+    where any do, or None at the fixed point.  The partition of every round,
+    and so ``round`` and ``box``, are those of ranking the same keys as
+    Python tuples; the colour labels themselves are arbitrary and are only
+    ever compared with each other.
     """
-    keys: dict[_Element, tuple] = {
-        (side, box.id, eid): (box.id, payload_type_name(payload))
-        for side, instance in enumerate(pair)
-        for box in schema.boxes
-        for eid, payload in instance.elements(box.id).items()
-    }
-    color: dict[_Element, int] = {}
-    classes, round_ = -1, 0
+    split = pair.split
+    source, arrow, image = pair.edges
+    colour, classes = _rank_rows((pair.box * len(_PAYLOAD_CODE) + pair.payload)[:, None])
+    round_ = 0
     while True:
-        palette = {key: rank for rank, key in enumerate(sorted(set(keys.values())))}
-        if len(palette) == classes:
-            return color, round_, None
-        classes = len(palette)
-        color = {elem: palette[key] for elem, key in keys.items()}
-        hist = Counter((side, box_id, c) for (side, box_id, _), c in color.items())
-        differ = {box_id for (side, box_id, c), n in hist.items() if hist[1 - side, box_id, c] != n}
-        if differ:
-            return color, round_, next(box.id for box in schema.boxes if box.id in differ)
-        preimage_sig: dict[_Element, list[tuple[str, int]]] = {}
-        for (side, box_id, eid), current in color.items():
-            images = []
-            for arrow_id, dst, table in out_arrows[side][box_id]:
-                image = table.get(eid)
-                if image is not None:
-                    preimage_sig.setdefault((side, dst, image), []).append((arrow_id, current))
-                images.append((arrow_id, color.get((side, dst, image), -1)))
-            keys[side, box_id, eid] = (current, tuple(images))
-        for elem, key in keys.items():
-            keys[elem] = (*key, tuple(sorted(preimage_sig.get(elem, []))))
+        differ = np.bincount(colour[:split], minlength=classes) != np.bincount(
+            colour[split:], minlength=classes
+        )
+        if differ.any():
+            box_of = np.empty(classes, np.intp)
+            box_of[colour] = pair.box
+            return colour, round_, pair.box_ids[box_of[differ].min()]
+        # Both image codes index one of the two trailing -1s.
+        out = np.append(colour, (-1, -1))[pair.images]
+        span = pair.arrows * classes
+        preimages = image * span + arrow * classes + colour[source]
+        keys, counts = np.unique(preimages, return_counts=True)
+        target, code = np.divmod(keys, span)
+        column = 2 * (np.arange(len(keys)) - np.searchsorted(target, target))
+        pre = np.full((len(colour), column.max(initial=-2) + 2), -1, np.intp)
+        pre[target, column], pre[target, column + 1] = code, counts
         round_ += 1
+        refined, count = _rank_rows(np.hstack((colour[:, None], out, pre)))
+        if count == classes:
+            return colour, round_, None
+        colour, classes = refined, count
 
 
 def check_instance_isomorphism(
@@ -550,18 +639,26 @@ def check_instance_isomorphism(
 
     Payload *types* must agree per box; payload values are deliberately never
     compared — two instances with different numbers can still be structurally
-    identical.  Both instances are colour-refined over one shared palette up
-    to the first round whose per-box histograms differ (round 0: sizes or
-    payload types; later: SIGNATURE_MISMATCH).  Then a loop (no recursion)
-    maps each a-element within its colour, backtracking with forced
-    propagation along every arrow table; any map it finds is independently
-    re-verified before being reported.
+    identical.  Both instances are numbered once (:class:`_PairIndex`), and
+    that integer view serves both phases.  Colour refinement runs over both
+    at once in whole-array passes, up to the first round whose per-box
+    histograms differ (round 0: sizes or payload types; later:
+    SIGNATURE_MISMATCH).  Then a loop (no recursion) maps each a-element,
+    most constrained first, to a b-element of its colour, backtracking with
+    forced propagation along every arrow table.  Each colour keeps a pool of
+    its unused b-elements, a doubly linked list in natural-key order that an
+    assignment unlinks and its undo relinks, so a choice steps from one
+    unused candidate straight to the next: it tries the same candidates in
+    the same order as a scan of the whole colour that skips used ones, and
+    finds the same map.  Any map found is independently re-verified on the
+    original tables before being reported, and each box's map lists its
+    a-elements in natural-key order.
     """
     for inst in (a, b):
         _require_schema(schema, inst)
 
-    out_a, out_b = _out_arrows(schema, a), _out_arrows(schema, b)
-    color, round_, box_id = _refine_colors(schema, (a, b), (out_a, out_b))
+    pair = _index_pair(schema, (a, b))
+    colour, round_, box_id = _refine_colors(pair)
     if box_id is not None:
         na, nb = len(a.elements(box_id)), len(b.elements(box_id))
         if round_ > 0:
@@ -572,85 +669,104 @@ def check_instance_isomorphism(
             certificate, detail = "PAYLOAD_TYPE_MISMATCH", box_id
         return IsoResult(IsoOutcome.NOT_FOUND, certificate=certificate, detail=detail)
 
-    # Candidates of every a-element: the b-elements of its colour, in natural-key order.
-    box_ids = [box.id for box in schema.boxes]
-    members: dict[int, list[str]] = {}
-    for box_id in box_ids:
-        for eid in natural_order(b.elements(box_id)):
-            members.setdefault(color[1, box_id, eid], []).append(eid)
+    size, split, boxes = len(pair.ids), pair.split, len(pair.box_ids)
+    classes = int(colour.max(initial=-1)) + 1
+    pool_sizes = np.bincount(colour[split:], minlength=classes)
+    # Per (side, box): its ids in natural-key order, and their numbers.
+    ordered = [natural_order(numbers) for numbers in pair.numbers]
+    natural = [list(map(numbers.__getitem__, ids)) for numbers, ids in zip(pair.numbers, ordered)]
+
+    # Pools: colour c's unused b-elements in one circular list through head
+    # node size + c, in natural-key order.
+    nodes = np.array([*chain.from_iterable(natural[boxes:]), *range(size, size + classes)], int)
+    pools = np.append(colour[nodes[: size - split]], np.arange(classes))
+    ring = nodes[np.argsort(pools, kind="stable")]
+    ends = np.cumsum(pool_sizes + 1) - 1
+    after = np.arange(size + classes)
+    after[ring] = np.roll(ring, -1)
+    after[ring[ends]] = ring[ends - pool_sizes]
+    before = np.empty_like(after)
+    before[after] = np.arange(size + classes)
+    nxt, prv = after.tolist(), before.tolist()
 
     # Order: most-constrained elements first (fewest candidates), ties in the
     # natural-key order of (box id, element id).  Boxes whose ids tie under
     # natural_key (B1, B01) share one run, ordered by element id.
-    walk: list[tuple[str, str]] = []
-    for _, group in groupby(natural_order(box_ids), key=natural_key):
-        tied = list(group)
-        run = [(box_id, eid) for box_id in tied for eid in natural_order(a.elements(box_id))]
-        walk += sorted(run, key=lambda key: natural_key(key[1])) if len(tied) > 1 else run
-    order = sorted(walk, key=lambda key: len(members[color[(0, *key)]]))
+    box_at = {box_id: k for k, box_id in enumerate(pair.box_ids)}
+    walk: list[int] = []
+    for _, group in groupby(natural_order(pair.box_ids), key=natural_key):
+        tied = [box_at[box_id] for box_id in group]
+        run = [e for k in tied for e in natural[k]]
+        walk += sorted(run, key=lambda e: natural_key(pair.ids[e])) if len(tied) > 1 else run
+    order = np.array(walk, np.intp)
+    order = order[np.argsort(pool_sizes[colour[order]], kind="stable")].tolist()
 
-    assignment: dict[tuple[str, str], str] = {}
-    used: dict[str, set[str]] = {box_id: set() for box_id in box_ids}
+    colours = colour.tolist()
+    slots = [pair.images[:, t].tolist() for t in range(pair.images.shape[1])]
+    out_slots = [slots[:d] for d in pair.degree]
+    box_of = pair.box.tolist()
+    match = [-1] * size
 
-    def propagate(key: tuple[str, str], value: str, trail: list[tuple[str, str]]) -> bool:
-        """Assign key->value plus everything forced by arrow commutation."""
-        stack = [(key, value)]
+    def propagate(x: int, target: int, trail: list[int]) -> bool:
+        """Map a-element x to b-element target, plus everything that forces."""
+        stack = [(x, target)]
         while stack:
-            (box_id, eid), target = stack.pop()
-            current = assignment.get((box_id, eid))
-            if current is not None:
+            x, target = stack.pop()
+            current = match[x]
+            if current >= 0:
                 if current != target:
                     return False
                 continue
-            own = color.get((0, box_id, eid))
-            if target in used[box_id] or own is None or own != color.get((1, box_id, target)):
+            if match[target] >= 0 or colours[x] != colours[target]:
                 return False
-            assignment[(box_id, eid)] = target
-            used[box_id].add(target)
-            trail.append((box_id, eid))
-            for (_, dst, table_a), (_, _, table_b) in zip(out_a[box_id], out_b[box_id]):
-                image_a, image_b = table_a.get(eid), table_b.get(target)
-                if (image_a is None) != (image_b is None):
+            match[x], match[target] = target, x
+            left, right = prv[target], nxt[target]
+            nxt[left], prv[right] = right, left
+            trail.append(x)
+            for images in out_slots[box_of[x]]:
+                image_a, image_b = images[x], images[target]
+                if image_a >= 0 and image_b >= 0:
+                    stack.append((image_a, image_b))
+                elif image_a != image_b or image_a == _OUTSIDE:
                     return False
-                if image_a is not None:
-                    stack.append(((dst, image_a), image_b))
         return True
 
-    def undo(trail: list[tuple[str, str]]) -> None:
-        for box_id, eid in trail:
-            target = assignment.pop((box_id, eid))
-            used[box_id].discard(target)
+    def undo(trail: list[int]) -> None:
+        for x in reversed(trail):
+            target = match[x]
+            match[x] = match[target] = -1
+            nxt[prv[target]] = prv[nxt[target]] = target
 
-    # Depth-first search; each choice is (index, its untried candidates, trail).
-    choices: list[tuple[int, Iterator[str], list[tuple[str, str]]]] = []
-    index, untried = 0, None
+    # Depth-first search; each choice is (index, the candidate it took, trail).
+    choices: list[tuple[int, int, list[int]]] = []
+    index, taken = 0, None
     while index < len(order):
-        key = order[index]
-        if key in assignment:
+        x = order[index]
+        if match[x] >= 0:
             index += 1
             continue
-        untried = untried or iter(members[color[(0, *key)]])
-        taken = used[key[0]]
-        for target in untried:
-            if target in taken:
-                continue
-            trail: list[tuple[str, str]] = []
-            if propagate(key, target, trail):
-                choices.append((index, untried, trail))
-                index, untried = index + 1, None
+        head = size + colours[x]
+        target = nxt[head if taken is None else taken]
+        while target != head:
+            trail: list[int] = []
+            if propagate(x, target, trail):
+                choices.append((index, target, trail))
+                index, taken = index + 1, None
                 break
             undo(trail)
+            target = nxt[target]
         else:
             if not choices:
                 return IsoResult(IsoOutcome.NOT_FOUND, certificate="SEARCH_EXHAUSTED")
-            index, untried, trail = choices.pop()
+            index, taken, trail = choices.pop()
             undo(trail)
 
-    mapping: dict[str, dict[str, str]] = {box_id: {} for box_id in box_ids}
-    for (box_id, eid), target in assignment.items():
-        mapping[box_id][eid] = target
-    mapping = {box_id: m for box_id, m in mapping.items() if m}
-
+    ids = pair.ids
+    mapping = {
+        box_id: dict(zip(ordered[k], [ids[match[e]] for e in natural[k]]))
+        for k, box_id in enumerate(pair.box_ids)
+        if natural[k]
+    }
     if not verify_isomorphism(schema, a, b, mapping):
         # Success is only ever reported after independent re-verification; a
         # map the search built that fails it is a bug, not a certificate.

@@ -4,8 +4,12 @@ import sys
 
 import pytest
 
-from ologkit import bundled_text, load_instance, validate_instance
+import ologkit.instance
+import ologkit.ordering
+import ologkit.schema
+from ologkit import bundled_schema, bundled_text, load_instance, validate_instance
 from ologkit.cli import main
+from ologkit.ordering import natural_key
 
 
 def run_cli(capsys, *argv):
@@ -162,27 +166,72 @@ def test_iso_on_bonded_twins_past_the_old_recursion_line(capsys, tmp_path, monke
     assert "Found" in body_of(out)
 
 
+def _rewire_first_yield(path):
+    """Point the first entry of arrow 35 (P -> U) at another brick."""
+    lines = path.read_text().split("\n")
+    row = lines.index("  fn 35 {") + 1
+    assert lines[row] == "    p01 -> tc1,"
+    lines[row] = "    p01 -> tc2,"
+    path.write_text("\n".join(lines))
+
+
 @pytest.mark.parametrize(
-    "flags, digest",
+    "flags, rewired, digest",
     [
-        ((), "90397ab729694a8805c290991f5a468f92d299256d3396c9adcda9f5ef3f02c4"),
+        ((), False, "90397ab729694a8805c290991f5a468f92d299256d3396c9adcda9f5ef3f02c4"),
         (
             ("--bricks", "16", "--glue-fail", "20.6", "--lifeline",
              "--ll-rest", "23.45", "--ll-fail", "100"),
-            "7a1fb2a15d8f05d6673b70834ee8a740faec95bb0d90bf2ecd3671470d43e1c6",
+            False, "7a1fb2a15d8f05d6673b70834ee8a740faec95bb0d90bf2ecd3671470d43e1c6",
+        ),
+        (
+            ("--bricks", "7", "--glue-fail", "20.6", "--brick-fail", "100", "--lifeline",
+             "--ll-rest", "23.45", "--ll-fail", "110"),
+            False, "924b4597993de970ff55207997f9c7b78a0607f09af759db5daaa2a850f0eb34",
+        ),
+        (
+            ("--bricks", "6", "--glue-fail", "20.6", "--lifeline",
+             "--ll-rest", "23.45", "--ll-fail", "100"),
+            True, "bbcbe19f41e70be0e5b637109a3e5e12a362ab5bf8fddf60211b9d697bd379ef",
         ),
     ],
-    ids=["bundled", "ductile-n16"],
+    ids=["bundled", "ductile-n16", "bonded-n7", "rewired-ductile-n6"],
 )
-def test_iso_report_pins_the_search_order(capsys, tmp_path, monkeypatch, flags, digest):
+def test_iso_report_pins_the_search_order(capsys, tmp_path, monkeypatch, flags, rewired, digest):
     # The report lists the whole map, so its bytes fix which of the many
-    # isomorphisms the search finds first.
+    # isomorphisms the search finds first; on a rewired pair they fix the
+    # certificate and the box it names.
     monkeypatch.chdir(tmp_path)
     pair = _simulate_twins(capsys, *flags) if flags else ["protein.oinst", "social.oinst"]
+    if rewired:
+        _rewire_first_yield(tmp_path / pair[1])
     code, out = run_cli(capsys, "iso", "paper.olog", *pair)
-    assert code == 0
+    assert code == (1 if rewired else 0)
     body = "".join(line + "\n" for line in body_of(out))
     assert hashlib.sha256(body.encode()).hexdigest() == digest
+
+
+def test_iso_on_ordered_ids_calls_natural_key_on_box_ids_only(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    twins = _simulate_twins(
+        capsys, "--bricks", "6", "--glue-fail", "20.6", "--brick-fail", "100",
+        "--lifeline", "--ll-rest", "23.45", "--ll-fail", "110",
+    )
+    seen = []
+
+    def counting_key(ident):
+        seen.append(ident)
+        return natural_key(ident)
+
+    for module in (ologkit.ordering, ologkit.instance, ologkit.schema):
+        monkeypatch.setattr(module, "natural_key", counting_key)
+    code, out = run_cli(capsys, "iso", "paper.olog", *twins)
+    assert code == 0
+    assert "Found" in body_of(out)
+    # Generated ids are in natural-key order and the map comes back in that
+    # order, so the report proves the order instead of sorting; only box ids
+    # are keyed, to find boxes whose ids tie.
+    assert set(seen) <= {box.id for box in bundled_schema().boxes}
 
 
 def test_analogy_default_bricks_match(capsys):

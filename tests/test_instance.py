@@ -1,6 +1,7 @@
 import itertools
 import random
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -936,3 +937,201 @@ def test_checks_on_ordered_ids_call_natural_key_on_no_element(schema, monkeypatc
     # Generated ids are already in natural-key order; the iso search keys
     # only the box ids, to find boxes whose ids tie.
     assert set(seen) <= {box.id for box in schema.boxes}
+
+
+def test_two_empty_instances_are_isomorphic_by_the_empty_map(schema):
+    empty = Instance("empty", schema.name)
+    res = check_instance_isomorphism(schema, empty, empty)
+    assert (res.outcome, res.mapping) == (IsoOutcome.FOUND, {})
+
+
+def test_empty_box_and_empty_tables_leave_the_rest_to_match():
+    s = OlogSchema(
+        "hollow",
+        (BoxDecl("X", "an x"), BoxDecl("Y", "a y")),
+        (ArrowDecl("f", "X", "Y"), ArrowDecl("g", "X", "X"), ArrowDecl("h", "Y", "Y")),
+    )
+    a = Instance("a", "hollow", {"X": {}, "Y": {"y1": None, "y2": None}},
+                 {"f": {}, "g": {}, "h": {"y1": "y2", "y2": "y2"}})
+    b = Instance("b", "hollow", {"Y": {"u": None, "v": None}}, {"h": {"u": "u", "v": "u"}})
+    res = check_instance_isomorphism(s, a, b)
+    assert res.mapping == {"Y": {"y1": "v", "y2": "u"}}
+    assert verify_isomorphism(s, a, b, res.mapping)
+
+
+# ---------------------------------------------------------------------------
+# colour refinement against a per-element reference
+# ---------------------------------------------------------------------------
+
+
+def _reference_refine_colors(schema, pair):
+    """Colour refinement over (side, box id, element id) keys, one Python pass a round.
+
+    The reference for ``ologkit.instance._refine_colors``: each round ranks
+    every element's key (its colour, its images' colours by out-arrow, its
+    sorted (arrow id, colour) preimages) among the sorted keys of both
+    sides.  Returns ``(colour by element, round, box)`` as that function
+    does.
+    """
+    out_arrows = []
+    for instance in pair:
+        index = {box.id: [] for box in schema.boxes}
+        for arrow in schema.arrows:
+            index[arrow.src].append((arrow.id, arrow.dst, instance.table(arrow.id)))
+        out_arrows.append(index)
+    keys = {
+        (side, box.id, eid): (box.id, ologkit.instance.payload_type_name(payload))
+        for side, instance in enumerate(pair)
+        for box in schema.boxes
+        for eid, payload in instance.elements(box.id).items()
+    }
+    color = {}
+    classes, round_ = -1, 0
+    while True:
+        palette = {key: rank for rank, key in enumerate(sorted(set(keys.values())))}
+        if len(palette) == classes:
+            return color, round_, None
+        classes = len(palette)
+        color = {elem: palette[key] for elem, key in keys.items()}
+        hist = Counter((side, box_id, c) for (side, box_id, _), c in color.items())
+        differ = {box_id for (side, box_id, c), n in hist.items() if hist[1 - side, box_id, c] != n}
+        if differ:
+            return color, round_, next(box.id for box in schema.boxes if box.id in differ)
+        preimage_sig = {}
+        for (side, box_id, eid), current in color.items():
+            images = []
+            for arrow_id, dst, table in out_arrows[side][box_id]:
+                image = table.get(eid)
+                if image is not None:
+                    preimage_sig.setdefault((side, dst, image), []).append((arrow_id, current))
+                images.append((arrow_id, color.get((side, dst, image), -1)))
+            keys[side, box_id, eid] = (current, tuple(images))
+        for elem, key in keys.items():
+            keys[elem] = (*key, tuple(sorted(preimage_sig.get(elem, []))))
+        round_ += 1
+
+
+_PAYLOAD_MAKERS = (
+    lambda: None, lambda: RealPayload(1.5), lambda: PairPayload(0.0, 1.0), lambda: TextPayload("t")
+)
+_ID_POOL = ("", "x1", "x2", "x10", "b1", "b01", "y")
+
+
+def _random_pair(rng):
+    """A random small schema and two instances of it, often near-isomorphic.
+
+    Tables may be partial, send elements outside the target box, or carry
+    sources outside the source box; payload types may mix within a box;
+    boxes may be empty; arrows may be self-arrows; ids include "".
+    """
+    box_ids = ["X", "Y", "Z"][: rng.randint(1, 3)]
+    s = OlogSchema(
+        "random",
+        tuple(BoxDecl(box_id, box_id) for box_id in box_ids),
+        tuple(
+            ArrowDecl(f"f{j}", rng.choice(box_ids), rng.choice(box_ids))
+            for j in range(rng.randint(1, 4))
+        ),
+    )
+
+    def instance(name):
+        mixed = rng.random() < 0.2
+        sets = {}
+        for box_id in box_ids:
+            kind = rng.choice(_PAYLOAD_MAKERS)
+            sets[box_id] = {
+                eid: (rng.choice(_PAYLOAD_MAKERS) if mixed else kind)()
+                for eid in rng.sample(_ID_POOL, rng.randint(0, 5))
+            }
+        functions = {}
+        for arrow in s.arrows:
+            targets = list(sets[arrow.dst]) if rng.random() < 0.9 else list(_ID_POOL)
+            table = {
+                eid: rng.choice(targets)
+                for eid in sets[arrow.src]
+                if rng.random() < 0.9 and targets
+            }
+            if rng.random() < 0.1:
+                table[rng.choice(("ghost", *_ID_POOL))] = rng.choice(_ID_POOL)
+            functions[arrow.id] = table
+        return Instance(name, "random", sets, functions)
+
+    a = instance("a")
+    if rng.random() < 0.5:
+        return s, a, instance("b")
+    # A relabelled copy of a, its dicts in another order, sometimes with one
+    # table entry moved.
+    rename = {}
+    for box_id, elems in a.sets.items():
+        ids = list(elems)
+        rename[box_id] = dict(zip(ids, rng.sample(ids, len(ids))))
+    sets = {
+        box_id: {rename[box_id][eid]: payload for eid, payload in reversed(elems.items())}
+        for box_id, elems in a.sets.items()
+    }
+    functions = {
+        arrow.id: {
+            rename[arrow.src].get(eid, eid): rename[arrow.dst].get(image, image)
+            for eid, image in a.table(arrow.id).items()
+        }
+        for arrow in s.arrows
+    }
+    arrow = rng.choice(s.arrows)
+    if rng.random() < 0.3 and functions[arrow.id] and sets[arrow.dst]:
+        entry = rng.choice(list(functions[arrow.id]))
+        functions[arrow.id][entry] = rng.choice(list(sets[arrow.dst]))
+    return s, a, Instance("b", "random", sets, functions)
+
+
+def _refinement_of(s, a, b):
+    """``_refine_colors`` on the pair, its colours keyed (side, box id, element id)."""
+    pair = ologkit.instance._index_pair(s, (a, b))
+    colour, round_, box_id = ologkit.instance._refine_colors(pair)
+    boxes = len(pair.box_ids)
+    keyed = {
+        (k // boxes, pair.box_ids[k % boxes], eid): int(colour[e])
+        for k, numbers in enumerate(pair.numbers)
+        for eid, e in numbers.items()
+    }
+    return keyed, round_, box_id
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_refinement_matches_the_per_element_reference(seed):
+    s, a, b = _random_pair(random.Random(seed))
+    expected, expected_round, expected_box = _reference_refine_colors(s, (a, b))
+    got, got_round, got_box = _refinement_of(s, a, b)
+    assert (got_round, got_box) == (expected_round, expected_box)
+    # The same partition: the colours correspond one to one.
+    assert got.keys() == expected.keys()
+    both = {(expected[elem], got[elem]) for elem in got}
+    assert len(both) == len(set(expected.values())) == len(set(got.values()))
+
+
+def test_random_pairs_reach_every_refinement_outcome_and_input_shape():
+    outcomes, shapes = set(), set()
+    for seed in range(400):
+        s, a, b = _random_pair(random.Random(seed))
+        _, round_, box_id = _refinement_of(s, a, b)
+        outcomes.add("fixed point" if box_id is None else "round 0" if round_ == 0 else "later")
+        for inst in (a, b):
+            for box_id, elems in inst.sets.items():
+                shapes |= {"empty box"} if not elems else set()
+                shapes |= {'id ""'} if "" in elems else set()
+                kinds = {type(payload) for payload in elems.values()}
+                shapes |= {"mixed payloads"} if len(kinds) > 1 else set()
+            for arrow in s.arrows:
+                table = inst.table(arrow.id)
+                src, dst = inst.elements(arrow.src), inst.elements(arrow.dst)
+                shapes |= {"self-arrow"} if arrow.src == arrow.dst else set()
+                shapes |= {"partial table"} if src.keys() - table.keys() else set()
+                shapes |= {"source outside"} if table.keys() - src.keys() else set()
+                shapes |= {"image outside"} if any(
+                    image not in dst for eid, image in table.items() if eid in src
+                ) else set()
+    assert outcomes == {"fixed point", "round 0", "later"}
+    assert shapes == {
+        "empty box", 'id ""', "mixed payloads", "self-arrow", "partial table",
+        "source outside", "image outside",
+    }
