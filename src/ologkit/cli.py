@@ -32,7 +32,7 @@ from .chains import (
 )
 from .diagnostics import has_errors
 from .dsl import parse_instance, parse_schema, serialize_instance
-from .errors import DomainError, OlogError, ParamConstraintError, ParseError
+from .errors import OlogError
 from .instance import (
     Instance,
     check_all_equations,
@@ -218,8 +218,7 @@ def _cmd_simulate(args: argparse.Namespace, report: RunReport, comparators: Comp
 
 def _report_mapping(report: RunReport, mapping: dict[str, dict[str, str]]) -> None:
     for box_id in natural_order(mapping):
-        pairs = mapping[box_id]
-        shown = ", ".join(f"{src}->{pairs[src]}" for src in natural_order(pairs))
+        shown = ", ".join(f"{src}->{dst}" for src, dst in mapping[box_id].items())
         report.line(f"{box_id}: {shown}")
 
 
@@ -366,18 +365,9 @@ def main(argv: list[str] | None = None) -> int:
             kappa=getattr(args, "kappa", 3.0),
         )
         _HANDLERS[args.command](args, report, comparators)
-    except ParseError as exc:
-        report.line(f"error[{exc.code}]: {exc}")
-        report.fail("parse-error")
-    except ParamConstraintError as exc:
-        report.line(f"error[{exc.code}]: {exc.message}")
-        report.fail("param-constraint")
-    except DomainError as exc:
-        report.line(f"error[{exc.code}]: {exc.message}")
-        report.fail("param-constraint")
     except OlogError as exc:
         report.line(f"error[{exc.code}]: {exc.message}")
-        report.fail("violation")
+        report.fail(exc.verdict)
     except OSError as exc:
         report.line(f"error: {exc}")
         report.fail("parse-error")

@@ -119,18 +119,37 @@ def _span(text: str, filename: str, offset: int) -> SourceSpan:
     return SourceSpan(filename, line, offset - text.rfind("\n", 0, offset))
 
 
-def _tokenize(text: str, filename: str) -> None:
-    """Raise the first lexical error in ``text``, if there is one.
+# A character that can start or sit inside a token other than an id, a
+# punctuation mark, ``->`` or whitespace: any other token, and every lexical
+# error, holds one.
+_SUSPECT_RE = re.compile(r"[^\sA-Za-z0-9_{}()\[\]:=,](?<!->)(?<!-(?=>))")
+_ID_CHARS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_")
+
+
+def _tokenize(text: str, filename: str, offset: int) -> None:
+    """Raise the first lexical error in ``text`` at or after ``offset``, if
+    there is one; ``offset`` must be a token boundary.
 
     The parser lexes lazily and stops at its first error, so the entry points
     run this only on their error path: a lexical error anywhere in the text
-    wins over a parse error earlier in it."""
-    for match in _TOKEN_RE.finditer(text):
-        if match.lastgroup == "bad":
-            span = _span(text, filename, match.start())
-            if match.group() == '"':
-                raise ParseError("unterminated string", span)
-            raise ParseError(f"unexpected character {match.group()!r}", span)
+    wins over a parse error earlier in it.  Only the text around suspect
+    characters is lexed.  Between suspects, tokens are ids, punctuation,
+    ``->`` and whitespace, none of them bad, so the id run that ends at a
+    suspect starts a token, and lexing from there past the suspect reads it
+    as a whole-text lexer would."""
+    while suspect := _SUSPECT_RE.search(text, offset):
+        start = at = suspect.start()
+        while start > offset and text[start - 1] in _ID_CHARS:
+            start -= 1
+        for match in _TOKEN_RE.finditer(text, start):
+            if match.lastgroup == "bad":
+                span = _span(text, filename, match.start())
+                if match.group() == '"':
+                    raise ParseError("unterminated string", span)
+                raise ParseError(f"unexpected character {match.group()!r}", span)
+            if match.end() > at:
+                break
+        offset = match.end()
 
 
 class _Parser:
@@ -522,7 +541,7 @@ def _parse(text: str, filename: str, block: Callable[[_Parser], _Block]) -> _Blo
                 f"unexpected trailing content {parser.value!r}", parser.span(parser.pos)
             )
     except ParseError:
-        _tokenize(text, filename)
+        _tokenize(text, filename, parser.pos)  # no lexical error comes before pos
         raise
     return result
 

@@ -11,9 +11,10 @@ from dataclasses import dataclass
 
 
 class OlogError(Exception):
-    """Base class for all toolkit errors; ``code`` is a stable identifier."""
+    """Base class for all toolkit errors: a stable ``code`` and the CLI ``verdict``."""
 
     code = "OLOG_ERROR"
+    verdict = "violation"
 
     def __init__(self, message: str):
         super().__init__(message)
@@ -78,12 +79,14 @@ class DomainError(OlogError):
     """A numeric argument fell outside its documented domain."""
 
     code = "DOMAIN"
+    verdict = "param-constraint"
 
 
 class ParamConstraintError(OlogError):
     """Simulation parameters violate a box constraint of the reference olog."""
 
     code = "PARAM_CONSTRAINT"
+    verdict = "param-constraint"
 
     def __init__(self, box: str, message: str):
         super().__init__(f"box {box}: {message}")
@@ -106,6 +109,7 @@ class ParseError(OlogError):
     """Raised by the DSL parser; always carries a :class:`SourceSpan`."""
 
     code = "PARSE_ERROR"
+    verdict = "parse-error"
 
     def __init__(self, message: str, span: SourceSpan):
         super().__init__(f"{span}: {message}")

@@ -13,7 +13,7 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cache, partial
-from itertools import chain, groupby, repeat
+from itertools import accumulate, chain, groupby, repeat
 
 import numpy as np
 
@@ -464,10 +464,13 @@ class IsoOutcome(enum.Enum):
 class IsoResult:
     """Result of the isomorphism search.
 
-    On FOUND, ``mapping`` holds one bijection per box, keyed in natural-key
-    order of the a-elements, and has been re-verified against every arrow
-    table; a found map that fails that check raises RuntimeError instead of
-    becoming a result.  On NOT_FOUND, ``certificate``
+    On FOUND, ``mapping`` holds one bijection per non-empty box, keyed in
+    natural-key order of the a-elements, and has been re-verified by the
+    search's table rule (:func:`verify_isomorphism`); a found map that fails
+    that check raises RuntimeError instead of becoming a result.  The rule:
+    no image maps to no image, an image outside its target box commutes with
+    nothing, and an entry whose source is outside its box is never read.
+    On NOT_FOUND, ``certificate``
     names the first obstruction: CARDINALITY_MISMATCH, PAYLOAD_TYPE_MISMATCH,
     SIGNATURE_MISMATCH (structural refinement separated the instances), or
     SEARCH_EXHAUSTED (full backtracking found no commuting bijection).
@@ -499,8 +502,8 @@ class _PairIndex:
 
     Side a's elements come first, then side b's (``split`` is b's first
     number).  Within a side, boxes come in schema order, each box's elements
-    in the instance's order: ``numbers[side * len(box_ids) + k]`` maps the
-    ids of box k to their numbers, and ``ids`` maps numbers back.
+    numbered in natural-key order: ``numbers[side * len(box_ids) + k]`` maps
+    the ids of box k to their run of numbers, and ``ids`` maps numbers back.
     ``images[e, t]`` is the number of e's image under its box's t-th
     out-arrow in schema order, or _MISSING / _OUTSIDE (also _MISSING past
     the box's ``degree``).  ``edges`` holds (source, arrow index, image) of
@@ -530,9 +533,10 @@ def _index_pair(schema: OlogSchema, pair: tuple[Instance, Instance]) -> _PairInd
     for instance in pair:
         for box_id in box_ids:
             elems = instance.elements(box_id)
-            numbers.append(dict(zip(elems, range(len(ids), len(ids) + len(elems)))))
-            ids += elems
-            payload += map(_PAYLOAD_CODE.__getitem__, map(type, elems.values()))
+            ordered = natural_order(elems)
+            numbers.append(dict(zip(ordered, range(len(ids), len(ids) + len(elems)))))
+            ids += ordered
+            payload += [_PAYLOAD_CODE[type(elems[eid])] for eid in ordered]
 
     degree = [0] * len(box_ids)
     slot = []
@@ -669,18 +673,15 @@ def check_instance_isomorphism(
             certificate, detail = "PAYLOAD_TYPE_MISMATCH", box_id
         return IsoResult(IsoOutcome.NOT_FOUND, certificate=certificate, detail=detail)
 
-    size, split, boxes = len(pair.ids), pair.split, len(pair.box_ids)
+    size, split = len(pair.ids), pair.split
     classes = int(colour.max(initial=-1)) + 1
     pool_sizes = np.bincount(colour[split:], minlength=classes)
-    # Per (side, box): its ids in natural-key order, and their numbers.
-    ordered = [natural_order(numbers) for numbers in pair.numbers]
-    natural = [list(map(numbers.__getitem__, ids)) for numbers, ids in zip(pair.numbers, ordered)]
+    # (side, box) k holds the numbers starts[k] up to starts[k + 1].
+    starts = [0, *accumulate(map(len, pair.numbers))]
 
     # Pools: colour c's unused b-elements in one circular list through head
-    # node size + c, in natural-key order.
-    nodes = np.array([*chain.from_iterable(natural[boxes:]), *range(size, size + classes)], int)
-    pools = np.append(colour[nodes[: size - split]], np.arange(classes))
-    ring = nodes[np.argsort(pools, kind="stable")]
+    # node size + c, in natural-key order, which is number order in a box.
+    ring = split + np.argsort(np.append(colour[split:], np.arange(classes)), kind="stable")
     ends = np.cumsum(pool_sizes + 1) - 1
     after = np.arange(size + classes)
     after[ring] = np.roll(ring, -1)
@@ -696,7 +697,7 @@ def check_instance_isomorphism(
     walk: list[int] = []
     for _, group in groupby(natural_order(pair.box_ids), key=natural_key):
         tied = [box_at[box_id] for box_id in group]
-        run = [e for k in tied for e in natural[k]]
+        run = [e for k in tied for e in range(starts[k], starts[k + 1])]
         walk += sorted(run, key=lambda e: natural_key(pair.ids[e])) if len(tied) > 1 else run
     order = np.array(walk, np.intp)
     order = order[np.argsort(pool_sizes[colour[order]], kind="stable")].tolist()
@@ -763,9 +764,9 @@ def check_instance_isomorphism(
 
     ids = pair.ids
     mapping = {
-        box_id: dict(zip(ordered[k], [ids[match[e]] for e in natural[k]]))
-        for k, box_id in enumerate(pair.box_ids)
-        if natural[k]
+        box_id: dict(zip(ids[lo:hi], map(ids.__getitem__, match[lo:hi])))
+        for box_id, lo, hi in zip(pair.box_ids, starts, starts[1:])
+        if lo < hi
     }
     if not verify_isomorphism(schema, a, b, mapping):
         # Success is only ever reported after independent re-verification; a
@@ -782,26 +783,24 @@ def verify_isomorphism(
     b: Instance,
     mapping: dict[str, dict[str, str]],
 ) -> bool:
-    """True iff ``mapping`` is a family of bijections commuting with every arrow."""
+    """True iff ``mapping`` is a family of bijections commuting with every arrow.
+
+    Tables are read as the search reads them, over each arrow's source box:
+    no image must map to no image, an image outside the target box commutes
+    with nothing, and an entry whose source is outside its box is not read.
+    """
     for box in schema.boxes:
         m = mapping.get(box.id, {})
-        ea, eb = a.elements(box.id), b.elements(box.id)
-        if set(m) != set(ea):
+        images = set(m.values())
+        if m.keys() != a.elements(box.id).keys() or images != b.elements(box.id).keys():
             return False
-        if sorted(m.values()) != sorted(eb):
-            return False
-        if len(set(m.values())) != len(m):
+        if len(images) != len(m):
             return False
     for arrow in schema.arrows:
-        m_src = mapping.get(arrow.src, {})
-        m_dst = mapping.get(arrow.dst, {})
-        table_a = a.table(arrow.id)
-        table_b = b.table(arrow.id)
-        for eid, image in table_a.items():
-            if eid not in m_src:
-                return False
-            if m_dst.get(image) != table_b.get(m_src[eid]):
-                return False
-        if len(table_b) != len(table_a):
+        m_src, m_dst = mapping.get(arrow.src, {}), mapping.get(arrow.dst, {})
+        images = list(map(a.table(arrow.id).get, m_src))  # None: no image
+        if not m_dst.keys() >= set(images) - {None}:  # an image outside the target box
+            return False
+        if list(map(m_dst.get, images)) != list(map(b.table(arrow.id).get, m_src.values())):
             return False
     return True

@@ -752,3 +752,67 @@ def test_mutated_documents_reach_bulk_and_token_loop_bodies(monkeypatch):
         ]
         _outcome(_mutate(_BONDED_2, edits))
     assert reached["bulk"] > 0 and reached["token loop"] > 0
+
+
+# ---------------------------------------------------------------------------
+# property: the lexical-error scan finds what lexing the whole text finds
+# ---------------------------------------------------------------------------
+
+
+def _first_bad_token(text, offset):
+    """The reference: lex the whole text and take the first bad token at or past offset."""
+    for match in dsl._TOKEN_RE.finditer(text):
+        if match.lastgroup == "bad" and match.start() >= offset:
+            return match.start(), match.group()
+    return None
+
+
+def _scanned(text, offset):
+    try:
+        dsl._tokenize(text, "f", offset)
+    except ParseError as exc:
+        return exc.span, exc.bare_message
+    return None
+
+
+_LEXEMES = [
+    *"ab1e0_ -.>+\"#\\\n\t{}(),:=[]×é٩$ ", "->", "-->", "1.5", "-inf", "1e-3", "2e+", "..",
+    '"x y"', "# c -> d\n",
+]
+
+
+@settings(max_examples=500, deadline=None)
+@given(pieces=st.lists(st.sampled_from(_LEXEMES), max_size=30), pick=st.integers(0, 10**6))
+def test_lexical_error_scan_matches_the_whole_text_lexer(pieces, pick):
+    text = "".join(pieces)
+    # Any token boundary of the whole-text lexer is a valid starting offset.
+    boundaries = [match.start() for match in dsl._TOKEN_RE.finditer(text)] + [len(text)]
+    offset = boundaries[pick % len(boundaries)]
+    expected = _first_bad_token(text, offset)
+    if expected is None:
+        assert _scanned(text, offset) is None
+    else:
+        at, char = expected
+        message = "unterminated string" if char == '"' else f"unexpected character {char!r}"
+        assert _scanned(text, offset) == (dsl._span(text, "f", at), message)
+
+
+def test_a_grammar_error_early_in_a_large_file_lexes_little_of_it(bonded12, monkeypatch):
+    text = serialize_instance(bonded12)
+    lines = text.split("\n")
+    lines[1] = lines[1].replace("set", "sett", 1)
+    lexed = []
+
+    class Counting:
+        def finditer(self, text, pos=0):
+            for match in token_re.finditer(text, pos):
+                lexed.append(match)
+                yield match
+
+    token_re = dsl._TOKEN_RE
+    monkeypatch.setattr(dsl, "_TOKEN_RE", Counting())
+    with pytest.raises(ParseError) as exc:
+        parse_instance("\n".join(lines))
+    assert exc.value.bare_message == "expected 'set', 'fn' or '}', found 'sett'"
+    tokens = sum(1 for match in token_re.finditer(text) if match.lastgroup)
+    assert tokens > 40_000 and len(lexed) < tokens / 50

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import sys
 from collections import Counter
@@ -959,6 +960,35 @@ def test_empty_box_and_empty_tables_leave_the_rest_to_match():
     assert verify_isomorphism(s, a, b, res.mapping)
 
 
+_XY = OlogSchema("xy", (BoxDecl("X", "an x"), BoxDecl("Y", "a y")), (ArrowDecl("f", "X", "Y"),))
+
+
+def test_an_instance_with_a_stray_table_entry_is_isomorphic_to_itself():
+    # fn f { x -> y, ghost -> y }: the entry for ghost, which is not in X,
+    # is read by neither the search nor the re-check.
+    inst = Instance("i", "xy", {"X": {"x": None}, "Y": {"y": None}}, {"f": {"x": "y", "ghost": "y"}})
+    res = check_instance_isomorphism(_XY, inst, inst)
+    assert res.mapping == {"X": {"x": "x"}, "Y": {"y": "y"}}
+    assert verify_isomorphism(_XY, inst, inst, res.mapping)
+
+
+def test_verify_reads_an_image_outside_the_target_box_as_the_search_does():
+    # x's image in a is outside Y; in b, x has no image and a stray entry
+    # keeps the table sizes equal.  An outside image commutes with nothing.
+    sets = {"X": {"x": None}, "Y": {"y": None}}
+    a = Instance("a", "xy", sets, {"f": {"x": "ghost"}})
+    b = Instance("b", "xy", sets, {"f": {"zzz": "y"}})
+    assert check_instance_isomorphism(_XY, a, b).certificate == "SEARCH_EXHAUSTED"
+    assert not verify_isomorphism(_XY, a, b, {"X": {"x": "x"}, "Y": {"y": "y"}})
+
+
+def test_verify_rejects_a_map_onto_a_smaller_box():
+    sets = {"X": {"x1": None, "x2": None}, "Y": {"y": None}}
+    a = Instance("a", "xy", sets, {"f": {"x1": "y", "x2": "y"}})
+    b = Instance("b", "xy", {"X": {"x": None}, "Y": {"y": None}}, {"f": {"x": "y"}})
+    assert not verify_isomorphism(_XY, a, b, {"X": {"x1": "x", "x2": "x"}, "Y": {"y": "y"}})
+
+
 # ---------------------------------------------------------------------------
 # colour refinement against a per-element reference
 # ---------------------------------------------------------------------------
@@ -1135,3 +1165,97 @@ def test_random_pairs_reach_every_refinement_outcome_and_input_shape():
         "empty box", 'id ""', "mixed payloads", "self-arrow", "partial table",
         "source outside", "image outside",
     }
+
+
+def _reference_verify(schema, a, b, mapping):
+    """``verify_isomorphism`` by definition, element by element.
+
+    Each box's map must hit every b-element exactly once from the a-elements.
+    Reading an arrow at an element of its source box gives ("none",),
+    ("in", image) or a fresh object for an image outside the target box, so
+    an outside image equals nothing; entries for other sources are never read.
+    """
+    for box in schema.boxes:
+        m = mapping.get(box.id, {})
+        ea, eb = a.elements(box.id), b.elements(box.id)
+        if sorted(m) != sorted(ea) or any(v not in eb for v in m.values()):
+            return False
+        if any(sum(v == y for v in m.values()) != 1 for y in eb):
+            return False
+
+    def read(inst, arrow, x):
+        table = inst.table(arrow.id)
+        if x not in table:
+            return ("none",)
+        return ("in", table[x]) if table[x] in inst.elements(arrow.dst) else object()
+
+    for arrow in schema.arrows:
+        m_src, m_dst = mapping.get(arrow.src, {}), mapping.get(arrow.dst, {})
+        for x in a.elements(arrow.src):
+            image = read(a, arrow, x)
+            if isinstance(image, tuple) and image[0] == "in":
+                image = ("in", m_dst[image[1]])
+            if image != read(b, arrow, m_src[x]):
+                return False
+    return True
+
+
+def _all_maps(schema, a, b):
+    """Every family of bijections between the boxes of a and b that keeps payload types."""
+    boxes = [box.id for box in schema.boxes if a.elements(box.id)]
+    per_box = [
+        [
+            dict(zip(ea, perm))
+            for perm in itertools.permutations(eb)
+            if all(type(ea[x]) is type(eb[y]) for x, y in zip(ea, perm))
+        ]
+        for ea, eb in ((a.elements(box_id), b.elements(box_id)) for box_id in boxes)
+    ]
+    for maps in itertools.product(*per_box):
+        yield dict(zip(boxes, maps))
+
+
+def _perturbed(rng, schema, a, b, mapping):
+    """The map with one change: two images swapped, one image replaced, or one key dropped."""
+    changed = {box_id: dict(m) for box_id, m in mapping.items()}
+    box_id = rng.choice([box.id for box in schema.boxes])
+    m = changed.setdefault(box_id, {})
+    keys = list(m)
+    how = rng.choice(["swap", "replace", "drop"])
+    if how == "swap" and len(keys) > 1:
+        x, y = rng.sample(keys, 2)
+        m[x], m[y] = m[y], m[x]
+    elif how == "replace" and keys:
+        m[rng.choice(keys)] = rng.choice([*b.elements(box_id), "ghost", *_ID_POOL])
+    elif keys:
+        del m[rng.choice(keys)]
+    return changed
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_iso_on_random_pairs_never_raises_and_agrees_with_a_brute_force_reference(seed):
+    rng = random.Random(seed)
+    s, a, b = _random_pair(rng)
+    forward = check_instance_isomorphism(s, a, b)
+    backward = check_instance_isomorphism(s, b, a)
+    assert forward.found == backward.found
+    sizes = [
+        math.factorial(len(a.elements(box.id)))
+        for box in s.boxes
+        if len(a.elements(box.id)) == len(b.elements(box.id))
+    ]
+    if len(sizes) == len(s.boxes) and math.prod(sizes) <= 2000:
+        verdicts = [
+            (verify_isomorphism(s, a, b, m), _reference_verify(s, a, b, m))
+            for m in _all_maps(s, a, b)
+        ]
+        assert all(got == expected for got, expected in verdicts)
+        assert forward.found == any(expected for _, expected in verdicts)
+    if forward.found:
+        assert _reference_verify(s, a, b, forward.mapping)
+        assert verify_isomorphism(s, a, b, forward.mapping)
+        assert _reference_verify(s, b, a, backward.mapping)
+        for _ in range(5):
+            changed = _perturbed(rng, s, a, b, forward.mapping)
+            assert verify_isomorphism(s, a, b, changed) == _reference_verify(s, a, b, changed)
