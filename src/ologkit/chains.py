@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
+from typing import NoReturn
 
 import numpy as np
 
@@ -24,6 +26,7 @@ from .errors import (
     NonFiniteInputError,
     NonFiniteReferenceError,
     ParamConstraintError,
+    SchemaMismatchError,
 )
 from .graphs import Graph, line_graph
 from .instance import (
@@ -33,6 +36,7 @@ from .instance import (
     Payload,
     RealPayload,
     TextPayload,
+    compute_pullback,
 )
 from .ordering import natural_key, pad_width
 from .schema import OlogSchema
@@ -412,15 +416,25 @@ def build_chain(params: SimParams) -> ChainSystem:
 
 
 def _check_params(params: SimParams, comparators: Comparators) -> None:
-    def reject(box: str, message: str) -> None:
+    def reject(box: str, message: str) -> NoReturn:
         raise ParamConstraintError(box, message)
 
-    if params.brick_count < 2:
+    def real(box: str, what: str, value: object) -> float:
+        try:
+            return float(value)
+        except (TypeError, ValueError, OverflowError):
+            reject(box, f"{what} must be a real number, got {value!r}")
+
+    try:
+        count = operator.index(params.brick_count)
+    except TypeError:
+        reject("R", f"brick count must be an integer, got {params.brick_count!r}")
+    if count < 2:
         reject("R", f"a chain needs at least 2 bricks, got {params.brick_count}")
-    glue = float(params.glue_failure)
-    brick = float(params.brick_failure)
+    glue = real("S", "glue failure", params.glue_failure)
     if math.isnan(glue) or math.isinf(glue) or glue < 0:
         reject("S", f"glue failure must be a finite nonnegative real, got {params.glue_failure!r}")
+    brick = real("R", "brick failure", params.brick_failure)
     if math.isnan(brick) or brick < 0:
         reject("R", f"brick failure must be a nonnegative real, got {params.brick_failure!r}")
     if not much_greater(brick, glue, comparators):
@@ -429,9 +443,9 @@ def _check_params(params: SimParams, comparators: Comparators) -> None:
             f"brick failure {brick:g} is not much greater than glue failure "
             f"{glue:g} (kappa={comparators.kappa:g})",
         )
+    resting = real("W", "lifeline resting extension", params.lifeline_resting)
+    failure = real("T", "lifeline failure", params.lifeline_failure)
     if params.lifeline_present:
-        resting = float(params.lifeline_resting)
-        failure = float(params.lifeline_failure)
         if math.isnan(resting) or math.isinf(resting) or resting < 0:
             reject(
                 "W",
@@ -497,12 +511,15 @@ def generate_instance(
 ) -> Instance:
     """Populate every box of the bundled schema from one uniform chain.
 
-    Pair boxes hold exactly the pairs the comparators certify, and the apex
-    boxes are built as the canonical pullbacks of their squares, so the result
-    passes equation checks and fiber-product verification by construction.
-    The two per-hypothesis arrows are filled in only when the classification
-    actually licenses them; otherwise their tables stay partial and validation
-    reports the gap.
+    Pair boxes hold exactly the pairs the comparators certify.  Each apex box
+    (F, C, E, A, N, L, K, I, in that order) is filled by :func:`compute_pullback`
+    over the square the schema declares for it, and each other arrow out of an
+    apex is the path its equation names, so the result passes equation checks
+    and fiber-product verification by construction.  A schema that declares no
+    pullback for one of these boxes raises SchemaMismatchError.  The two
+    per-hypothesis arrows are filled in only when the classification actually
+    licenses them; otherwise their tables stay partial and validation reports
+    the gap.
 
     Every set and table comes out in natural-key order by construction, as
     :meth:`Instance.canonical` would leave it, without a closing re-sort.
@@ -597,29 +614,64 @@ def generate_instance(
     put("J", "j1", TextPayload(flavor.glue_system_text))
     link("20", "j1", "h1")
     link("26", "j1", "h1")
-    put("F", "f1")
-    link("12", "f1", "d1")
-    link("13", "f1", "j1")
-    link("14", "f1", q_id[(failure, glue_f)])
     if has_lifeline:
         put("G", "g1", TextPayload(flavor.lifeline_system_text))
         link("15", "g1", "h1")
-        put("A", "a1")
-        link("2", "a1", "f1")
-        link("3", "a1", "d1")
-        link("4", "a1", "g1")
     else:
         put("B", "b1", TextPayload(flavor.brittle_system_text))
         link("6", "b1", "f1")
 
-    if (failure, glue_f) in o_id:
-        put("E", "e1")
-        link("10", "e1", "f1")
-        link("11", "e1", o_id[(failure, glue_f)])
-    if (failure, glue_f) in m_id:
-        put("C", "c1")
-        link("7", "c1", "f1")
-        link("8", "c1", m_id[(failure, glue_f)])
+    # -- connectable pairs --------------------------------------------------------
+    connectors = chain.glues + chain.lifelines
+    pairs = [(brick, conn) for brick in chain.bricks for conn in connectors]
+    p_pad = pad_width(len(pairs))
+    for index, (brick, conn) in enumerate(pairs, 1):
+        pid = f"p{index:0{p_pad}d}"
+        put("P", pid)
+        link("34", pid, q_id[(brick_f, conn.failure_extension)])
+        link("35", pid, brick.id)
+        link("36", pid, conn.id)
+
+    # -- the pullback boxes, each the canonical pullback of its declared square --
+    view = Instance(name or params.domain, schema.name, sets, functions)
+    declared = {fp.apex: fp for fp in schema.fiber_products}
+
+    def pullback(box: str) -> list[str]:
+        fp = declared.get(box)
+        if fp is None:
+            raise SchemaMismatchError(
+                f"schema {schema.name!r} declares no pullback for box {box!r}"
+            )
+        joined = compute_pullback(schema, view, fp.leg1, fp.leg2)
+        width = pad_width(len(joined))
+        ids = [f"{box.lower()}{i:0{width}d}" for i in range(1, len(joined) + 1)]
+        sets[box] = dict.fromkeys(ids)
+        functions[fp.proj1] = dict(zip(ids, map(operator.itemgetter(0), joined)))
+        functions[fp.proj2] = dict(zip(ids, map(operator.itemgetter(1), joined)))
+        return ids
+
+    def composite(arrow: str, first: str, *steps: str) -> None:
+        """``arrow`` as the path first;steps, over first's source box."""
+        table = functions[first]
+        images = table.values()
+        for step in steps:
+            images = map(functions[step].__getitem__, images)
+        functions[arrow] = dict(zip(table, images))
+
+    functions["14"] = dict.fromkeys(pullback("F"), q_id[(failure, glue_f)])
+    pullback("C")
+    pullback("E")
+    functions["2"] = dict.fromkeys(pullback("A"), "f1")
+    pullback("N")
+    composite("30", "32", "35")  # N..U : [32,35] = [30,39]
+    composite("31", "32", "36")  # N..U : [32,36] = [31,40]
+    pullback("L")
+    composite("27", "21", "35")  # L..U : [21,35] = [27,39]
+    # Only a lifeline serves as strong glue, so K is empty without one.
+    if k_ids := pullback("K"):
+        functions["22"] = dict.fromkeys(k_ids, q_id[(rest, glue_f)])
+    pullback("I")
+    composite("19", "18", "23", "21", "36")  # I..U : [18,23,21,36] = [19,41]
 
     # The two per-hypothesis arrows stay partial unless the classification
     # actually certifies them.
@@ -628,77 +680,14 @@ def generate_instance(
     if not has_lifeline and cls is Classification.BRITTLE:
         link("5", "b1", "c1")
 
-    # -- connectable pairs and the derived pullback boxes ------------------------
-    connectors = chain.glues + chain.lifelines
-    pairs = [(brick, conn) for brick in chain.bricks for conn in connectors]
-    p_pad = pad_width(len(pairs))
-    p_id: dict[tuple[str, str], str] = {}
-    for index, (brick, conn) in enumerate(pairs, 1):
-        pid = f"p{index:0{p_pad}d}"
-        p_id[(brick.id, conn.id)] = pid
-        put("P", pid)
-        link("34", pid, q_id[(brick_f, conn.failure_extension)])
-        link("35", pid, brick.id)
-        link("36", pid, conn.id)
-
-    n_entries = [
-        (brick, conn)
-        for brick, conn in pairs
-        if (brick_f, conn.failure_extension) in o_id
-    ]
-    n_pad = pad_width(max(len(n_entries), 1))
-    n_id: dict[tuple[str, str], str] = {}
-    for index, (brick, conn) in enumerate(n_entries, 1):
-        nid = f"n{index:0{n_pad}d}"
-        n_id[(brick.id, conn.id)] = nid
-        put("N", nid)
-        link("32", nid, p_id[(brick.id, conn.id)])
-        link("16", nid, o_id[(brick_f, conn.failure_extension)])
-        link("30", nid, brick.id)
-        link("31", nid, conn.id)
-
-    l_entries = [
-        (brick, conn)
-        for brick, conn in pairs
-        if (brick_f, conn.failure_extension) in m_id
-    ]
-    l_pad = pad_width(max(len(l_entries), 1))
-    l_id: dict[tuple[str, str], str] = {}
-    for index, (brick, conn) in enumerate(l_entries, 1):
-        lid = f"l{index:0{l_pad}d}"
-        l_id[(brick.id, conn.id)] = lid
-        put("L", lid)
-        link("21", lid, p_id[(brick.id, conn.id)])
-        link("25", lid, m_id[(brick_f, conn.failure_extension)])
-        link("27", lid, brick.id)
-
-    strong_by_brick: dict[str, list[BuildingBlock]] = {}
-    for brick, strong in l_entries:
-        strong_by_brick.setdefault(brick.id, []).append(strong)
-    k_entries = [
-        (brick, glue, strong)
-        for brick, glue in n_entries
-        for strong in strong_by_brick.get(brick.id, ())
-    ]
-    k_pad = pad_width(max(len(k_entries), 1))
-    for index, (brick, glue, strong) in enumerate(k_entries, 1):
-        kid = f"k{index:0{k_pad}d}"
-        iid = f"i{index:0{k_pad}d}"
-        put("K", kid)
-        link("24", kid, n_id[(brick.id, glue.id)])
-        link("23", kid, l_id[(brick.id, strong.id)])
-        link("22", kid, q_id[(rest, glue_f)])
-        # I = the same threesomes, remembering the certified resting/failure pair.
-        put("I", iid)
-        link("18", iid, kid)
-        link("17", iid, m_id[(rest, glue_f)])
-        link("19", iid, strong.id)
-
     # Element ids are zero-padded counters inserted in ascending order, so only
-    # the box and arrow ids need sorting for the result to be canonical.
+    # the box and arrow ids need sorting for the result to be canonical; a
+    # pullback with no pairs leaves an empty box and tables, which are dropped.
+    boxes = sorted(sets, key=natural_key)
+    arrows = sorted(functions, key=natural_key)
     return Instance(
-        name or params.domain,
+        view.name,
         schema.name,
-        {box: sets[box] for box in sorted(sets, key=natural_key)},
-        {arrow: functions[arrow] for arrow in sorted(functions, key=natural_key)},
+        {box: sets[box] for box in boxes if sets[box]},
+        {arrow: functions[arrow] for arrow in arrows if functions[arrow]},
     )

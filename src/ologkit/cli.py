@@ -14,6 +14,8 @@ is always last so tools can strip it before comparing runs byte for byte.
 from __future__ import annotations
 
 import argparse
+import os
+import sys
 import time
 from dataclasses import replace
 from pathlib import Path as FsPath
@@ -376,7 +378,14 @@ def main(argv: list[str] | None = None) -> int:
         report.fail("internal")
 
     elapsed_ms = int((time.perf_counter() - started) * 1000)
-    print(report.render(getattr(args, "quiet", False), elapsed_ms))
+    try:
+        print(report.render(getattr(args, "quiet", False), elapsed_ms), flush=True)
+    except BrokenPipeError:
+        # The reader left early (`olog check ... | head -1`). Point stdout at
+        # devnull so the flush at exit cannot raise again; the verdict stands.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return report.exit_code()
 
 

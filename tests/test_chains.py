@@ -1,5 +1,8 @@
+import dataclasses
+import hashlib
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +20,7 @@ from ologkit import (
     ParamConstraintError,
     PROTEIN_DEFAULTS,
     Segment,
+    SchemaMismatchError,
     SimParams,
     SOCIAL_MATCHED_DEFAULTS,
     build_chain,
@@ -28,6 +32,7 @@ from ologkit import (
     link_failure_noise,
     much_greater,
     roughly_equal,
+    serialize_instance,
     structure_graph,
     system_failure_extension,
     validate_instance,
@@ -321,6 +326,15 @@ def test_mc_estimate_guards_its_domain():
             ),
             "N",
         ),
+        # values of the wrong type
+        (SimParams(brick_count=2.5), "R"),
+        (SimParams(brick_count="3"), "R"),
+        (SimParams(brick_count=None), "R"),
+        (SimParams(glue_failure="x"), "S"),
+        (SimParams(glue_failure=None), "S"),
+        (SimParams(brick_failure="x"), "R"),
+        (SimParams(lifeline_present=True, lifeline_resting=None), "W"),
+        (SimParams(lifeline_present=True, lifeline_failure="x"), "T"),
     ],
 )
 def test_each_parameter_gate_names_its_box(schema, params, box):
@@ -328,6 +342,20 @@ def test_each_parameter_gate_names_its_box(schema, params, box):
         generate_instance(params, schema)
     assert exc.value.box == box
     assert exc.value.message.startswith(f"box {box}: ")
+
+
+def test_any_index_integer_is_a_brick_count(schema):
+    assert generate_instance(SimParams(brick_count=np.int64(3)), schema) == generate_instance(
+        SimParams(brick_count=3), schema
+    )
+
+
+def test_a_schema_without_a_pullback_declaration_is_a_mismatch(schema):
+    pruned = dataclasses.replace(
+        schema, fiber_products=tuple(fp for fp in schema.fiber_products if fp.apex != "K")
+    )
+    with pytest.raises(SchemaMismatchError, match="'K'"):
+        generate_instance(PROTEIN_DEFAULTS, pruned)
 
 
 def test_value_collision_between_brick_and_resting_is_gated(schema):
@@ -444,6 +472,47 @@ def test_generated_instance_is_already_canonical(schema, domain, bricks, chain):
         assert list(got) == list(want)
         for key in want:
             assert list(got[key].items()) == list(want[key].items())
+
+
+_SWEEP_CHAINS = {
+    "ductile": {"lifeline_present": True},
+    "bonded": {"lifeline_present": True, "brick_failure": 100.0, "lifeline_failure": 110.0},
+    "brittle": {"lifeline_present": True, "lifeline_failure": 23.45},
+    "neither": {"lifeline_present": True, "lifeline_failure": 40.0},
+    "no-lifeline": {},
+    "no-lifeline-finite": {"brick_failure": 100.0},
+}
+
+
+@pytest.mark.parametrize(
+    "chain, domain, bricks, digest",
+    [
+        ("ductile", "protein", 2, "79c44b3f9e677207513c6eff700e266f836d87b83b69ad28d068c1f7c355b963"),
+        ("ductile", "protein", 5, "ec2bd586e49fc03ddf088419c8af2b223ad248fc7093489f5830a9cd4849ada4"),
+        ("ductile", "social", 12, "60ae51fa94d4f6ce4f8f5f64a9b0f7e1f688b58bcdde6265977179b0486c0d99"),
+        ("bonded", "protein", 2, "99263419cbb8c4416833b943f04ebd761aa5c19eb19a4b8f2acad9b2e6384fe3"),
+        ("bonded", "protein", 12, "66a4ae9ce6642ccc42f0dcc32d2080bdfac130be39590d8e41021034f7d44a45"),
+        ("bonded", "social", 5, "93a4ef6de1e7b3350ea6b09de90ff0097f3a9d1673cdbf63d5eb399c48a7931b"),
+        ("brittle", "protein", 5, "30476a2451a176b7e14abe2e27122a61dfe3751993205a7104600c715509fb48"),
+        ("brittle", "social", 12, "025ebb1def46bef88ab32d3cc00c591f6373afecd88217d8710852c5977ec2ef"),
+        ("neither", "protein", 2, "e98939e6c2c1a09a316ad58faacc2e1e9ac9d44458ca6d593d9b009a54023fe8"),
+        ("neither", "social", 12, "9825e78838361d737cf936a49ebbb96dc6286d8dcd66ed90f2a698087709fad5"),
+        ("no-lifeline", "protein", 2, "cc486d5328f1cd2a01cab100ada9154da3b249f529c238313ebfdd7027c73167"),
+        ("no-lifeline", "social", 12, "b24bc37211dc10fb8b26013e0f85ef71ffa1464f1eac3ad4e2e2121059b764f1"),
+        ("no-lifeline-finite", "protein", 5, "95150b71bdcbf83da10fe0433d021ccab15347909ebbd326298ae9e394259b12"),
+        ("ductile", "generic", 12, "6df4f3f0ff3c0ea9e6f620a13643be9b63c1ccd4656ce418d44fc3819170ec0d"),
+        ("bonded", "generic", 5, "eda9d78e8975f3d5a0571cdf79ab22abfffaff628e55a7232288266c14324e6b"),
+        ("neither", "generic", 5, "8492e41f6db7e68523f1b8bba99599743d7ebbe39611d8e9756eaba5e1d8dfa6"),
+        ("no-lifeline", "generic", 2, "1958111718c5d523606428920cc1209dfa63092ab673c8f27c42f453fb2d9d75"),
+    ],
+)
+def test_generated_bytes_are_pinned(schema, chain, domain, bricks, digest):
+    # The canonical file fixes every id, payload and table entry the
+    # generator emits, so a rewrite of how the boxes are built cannot
+    # change the instance unnoticed.
+    params = SimParams(brick_count=bricks, domain=domain, **_SWEEP_CHAINS[chain])
+    text = serialize_instance(generate_instance(params, schema))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_domain_flavors_name_the_blocks():

@@ -1,4 +1,5 @@
 import hashlib
+import os
 import subprocess
 import sys
 
@@ -345,6 +346,32 @@ def test_module_is_runnable_as_a_script():
     )
     assert proc.returncode == 0
     assert proc.stdout == "ok\n"
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (("check", "paper.olog", "protein.oinst"), 0),
+        (("analogy", "--bricks-b", "12"), 1),
+        (("simulate",), 0),
+    ],
+)
+def test_a_closed_stdout_keeps_the_reports_exit_code(argv, code):
+    # Like `olog check ... | head -1` once head has exited: every write to
+    # stdout fails with EPIPE.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ologkit.cli", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (code, "")
 
 
 # ---------------------------------------------------------------------------
