@@ -545,9 +545,7 @@ def generate_instance(
         functions.setdefault(arrow, {})[src] = dst
 
     # -- certified pair values ------------------------------------------------
-    o_vals: set[tuple[float, float]] = set()
-    if much_greater(brick_f, glue_f, comparators):
-        o_vals.add((brick_f, glue_f))
+    o_vals = {(brick_f, glue_f)}  # _check_params certified brick >> glue
     if cls is Classification.DUCTILE:
         o_vals.add((failure, glue_f))
     m_vals: set[tuple[float, float]] = set()
@@ -563,9 +561,7 @@ def generate_instance(
         q_vals.add((brick_f, life_f))
     q_vals |= o_vals | m_vals
 
-    v_vals = {part for pair in q_vals for part in pair} | {brick_f, glue_f}
-    if has_lifeline:
-        v_vals |= {life_f, rest}
+    v_vals = {part for pair in q_vals for part in pair}
 
     v_id = {value: f"v{i}" for i, value in enumerate(sorted(v_vals), 1)}
     q_id = {pair: f"q{i}" for i, pair in enumerate(sorted(q_vals), 1)}

@@ -33,10 +33,11 @@ from .chains import (
     system_failure_extension,
 )
 from .diagnostics import has_errors
-from .dsl import parse_instance, parse_schema, serialize_instance
+from .dsl import parse_instance, parse_schema, read_source, serialize_instance
 from .errors import OlogError
 from .instance import (
     Instance,
+    IsoResult,
     check_all_equations,
     check_instance_isomorphism,
     compute_pullback,
@@ -94,7 +95,7 @@ def _read_input(path: str) -> tuple[str, str]:
     """File contents plus a display name; falls back to the bundled data files."""
     fspath = FsPath(path)
     if fspath.exists():
-        return fspath.read_text(encoding="utf-8"), path
+        return read_source(path), path
     if fspath.name in BUNDLED_FILES and str(fspath) == fspath.name:
         return bundled_text(fspath.name), f"bundled:{fspath.name}"
     raise FileNotFoundError(f"no such file: {path}")
@@ -177,29 +178,29 @@ def _cmd_check(args: argparse.Namespace, report: RunReport, comparators: Compara
 
 
 def _simulate_params(args: argparse.Namespace) -> SimParams:
-    def pick(value, default):
-        return default if value is None else value
-
+    """The options given, over the domain's defaults."""
+    defaults = SimParams()
     if args.domain == "social":
-        glue_default = link_failure_noise(args.msg_success, args.msg_len)
-        glue = pick(args.glue_fail, glue_default)
-        return SimParams(
-            brick_count=pick(args.bricks, 100),
+        noise = link_failure_noise(args.msg_success, args.msg_len)
+        glue = noise if args.glue_fail is None else args.glue_fail
+        defaults = SimParams(
+            brick_count=100,
             glue_failure=glue,
-            brick_failure=pick(args.brick_fail, float("inf")),
-            lifeline_present=args.lifeline,
-            lifeline_resting=pick(args.ll_rest, glue),
-            lifeline_failure=pick(args.ll_fail, float("inf")),
+            lifeline_resting=glue,
+            lifeline_failure=float("inf"),
             domain="social",
         )
-    return SimParams(
-        brick_count=pick(args.bricks, 9),
-        glue_failure=pick(args.glue_fail, 20.6),
-        brick_failure=pick(args.brick_fail, float("inf")),
+    given = {
+        "brick_count": args.bricks,
+        "glue_failure": args.glue_fail,
+        "brick_failure": args.brick_fail,
+        "lifeline_resting": args.ll_rest,
+        "lifeline_failure": args.ll_fail,
+    }
+    return replace(
+        defaults,
         lifeline_present=args.lifeline,
-        lifeline_resting=pick(args.ll_rest, 23.45),
-        lifeline_failure=pick(args.ll_fail, 100.0),
-        domain="protein",
+        **{name: value for name, value in given.items() if value is not None},
     )
 
 
@@ -224,6 +225,11 @@ def _report_mapping(report: RunReport, mapping: dict[str, dict[str, str]]) -> No
         report.line(f"{box_id}: {shown}")
 
 
+def _not_found(result: IsoResult) -> str:
+    detail = f" {result.detail}" if result.detail else ""
+    return f"NotFound certificate={result.certificate}{detail}"
+
+
 def _cmd_iso(args: argparse.Namespace, report: RunReport, comparators: Comparators) -> None:
     schema = _load_schema(args.schema, report)
     inst_a = _load_instance(args.instance_a, report)
@@ -242,8 +248,7 @@ def _cmd_iso(args: argparse.Namespace, report: RunReport, comparators: Comparato
         report.line("Found")
         _report_mapping(report, result.mapping)
     else:
-        detail = f" {result.detail}" if result.detail else ""
-        report.line(f"NotFound certificate={result.certificate}{detail}")
+        report.line(_not_found(result))
         report.fail("violation")
 
 
@@ -264,8 +269,7 @@ def _cmd_analogy(args: argparse.Namespace, report: RunReport, comparators: Compa
         matched = sum(len(pairs) for pairs in result.mapping.values())
         report.line(f"iso: Found ({matched} elements matched)")
     else:
-        detail = f" {result.detail}" if result.detail else ""
-        report.line(f"iso: NotFound certificate={result.certificate}{detail}")
+        report.line(f"iso: {_not_found(result)}")
         report.fail("violation")
 
 

@@ -66,6 +66,7 @@ __all__ = [
     "parse_instance",
     "load_schema",
     "load_instance",
+    "read_source",
     "serialize_schema",
     "serialize_instance",
 ]
@@ -90,14 +91,14 @@ _TOKEN_RE = re.compile(
 _ESCAPE_RE = re.compile(r"\\(.)")
 
 # Set and fn bodies that hold only ids, ``->``, commas and whitespace, in the
-# token loop's grammar ``{ (E (, E)* ,?)? }``, written ``{ (E ,)* E? }``, are
-# read in one match: their ids are what is left once the punctuation becomes
+# list rule of :meth:`_Parser.listed`, written ``{ (E ,)* E? }``, are read in
+# one match: their ids are what is left once the punctuation becomes
 # spaces.  The lexer reads the same ids there.  Each is a whole run of id
 # characters, and where the lexer would read a number instead (``3e-4``,
 # ``1e+5``, ``12.5``) the run is followed by ``-`` and a digit, ``+`` or
 # ``.``, which the patterns refuse.  They allow no comment, since inside one
 # a pattern could take a ``}`` or ``,`` for a real one.  Every other body goes
-# through the token loop, which owns every error message.
+# through ``listed``, which owns every error message.
 _ID = r"[A-Za-z0-9_]+"
 
 
@@ -150,6 +151,9 @@ def _tokenize(text: str, filename: str, offset: int) -> None:
             if match.end() > at:
                 break
         offset = match.end()
+
+
+_T = TypeVar("_T")
 
 
 class _Parser:
@@ -220,30 +224,33 @@ class _Parser:
 
     # -- shared pieces ------------------------------------------------------
 
+    def listed(self, close: str, item: Callable[[], _T]) -> list[_T]:
+        """The one list rule, after the opening mark: ``(E (, E)* ,?)? close``."""
+        items: list[_T] = []
+        while not self.at("punct", close):
+            items.append(item())
+            if not self.take("punct", ","):
+                break
+        self.expect("punct", close)
+        return items
+
+    def pair(self, item: Callable[[], _T]) -> tuple[_T, _T]:
+        """Exactly two items: ``( E , E )``, with no trailing comma."""
+        self.expect("punct", "(")
+        first = item()
+        self.expect("punct", ",")
+        second = item()
+        self.expect("punct", ")")
+        return first, second
+
     def tag_group(self) -> frozenset[str]:
         if not self.take("punct", "["):
             return frozenset()
-        tags: set[str] = set()
-        if not self.at("punct", "]"):
-            tags.add(self.ident("tag"))
-            while self.take("punct", ","):
-                if self.at("punct", "]"):
-                    break
-                tags.add(self.ident("tag"))
-        self.expect("punct", "]")
-        return frozenset(tags)
+        return frozenset(self.listed("]", lambda: self.ident("tag")))
 
     def path_literal(self, start_box: str) -> Path:
         self.expect("punct", "[", what="'[' starting a path")
-        arrows: list[str] = []
-        if not self.at("punct", "]"):
-            arrows.append(self.ident("arrow id"))
-            while self.take("punct", ","):
-                if self.at("punct", "]"):
-                    break
-                arrows.append(self.ident("arrow id"))
-        self.expect("punct", "]")
-        return Path(start_box, tuple(arrows))
+        return Path(start_box, tuple(self.listed("]", lambda: self.ident("arrow id"))))
 
     # -- schema -------------------------------------------------------------
 
@@ -311,17 +318,9 @@ class _Parser:
                 self.expect("punct", "]")
                 y = self.ident("second corner box")
                 self.expect("ident", "proj")
-                self.expect("punct", "(")
-                proj1 = self.ident("projection arrow")
-                self.expect("punct", ",")
-                proj2 = self.ident("projection arrow")
-                self.expect("punct", ")")
+                proj1, proj2 = self.pair(lambda: self.ident("projection arrow"))
                 self.expect("ident", "legs")
-                self.expect("punct", "(")
-                leg1 = self.ident("leg arrow")
-                self.expect("punct", ",")
-                leg2 = self.ident("leg arrow")
-                self.expect("punct", ")")
+                leg1, leg2 = self.pair(lambda: self.ident("leg arrow"))
                 if apex in apexes:
                     raise DuplicateIdError(
                         f"pullback for apex {apex!r} declared twice", self.span(here)
@@ -424,22 +423,20 @@ class _Parser:
             if len(elems) == len(ids):  # else an id repeats: the loop reports it
                 self._seek(body.end())
                 return elems
-        self.expect("punct", "{")
         elems = {}
-        while not self.at("punct", "}"):
+
+        def entry() -> None:
             here = self.pos
             eid = self.ident("element id")
-            payload: Payload | None = None
-            if self.take("punct", "="):
-                payload = self._payload()
+            payload = self._payload() if self.take("punct", "=") else None
             if eid in elems:
                 raise DuplicateIdError(
                     f"element {eid!r} listed twice in box {box_id}", self.span(here)
                 )
             elems[eid] = payload
-            if not self.take("punct", ","):
-                break
-        self.expect("punct", "}")
+
+        self.expect("punct", "{")
+        self.listed("}", entry)
         return elems
 
     def _fn_entries(self, arrow_id: str) -> dict[str, str]:
@@ -450,9 +447,9 @@ class _Parser:
             if 2 * len(table) == len(ids):  # else a source repeats: the loop reports it
                 self._seek(body.end())
                 return table
-        self.expect("punct", "{")
         table = {}
-        while not self.at("punct", "}"):
+
+        def entry() -> None:
             here = self.pos
             src = self.ident("element id")
             self.expect("arrowsym", what="'->'")
@@ -462,9 +459,9 @@ class _Parser:
                     f"element {src!r} mapped twice by arrow {arrow_id}", self.span(here)
                 )
             table[src] = dst
-            if not self.take("punct", ","):
-                break
-        self.expect("punct", "}")
+
+        self.expect("punct", "{")
+        self.listed("}", entry)
         return table
 
     def _payload(self) -> Payload:
@@ -473,12 +470,7 @@ class _Parser:
         if kind == "real":
             return RealPayload(self._real_value())
         if kind == "pair":
-            self.expect("punct", "(")
-            first = self._real_value()
-            self.expect("punct", ",")
-            second = self._real_value()
-            self.expect("punct", ")")
-            return PairPayload(first, second)
+            return PairPayload(*self.pair(self._real_value))
         if kind == "graph":
             return GraphPayload(self._graph_value())
         if kind == "text":
@@ -499,26 +491,19 @@ class _Parser:
         raise ParseError("expected a real value", self.span(here))
 
     def _graph_value(self) -> Graph:
-        self.expect("punct", "{")
-        nodes: list[str] = []
-        seen: set[str] = set()
+        nodes: dict[str, None] = {}  # first-seen order
         edges: list[tuple[str, str]] = []
 
-        def note(node: str) -> None:
-            if node not in seen:
-                seen.add(node)
-                nodes.append(node)
-
-        while not self.at("punct", "}"):
+        def entry() -> None:
             src = self.ident("node id")
-            note(src)
+            nodes[src] = None
             if self.take("arrowsym"):
                 dst = self.ident("node id")
-                note(dst)
+                nodes[dst] = None
                 edges.append((src, dst))
-            if not self.take("punct", ","):
-                break
-        self.expect("punct", "}")
+
+        self.expect("punct", "{")
+        self.listed("}", entry)
         return Graph(tuple(nodes), tuple(edges))
 
 
@@ -556,14 +541,28 @@ def parse_instance(text: str, filename: str = "<string>") -> Instance:
     return _parse(text, filename, _Parser.instance_block)
 
 
+def read_source(path: str | FsPath) -> str:
+    """A file's text, newlines translated as ``Path.read_text`` does.  A byte
+    that is not UTF-8 is a parse error at the first such byte."""
+    data = FsPath(path).read_bytes()
+    if b"\r" in data:  # a far faster scan than replace, which finds none
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = data[: exc.start].decode("utf-8")
+        span = _span(before, str(path), len(before))
+        raise ParseError(f"invalid UTF-8 byte {data[exc.start]:#04x}", span) from None
+
+
 def load_schema(path: str | FsPath) -> OlogSchema:
     fspath = FsPath(path)
-    return parse_schema(fspath.read_text(encoding="utf-8"), str(fspath))
+    return parse_schema(read_source(fspath), str(fspath))
 
 
 def load_instance(path: str | FsPath) -> Instance:
     fspath = FsPath(path)
-    return parse_instance(fspath.read_text(encoding="utf-8"), str(fspath))
+    return parse_instance(read_source(fspath), str(fspath))
 
 
 # ---------------------------------------------------------------------------

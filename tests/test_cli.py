@@ -310,6 +310,14 @@ def test_parse_errors_carry_positions(capsys, tmp_path):
     assert f"{bad}:4:1" in out
 
 
+def test_a_file_that_is_not_utf8_is_a_parse_error(capsys, tmp_path):
+    bad = tmp_path / "bad.olog"
+    bad.write_bytes(b'schema "t" {\r\n  box A "\xc3\xa9 \xff"\n}\n')
+    code, out = run_cli(capsys, "check", str(bad))
+    assert code == 2
+    assert f"error[PARSE_ERROR]: {bad}:2:12: invalid UTF-8 byte 0xff" in body_of(out)
+
+
 def test_missing_file_is_a_usage_error(capsys, tmp_path):
     code, out = run_cli(capsys, "check", str(tmp_path / "nope" / "paper.olog"))
     assert code == 2

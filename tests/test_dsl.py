@@ -69,6 +69,18 @@ def test_small_schema_parses():
     assert s.arrow("put").label == "is put into"
     assert s.arrow("put2").label == ""
     assert s.equations[0].note == "same placement"
+    # empty lists and trailing commas in tag groups and paths
+    s = parse_schema(
+        'schema "t" { box A "an a" [] box B "a b" [x, y,] arrow f : A -> A [z,] '
+        "eq A..A : [f,] = [f, f,] eq A..A : [] = [] }"
+    )
+    assert s.box("A").tags == frozenset()
+    assert s.box("B").tags == frozenset({"x", "y"})
+    assert s.arrow("f").tags == frozenset({"z"})
+    assert [(eq.lhs.arrows, eq.rhs.arrows) for eq in s.equations] == [
+        (("f",), ("f", "f")),
+        ((), ()),
+    ]
 
 
 def test_small_instance_parses():
@@ -91,6 +103,14 @@ def test_small_instance_parses():
         Graph(("n1", "n2", "n3"), (("n1", "n2"),))
     )
     assert inst.table("put") == {"a1": "b1", "a2": "b1", "a3": "b2"}
+    # empty bodies and payloads, and a comment sending a body to the token loop
+    inst = parse_instance(
+        'instance "demo" of "tiny" {\n  set X {}\n  set G { g1 = graph {}, }\n'
+        "  fn f {}\n  fn g { a -> b, # a note\n  }\n}\n"
+    )
+    assert inst.elements("X") == {}
+    assert inst.elements("G") == {"g1": GraphPayload(Graph((), ()))}
+    assert inst.functions == {"f": {}, "g": {"a": "b"}}
 
 
 def test_bare_integers_and_signed_exponents_are_reals():
@@ -259,6 +279,72 @@ _HEAD = 'instance "i" of "s" {\n'
             _HEAD + '  fn 1 { a b }\n  set X { x = text "oops }\n}\n',
             ParseError, (3, 20), "unterminated string",
             id="lexical-error-beats-earlier-parse-error",
+        ),
+        # every comma-separated list: a missing comma and a doubled comma
+        pytest.param(
+            'schema "t" { box A "an a" [x y] }',
+            ParseError, (1, 30), "expected ], found 'y'",
+            id="tag-group-missing-comma",
+        ),
+        pytest.param(
+            'schema "t" { box A "an a" [x,, y] }',
+            ParseError, (1, 30), "expected tag, found ','",
+            id="tag-group-doubled-comma",
+        ),
+        pytest.param(
+            'schema "t" { eq A..A : [f g] = [f] }',
+            ParseError, (1, 27), "expected ], found 'g'",
+            id="path-missing-comma",
+        ),
+        pytest.param(
+            'schema "t" { eq A..A : [f,, g] = [f] }',
+            ParseError, (1, 27), "expected arrow id, found ','",
+            id="path-doubled-comma",
+        ),
+        pytest.param(
+            'schema "x" { pullback P = X ×[Z] Y proj (p1,, p2) }',
+            ParseError, (1, 45), "expected projection arrow, found ','",
+            id="proj-doubled-comma",
+        ),
+        pytest.param(
+            'schema "x" { pullback P = X ×[Z] Y proj (p1, p2) legs (l1 l2) }',
+            ParseError, (1, 59), "expected ,, found 'l2'",
+            id="legs-missing-comma",
+        ),
+        pytest.param(
+            'schema "x" { pullback P = X ×[Z] Y proj (p1, p2) legs (l1,, l2) }',
+            ParseError, (1, 59), "expected leg arrow, found ','",
+            id="legs-doubled-comma",
+        ),
+        pytest.param(
+            _HEAD + "  set H { h1 = graph { n1 -> n2 n3 } }\n}\n",
+            ParseError, (2, 33), "expected }, found 'n3'",
+            id="graph-missing-comma",
+        ),
+        pytest.param(
+            _HEAD + "  set H { h1 = graph { n1,, n2 } }\n}\n",
+            ParseError, (2, 27), "expected node id, found ','",
+            id="graph-doubled-comma",
+        ),
+        pytest.param(
+            _HEAD + "  set X { x1 = real 1 x2 }\n}\n",
+            ParseError, (2, 23), "expected }, found 'x2'",
+            id="set-token-loop-missing-comma",
+        ),
+        pytest.param(
+            _HEAD + "  set X { x1 = real 1,, x2 }\n}\n",
+            ParseError, (2, 23), "expected element id, found ','",
+            id="set-token-loop-doubled-comma",
+        ),
+        pytest.param(
+            _HEAD + "  fn 1 { a -> b # note\n    c -> d }\n}\n",
+            ParseError, (3, 5), "expected }, found 'c'",
+            id="fn-token-loop-missing-comma",
+        ),
+        pytest.param(
+            _HEAD + "  fn 1 { a -> b, # note\n    , c -> d }\n}\n",
+            ParseError, (3, 5), "expected element id, found ','",
+            id="fn-token-loop-doubled-comma",
         ),
     ],
 )
@@ -518,6 +604,19 @@ def test_load_helpers_read_files(tmp_path):
     with pytest.raises(ParseError) as exc:
         load_schema(sfile)
     assert exc.value.span.file == str(sfile)
+
+
+def test_load_helpers_translate_newlines_and_reject_bytes_that_are_not_utf8(tmp_path):
+    sfile = tmp_path / "s.olog"
+    sfile.write_bytes(b'# a lone CR ends a comment\rschema "t" {\r\n box A "an a" }')
+    assert load_schema(sfile).box("A").label == "an a"
+    sfile.write_bytes(b'schema "t" {\r\n  box A "\xe2\x82" }')
+    with pytest.raises(ParseError) as exc:
+        load_schema(sfile)
+    assert (exc.value.span.file, exc.value.span.line, exc.value.span.column) == (
+        str(sfile), 2, 10,
+    )
+    assert exc.value.bare_message == "invalid UTF-8 byte 0xe2"
 
 
 # ---------------------------------------------------------------------------
