@@ -159,20 +159,26 @@ def _check_instance_body(
     return clean
 
 
-def _cmd_check(args: argparse.Namespace, report: RunReport, comparators: Comparators) -> None:
-    schema = _load_schema(args.schema, report)
+def _schema_is_valid(schema: OlogSchema, report: RunReport) -> bool:
+    """Report the schema's diagnostics; False, a violation, if any is an error."""
     diags = validate_schema(schema)
     for diag in diags:
         report.line(str(diag))
+    if has_errors(diags):
+        report.fail("violation")
+        return False
+    return True
+
+
+def _cmd_check(args: argparse.Namespace, report: RunReport, comparators: Comparators) -> None:
+    schema = _load_schema(args.schema, report)
+    valid = _schema_is_valid(schema, report)
     report.line(
         f"schema {schema.name!r}: {len(schema.boxes)} boxes, "
         f"{len(schema.arrows)} arrows, {len(schema.equations)} equations, "
         f"{len(schema.fiber_products)} pullbacks"
     )
-    if has_errors(diags):
-        report.fail("violation")
-        return
-    if args.instance is not None:
+    if valid and args.instance is not None:
         instance = _load_instance(args.instance, report)
         _check_instance_body(schema, instance, report)
 
@@ -232,6 +238,8 @@ def _not_found(result: IsoResult) -> str:
 
 def _cmd_iso(args: argparse.Namespace, report: RunReport, comparators: Comparators) -> None:
     schema = _load_schema(args.schema, report)
+    if not _schema_is_valid(schema, report):
+        return
     inst_a = _load_instance(args.instance_a, report)
     inst_b = _load_instance(args.instance_b, report)
     clean = True
@@ -275,6 +283,8 @@ def _cmd_analogy(args: argparse.Namespace, report: RunReport, comparators: Compa
 
 def _cmd_pullback(args: argparse.Namespace, report: RunReport, comparators: Comparators) -> None:
     schema = _load_schema(args.schema, report)
+    if not _schema_is_valid(schema, report):
+        return
     instance = _load_instance(args.instance, report)
     pairs = compute_pullback(schema, instance, args.leg1, args.leg2)
     report.line(f"pullback along {args.leg1}, {args.leg2}: {len(pairs)} pairs")

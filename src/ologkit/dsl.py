@@ -120,39 +120,6 @@ def _span(text: str, filename: str, offset: int) -> SourceSpan:
     return SourceSpan(filename, line, offset - text.rfind("\n", 0, offset))
 
 
-# A character that can start or sit inside a token other than an id, a
-# punctuation mark, ``->`` or whitespace: any other token, and every lexical
-# error, holds one.
-_SUSPECT_RE = re.compile(r"[^\sA-Za-z0-9_{}()\[\]:=,](?<!->)(?<!-(?=>))")
-_ID_CHARS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_")
-
-
-def _tokenize(text: str, filename: str, offset: int) -> None:
-    """Raise the first lexical error in ``text`` at or after ``offset``, if
-    there is one; ``offset`` must be a token boundary.
-
-    The parser lexes lazily and stops at its first error, so the entry points
-    run this only on their error path: a lexical error anywhere in the text
-    wins over a parse error earlier in it.  Only the text around suspect
-    characters is lexed.  Between suspects, tokens are ids, punctuation,
-    ``->`` and whitespace, none of them bad, so the id run that ends at a
-    suspect starts a token, and lexing from there past the suspect reads it
-    as a whole-text lexer would."""
-    while suspect := _SUSPECT_RE.search(text, offset):
-        start = at = suspect.start()
-        while start > offset and text[start - 1] in _ID_CHARS:
-            start -= 1
-        for match in _TOKEN_RE.finditer(text, start):
-            if match.lastgroup == "bad":
-                span = _span(text, filename, match.start())
-                if match.group() == '"':
-                    raise ParseError("unterminated string", span)
-                raise ParseError(f"unexpected character {match.group()!r}", span)
-            if match.end() > at:
-                break
-        offset = match.end()
-
-
 _T = TypeVar("_T")
 
 
@@ -163,7 +130,7 @@ class _Parser:
     being None once input runs out.  ``pos`` is a text offset: the current
     token's start, or the end of the last token at end of input.  A character
     the lexer rejects becomes a ``bad`` token that no rule takes, so parsing
-    fails on it and the entry point reports it through :func:`_tokenize`.
+    stops on it, and :meth:`error` reports it as the lexical error it is.
     """
 
     def __init__(self, text: str, filename: str):
@@ -201,12 +168,23 @@ class _Parser:
         self._advance(self.pos + len(value))
         return value
 
+    def error(self, message: str) -> ParseError:
+        """The error to raise at the current token: the lexer's, if it
+        rejected the token, else ``message``."""
+        if self.kind == "bad":
+            message = (
+                "unterminated string"
+                if self.value == '"'
+                else f"unexpected character {self.value!r}"
+            )
+        return ParseError(message, self.span(self.pos))
+
     def expect(self, kind: str, text: str | None = None, what: str = "") -> str:
         value = self.take(kind, text)
         if value is None:
             wanted = what or (text if text is not None else kind)
             found = "end of input" if self.kind is None else repr(self.value)
-            raise ParseError(f"expected {wanted}, found {found}", self.span(self.pos))
+            raise self.error(f"expected {wanted}, found {found}")
         return value
 
     def ident(self, what: str = "identifier") -> str:
@@ -329,9 +307,7 @@ class _Parser:
                 fps.append(FiberProductDecl(apex, proj1, proj2, leg1, leg2))
                 fp_sites.append((here, x, y, z))
             else:
-                raise ParseError(
-                    f"expected a schema declaration, found {self.value!r}", self.span(here)
-                )
+                raise self.error(f"expected a schema declaration, found {self.value!r}")
         self.expect("punct", "}")
 
         schema = OlogSchema(name, tuple(boxes), tuple(arrows), tuple(equations), tuple(fps))
@@ -409,9 +385,7 @@ class _Parser:
                     )
                 functions[arrow_id] = self._fn_entries(arrow_id)
             else:
-                raise ParseError(
-                    f"expected 'set', 'fn' or '}}', found {self.value!r}", self.span(here)
-                )
+                raise self.error(f"expected 'set', 'fn' or '}}', found {self.value!r}")
         self.expect("punct", "}")
         return Instance(name, schema_name, sets, functions)
 
@@ -478,17 +452,13 @@ class _Parser:
         raise ParseError(f"unknown payload kind {kind!r}", self.span(here))
 
     def _real_value(self) -> float:
-        here = self.pos
-        value = self.take("number")
-        if value is not None:
+        value = self.value
+        if self.kind == "number" or (
+            self.kind == "ident" and (value == "inf" or value.isdigit())
+        ):
+            self.take(self.kind)
             return float(value)
-        value = self.take("ident")
-        if value is not None:
-            if value == "inf":
-                return math.inf
-            if value.isdigit():
-                return float(value)
-        raise ParseError("expected a real value", self.span(here))
+        raise self.error("expected a real value")
 
     def _graph_value(self) -> Graph:
         nodes: dict[str, None] = {}  # first-seen order
@@ -516,18 +486,11 @@ _Block = TypeVar("_Block", OlogSchema, Instance)
 
 
 def _parse(text: str, filename: str, block: Callable[[_Parser], _Block]) -> _Block:
-    """Parse one block that must end the text.  On failure, a lexical error
-    anywhere in the text wins over the parse error found first."""
+    """Parse one block that must end the text; the first error met is raised."""
     parser = _Parser(text, filename)
-    try:
-        result = block(parser)
-        if parser.kind is not None:
-            raise ParseError(
-                f"unexpected trailing content {parser.value!r}", parser.span(parser.pos)
-            )
-    except ParseError:
-        _tokenize(text, filename, parser.pos)  # no lexical error comes before pos
-        raise
+    result = block(parser)
+    if parser.kind is not None:
+        raise parser.error(f"unexpected trailing content {parser.value!r}")
     return result
 
 

@@ -209,14 +209,16 @@ def validate_instance(schema: OlogSchema, instance: Instance) -> list[Diagnostic
         table = instance.table(arrow.id)
         source = instance.elements(arrow.src)
         target = instance.elements(arrow.dst)
-        for eid in sorted(source.keys() - table.keys(), key=natural_key):
-            diags.append(
-                error(
-                    "MISSING_IMAGE",
-                    f"arrow {arrow.id} has no image for element {eid!r} of {arrow.src}",
-                    f"{arrow.id}/{eid}",
+        missing = source.keys() - table.keys()
+        if missing:  # in natural-key order, ties in the box's order
+            for eid in natural_order(eid for eid in source if eid in missing):
+                diags.append(
+                    error(
+                        "MISSING_IMAGE",
+                        f"arrow {arrow.id} has no image for element {eid!r} of {arrow.src}",
+                        f"{arrow.id}/{eid}",
+                    )
                 )
-            )
         bad = [eid for eid, image in table.items() if eid not in source or image not in target]
         for eid in sorted(bad, key=natural_key):
             if eid not in source:
@@ -501,9 +503,11 @@ class _PairIndex:
     """Both instances of an isomorphism check, their elements numbered.
 
     Side a's elements come first, then side b's (``split`` is b's first
-    number).  Within a side, boxes come in schema order, each box's elements
-    numbered in natural-key order: ``numbers[side * len(box_ids) + k]`` maps
-    the ids of box k to their run of numbers, and ``ids`` maps numbers back.
+    number).  Within a side, boxes come in schema order, then any arrow
+    endpoint that no box declares, read as :func:`validate_instance` reads
+    it.  Each box's elements are numbered in natural-key order:
+    ``numbers[side * len(box_ids) + k]`` maps the ids of box k to their run
+    of numbers, and ``ids`` maps numbers back.
     ``images[e, t]`` is the number of e's image under its box's t-th
     out-arrow in schema order, or _MISSING / _OUTSIDE (also _MISSING past
     the box's ``degree``).  ``edges`` holds (source, arrow index, image) of
@@ -525,7 +529,8 @@ class _PairIndex:
 
 def _index_pair(schema: OlogSchema, pair: tuple[Instance, Instance]) -> _PairIndex:
     """Number the elements of both instances and turn every table into number arrays."""
-    box_ids = list(dict.fromkeys(box.id for box in schema.boxes))
+    ends = [end for arrow in schema.arrows for end in (arrow.src, arrow.dst)]
+    box_ids = list(dict.fromkeys([*(box.id for box in schema.boxes), *ends]))
     box_at = {box_id: k for k, box_id in enumerate(box_ids)}
     numbers: list[dict[str, int]] = []
     ids: list[str] = []

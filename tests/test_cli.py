@@ -296,6 +296,23 @@ def test_pullback_rejects_an_instance_of_another_schema(capsys, tmp_path):
     assert "pairs" not in out
 
 
+@pytest.mark.parametrize("command", ["iso", "pullback"])
+def test_iso_and_pullback_validate_the_schema_as_check_does(capsys, tmp_path, command):
+    schema = tmp_path / "dangling.olog"
+    schema.write_text('schema "s" {\n  box X "an x"\n  arrow f : Q -> X\n}\n')
+    instance = tmp_path / "i.oinst"
+    instance.write_text('instance "i" of "s" {\n  set X { x1 }\n}\n')
+    rest = [str(instance)] * 2 if command == "iso" else [str(instance), "f", "f"]
+    code, out = run_cli(capsys, command, str(schema), *rest)
+    assert code == 1
+    assert body_of(out) == [
+        f"command: {command}",
+        f"input: {schema}",
+        "error[DANGLING_ARROW] at f: arrow f references undeclared box 'Q'",
+        "verdict: violation",
+    ]
+
+
 # ---------------------------------------------------------------------------
 # error and quiet plumbing
 # ---------------------------------------------------------------------------

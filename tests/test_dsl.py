@@ -272,13 +272,13 @@ _HEAD = 'instance "i" of "s" {\n'
         ),
         pytest.param(
             _HEAD + "  fn 1 { a -> b, a -> c }\n  set X { @ }\n}\n",
-            ParseError, (3, 11), "unexpected character '@'",
-            id="lexical-error-beats-earlier-duplicate",
+            DuplicateIdError, (2, 18), "element 'a' mapped twice by arrow 1",
+            id="earlier-duplicate-beats-lexical-error",
         ),
         pytest.param(
             _HEAD + '  fn 1 { a b }\n  set X { x = text "oops }\n}\n',
-            ParseError, (3, 20), "unterminated string",
-            id="lexical-error-beats-earlier-parse-error",
+            ParseError, (2, 12), "expected '->', found 'b'",
+            id="earlier-parse-error-beats-lexical-error",
         ),
         # every comma-separated list: a missing comma and a doubled comma
         pytest.param(
@@ -408,9 +408,6 @@ def test_canonical_instance_is_read_without_a_token_per_entry(monkeypatch):
     id_only = [(a, b) for a, b in bodies if "=" not in text[a:b]]
     with_payloads = [(a, b) for a, b in bodies if "=" in text[a:b]]
 
-    def no_tokenize(*args):
-        raise AssertionError("the whole text was tokenized")
-
     taken_at = []
     take = dsl._Parser.take
 
@@ -418,7 +415,6 @@ def test_canonical_instance_is_read_without_a_token_per_entry(monkeypatch):
         taken_at.append(self.pos)
         return take(self, *args)
 
-    monkeypatch.setattr(dsl, "_tokenize", no_tokenize)
     monkeypatch.setattr(dsl._Parser, "take", recording_take)
     inst = parse_instance(text)
     assert serialize_instance(inst) == text
@@ -854,23 +850,15 @@ def test_mutated_documents_reach_bulk_and_token_loop_bodies(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# property: the lexical-error scan finds what lexing the whole text finds
+# property: a parse error is the first error met, and a lexical one is exact
 # ---------------------------------------------------------------------------
 
 
-def _first_bad_token(text, offset):
-    """The reference: lex the whole text and take the first bad token at or past offset."""
+def _first_bad_token(text):
+    """The reference: lex the whole text and take its first bad token."""
     for match in dsl._TOKEN_RE.finditer(text):
-        if match.lastgroup == "bad" and match.start() >= offset:
+        if match.lastgroup == "bad":
             return match.start(), match.group()
-    return None
-
-
-def _scanned(text, offset):
-    try:
-        dsl._tokenize(text, "f", offset)
-    except ParseError as exc:
-        return exc.span, exc.bare_message
     return None
 
 
@@ -878,22 +866,50 @@ _LEXEMES = [
     *"ab1e0_ -.>+\"#\\\n\t{}(),:=[]×é٩$ ", "->", "-->", "1.5", "-inf", "1e-3", "2e+", "..",
     '"x y"', "# c -> d\n",
 ]
+# Openings that let the lexemes reach the rules inside a block.
+_OPENINGS = [
+    "", 'schema "t" {', 'schema "t" { box A "a" [', 'schema "t" { eq A..A : [',
+    _HEAD, _HEAD + "  set X {", _HEAD + "  fn 1 {", _HEAD + "  set X { x = real ",
+    _HEAD + "  set X { x = pair (", _HEAD + "  set X { x = graph {",
+]
+
+
+def _error(parse, text):
+    try:
+        parse(text, filename="f")
+    except ParseError as exc:
+        return type(exc), exc.span, exc.bare_message
+    return None
 
 
 @settings(max_examples=500, deadline=None)
-@given(pieces=st.lists(st.sampled_from(_LEXEMES), max_size=30), pick=st.integers(0, 10**6))
-def test_lexical_error_scan_matches_the_whole_text_lexer(pieces, pick):
-    text = "".join(pieces)
-    # Any token boundary of the whole-text lexer is a valid starting offset.
-    boundaries = [match.start() for match in dsl._TOKEN_RE.finditer(text)] + [len(text)]
-    offset = boundaries[pick % len(boundaries)]
-    expected = _first_bad_token(text, offset)
-    if expected is None:
-        assert _scanned(text, offset) is None
-    else:
-        at, char = expected
-        message = "unterminated string" if char == '"' else f"unexpected character {char!r}"
-        assert _scanned(text, offset) == (dsl._span(text, "f", at), message)
+@given(
+    opening=st.sampled_from(_OPENINGS),
+    pieces=st.lists(st.sampled_from(_LEXEMES), max_size=30),
+)
+def test_a_parse_error_is_the_first_error_met(opening, pieces):
+    # Before the first bad token, the text lexes as its prefix does.  So the
+    # error is the prefix's, unless the prefix parses or runs out, and then
+    # it is the lexical error at that token.  Either way it lies at or before
+    # the token, and a lexical message names exactly that token.
+    text = opening + "".join(pieces)
+    bad = _first_bad_token(text)
+    for parse in (parse_schema, parse_instance):
+        got = _error(parse, text)
+        if bad is None:
+            assert got is None or not got[2].startswith(
+                ("unexpected character", "unterminated string")
+            )
+            continue
+        at, char = bad
+        before = _error(parse, text[:at])
+        tokens = [match for match in dsl._TOKEN_RE.finditer(text, 0, at) if match.lastgroup]
+        runs_out = dsl._span(text, "f", tokens[-1].end() if tokens else 0)
+        if before is None or before[1] == runs_out:
+            message = "unterminated string" if char == '"' else f"unexpected character {char!r}"
+            assert got == (ParseError, dsl._span(text, "f", at), message)
+        else:
+            assert got == before
 
 
 def test_a_grammar_error_early_in_a_large_file_lexes_little_of_it(bonded12, monkeypatch):

@@ -1,8 +1,11 @@
 import itertools
 import math
+import os
 import random
+import subprocess
 import sys
 from collections import Counter
+from pathlib import Path as FsPath
 
 import pytest
 from hypothesis import given, settings
@@ -169,6 +172,27 @@ def test_partial_table_is_flagged_per_element():
             ("UNKNOWN_ELEMENT", "f/x10"),
             ("IMAGE_NOT_IN_TARGET", "f/x12"),
         ]
+
+
+_MISSING_IMAGES = """
+from ologkit import ArrowDecl, BoxDecl, Instance, OlogSchema, validate_instance
+s = OlogSchema("t", (BoxDecl("X", "an x"), BoxDecl("Y", "a y")), (ArrowDecl("f", "X", "Y"),))
+xs = ["x1", "x01", "x001", "x0001", "x00001"]
+inst = Instance("i", "t", {"X": dict.fromkeys(xs), "Y": {"y1": None}}, {})
+print(" ".join(d.location for d in validate_instance(s, inst)))
+"""
+
+
+def test_missing_images_do_not_depend_on_the_hash_seed():
+    # The five ids tie under natural_key, so they keep the box's order.
+    package_root = str(FsPath(ologkit.__file__).parents[1])
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": package_root}
+        proc = subprocess.run(
+            [sys.executable, "-c", _MISSING_IMAGES],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.stdout == "f/x1 f/x01 f/x001 f/x0001 f/x00001\n", proc.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -810,6 +834,21 @@ def test_iso_requires_matching_schema_name(schema, protein):
     stranger = Instance("s", "not-this-schema", protein.sets, protein.functions)
     with pytest.raises(SchemaMismatchError):
         check_instance_isomorphism(schema, protein, stranger)
+
+
+def test_iso_reads_an_arrow_from_an_undeclared_box_as_validation_does():
+    # Q is no declared box: each instance's Q elements are numbered as a box
+    # of their own, as validate_instance reads them, and never a KeyError.
+    s = OlogSchema("s", (BoxDecl("X", "an x"),), (ArrowDecl("f", "Q", "X"),))
+    bare = Instance("a", "s", {"X": {"x1": None, "x2": None}}, {})
+    res = check_instance_isomorphism(s, bare, bare)
+    assert res.mapping == {"X": {"x1": "x1", "x2": "x2"}}
+    a = Instance("a", "s", {"X": {"x1": None, "x2": None}, "Q": {"q1": None}}, {"f": {"q1": "x1"}})
+    b = Instance("b", "s", {"X": {"y1": None, "y2": None}, "Q": {"p1": None}}, {"f": {"p1": "y2"}})
+    res = check_instance_isomorphism(s, a, b)
+    assert res.mapping == {"X": {"x1": "y2", "x2": "y1"}, "Q": {"q1": "p1"}}
+    res = check_instance_isomorphism(s, a, bare)
+    assert (res.certificate, res.detail) == ("CARDINALITY_MISMATCH", "Q: 1 vs 0")
 
 
 @settings(max_examples=25, deadline=None)
