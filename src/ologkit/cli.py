@@ -17,8 +17,10 @@ import argparse
 import os
 import sys
 import time
+from collections.abc import Callable
 from dataclasses import replace
 from pathlib import Path as FsPath
+from typing import TypeVar
 
 from .bundled import BUNDLED_FILES, bundled_schema, bundled_text
 from .chains import (
@@ -32,7 +34,7 @@ from .chains import (
     link_failure_noise,
     system_failure_extension,
 )
-from .diagnostics import has_errors
+from .diagnostics import Diagnostic, has_errors
 from .dsl import parse_instance, parse_schema, read_source, serialize_instance
 from .errors import OlogError
 from .instance import (
@@ -48,6 +50,8 @@ from .ordering import natural_order
 from .schema import OlogSchema, path_endpoints, validate_schema
 
 __all__ = ["main"]
+
+_Input = TypeVar("_Input", OlogSchema, Instance)
 
 _EXIT_CODES = {
     "ok": 0,
@@ -101,16 +105,21 @@ def _read_input(path: str) -> tuple[str, str]:
     raise FileNotFoundError(f"no such file: {path}")
 
 
-def _load_schema(path: str, report: RunReport) -> OlogSchema:
+def _load(path: str, report: RunReport, parse: Callable[[str, str], _Input]) -> _Input:
+    """Read an input, list it on the report, and parse it."""
     text, shown = _read_input(path)
     report.input(shown)
-    return parse_schema(text, shown)
+    return parse(text, shown)
 
 
-def _load_instance(path: str, report: RunReport) -> Instance:
-    text, shown = _read_input(path)
-    report.input(shown)
-    return parse_instance(text, shown)
+def _valid(diags: list[Diagnostic], report: RunReport, prefix: str = "") -> bool:
+    """Report the diagnostics; False, a violation, if any is an error."""
+    for diag in diags:
+        report.line(f"{prefix}{diag}")
+    if has_errors(diags):
+        report.fail("violation")
+        return False
+    return True
 
 
 def _check_instance_body(
@@ -118,11 +127,7 @@ def _check_instance_body(
 ) -> bool:
     """Validate + equations + fiber products; True iff everything is clean."""
     prefix = f"{label}: " if label else ""
-    diags = validate_instance(schema, instance)
-    for diag in diags:
-        report.line(f"{prefix}{diag}")
-    if has_errors(diags):
-        report.fail("violation")
+    if not _valid(validate_instance(schema, instance), report, prefix):
         return False
     total = sum(len(elems) for elems in instance.sets.values())
     report.line(f"{prefix}instance {instance.name!r}: {total} elements")
@@ -159,27 +164,16 @@ def _check_instance_body(
     return clean
 
 
-def _schema_is_valid(schema: OlogSchema, report: RunReport) -> bool:
-    """Report the schema's diagnostics; False, a violation, if any is an error."""
-    diags = validate_schema(schema)
-    for diag in diags:
-        report.line(str(diag))
-    if has_errors(diags):
-        report.fail("violation")
-        return False
-    return True
-
-
 def _cmd_check(args: argparse.Namespace, report: RunReport, comparators: Comparators) -> None:
-    schema = _load_schema(args.schema, report)
-    valid = _schema_is_valid(schema, report)
+    schema = _load(args.schema, report, parse_schema)
+    valid = _valid(validate_schema(schema), report)
     report.line(
         f"schema {schema.name!r}: {len(schema.boxes)} boxes, "
         f"{len(schema.arrows)} arrows, {len(schema.equations)} equations, "
         f"{len(schema.fiber_products)} pullbacks"
     )
     if valid and args.instance is not None:
-        instance = _load_instance(args.instance, report)
+        instance = _load(args.instance, report, parse_instance)
         _check_instance_body(schema, instance, report)
 
 
@@ -237,21 +231,14 @@ def _not_found(result: IsoResult) -> str:
 
 
 def _cmd_iso(args: argparse.Namespace, report: RunReport, comparators: Comparators) -> None:
-    schema = _load_schema(args.schema, report)
-    if not _schema_is_valid(schema, report):
+    schema = _load(args.schema, report, parse_schema)
+    if not _valid(validate_schema(schema), report):
         return
-    inst_a = _load_instance(args.instance_a, report)
-    inst_b = _load_instance(args.instance_b, report)
-    clean = True
-    for inst in (inst_a, inst_b):
-        diags = validate_instance(schema, inst)
-        for diag in diags:
-            report.line(f"{inst.name}: {diag}")
-        clean = clean and not has_errors(diags)
-    if not clean:
-        report.fail("violation")
+    pair = [_load(path, report, parse_instance) for path in (args.instance_a, args.instance_b)]
+    # A list, not a generator, so all() cannot stop before the second report.
+    if not all([_valid(validate_instance(schema, i), report, f"{i.name}: ") for i in pair]):
         return
-    result = check_instance_isomorphism(schema, inst_a, inst_b)
+    result = check_instance_isomorphism(schema, *pair)
     if result.found:
         report.line("Found")
         _report_mapping(report, result.mapping)
@@ -282,10 +269,12 @@ def _cmd_analogy(args: argparse.Namespace, report: RunReport, comparators: Compa
 
 
 def _cmd_pullback(args: argparse.Namespace, report: RunReport, comparators: Comparators) -> None:
-    schema = _load_schema(args.schema, report)
-    if not _schema_is_valid(schema, report):
+    schema = _load(args.schema, report, parse_schema)
+    if not _valid(validate_schema(schema), report):
         return
-    instance = _load_instance(args.instance, report)
+    instance = _load(args.instance, report, parse_instance)
+    if not _valid(validate_instance(schema, instance), report):
+        return
     pairs = compute_pullback(schema, instance, args.leg1, args.leg2)
     report.line(f"pullback along {args.leg1}, {args.leg2}: {len(pairs)} pairs")
     for x, y in pairs:
@@ -302,18 +291,19 @@ _HANDLERS = {
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    defaults = Comparators()
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--eps-rel",
         type=float,
         default=argparse.SUPPRESS,
-        help="relative tolerance for rough equality (default 0.25)",
+        help=f"relative tolerance for rough equality (default {defaults.eps_rel})",
     )
     common.add_argument(
         "--kappa",
         type=float,
         default=argparse.SUPPRESS,
-        help="separation factor for much-greater (default 3.0)",
+        help=f"separation factor for much-greater (default {defaults.kappa})",
     )
     common.add_argument(
         "--quiet",
@@ -377,8 +367,7 @@ def main(argv: list[str] | None = None) -> int:
     report = RunReport(args.command)
     try:
         comparators = Comparators(
-            eps_rel=getattr(args, "eps_rel", 0.25),
-            kappa=getattr(args, "kappa", 3.0),
+            **{name: getattr(args, name) for name in ("eps_rel", "kappa") if name in args}
         )
         _HANDLERS[args.command](args, report, comparators)
     except OlogError as exc:

@@ -301,8 +301,10 @@ def check_equation(
     """Walk the start box once in natural-key order; the first offender is the witness.
 
     An element on which either side is undefined raises ElementNotInSourceError
-    naming the arrow, unless a counterexample comes before it.
+    naming the arrow, unless a counterexample comes before it; raises
+    SchemaMismatchError when the instance names a different schema.
     """
+    _require_schema(schema, instance)
     return _check_equation(schema, instance, equation, _box_orders(instance))
 
 
@@ -335,6 +337,7 @@ def _check_equation(
 
 
 def check_all_equations(schema: OlogSchema, instance: Instance) -> list[EquationReport]:
+    _require_schema(schema, instance)
     orders = _box_orders(instance)
     return [_check_equation(schema, instance, eq, orders) for eq in schema.equations]
 

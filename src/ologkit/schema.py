@@ -308,16 +308,11 @@ def validate_schema(schema: OlogSchema) -> list[Diagnostic]:
                 error("FP_BAD_ARROW", f"apex {fp.apex!r} is not a declared box", loc)
             )
             continue
-        arrows = {
-            name: schema.arrow(arrow_id)
-            for name, arrow_id in (
-                ("proj1", fp.proj1),
-                ("proj2", fp.proj2),
-                ("leg1", fp.leg1),
-                ("leg2", fp.leg2),
-            )
-        }
-        missing = [name for name, decl in arrows.items() if decl is None]
+        missing = [
+            name
+            for name in ("proj1", "proj2", "leg1", "leg2")
+            if schema.arrow(getattr(fp, name)) is None
+        ]
         if missing:
             diags.append(
                 error(
@@ -328,19 +323,14 @@ def validate_schema(schema: OlogSchema) -> list[Diagnostic]:
                 )
             )
             continue
-        proj1, proj2, leg1, leg2 = (
-            arrows["proj1"],
-            arrows["proj2"],
-            arrows["leg1"],
-            arrows["leg2"],
-        )
-        shape_ok = (
-            proj1.src == fp.apex
-            and proj2.src == fp.apex
-            and leg1.src == proj1.dst
-            and leg2.src == proj2.dst
-            and leg1.dst == leg2.dst
-        )
+        # Both sides of the square run from the apex, so it has the shape
+        # exactly when both chain and they end at the same box.
+        try:
+            shape_ok = path_endpoints(
+                schema, Path(fp.apex, (fp.proj1, fp.leg1))
+            ) == path_endpoints(schema, Path(fp.apex, (fp.proj2, fp.leg2)))
+        except MalformedPathError:
+            shape_ok = False
         if not shape_ok:
             diags.append(
                 error(

@@ -73,6 +73,59 @@ def test_check_reports_instance_violations(capsys, tmp_path):
     assert body_of(out)[-1] == "verdict: violation"
 
 
+def _edited(tmp_path, bundled, *edits):
+    """Write a bundled data file with each (old, new) edit made once; its path."""
+    text = bundled_text(bundled)
+    for old, new in edits:
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    path = tmp_path / bundled
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+def test_check_reports_a_counterexample_at_its_first_element(capsys, tmp_path):
+    out_file = tmp_path / "bonded.oinst"
+    code, _ = run_cli(
+        capsys, "simulate", "--bricks", "3", "--glue-fail", "20.6", "--brick-fail", "100",
+        "--lifeline", "--ll-rest", "23.45", "--ll-fail", "110", "-o", str(out_file),
+    )
+    assert code == 0
+    text = out_file.read_text(encoding="utf-8")
+    yields = "  fn 35 {\n    p01 -> aa1,\n"
+    assert text.count(yields) == 1
+    out_file.write_text(text.replace(yields, "  fn 35 {\n    p01 -> aa2,\n"), encoding="utf-8")
+    code, out = run_cli(capsys, "check", "paper.olog", str(out_file))
+    assert code == 1
+    lines = body_of(out)
+    assert "eq N..U : [32,35] = [30,39] Counterexample at n1: aa2 != aa1" in lines
+    assert lines[-1] == "verdict: violation"
+
+
+def test_check_reports_failing_pullbacks(capsys, tmp_path):
+    # f2 copies f1's arrows: F = D x[H] J now holds two elements over (d1, j1),
+    # and E = F x[Q] O has no element over the new pair (f2, o1).
+    path = _edited(
+        tmp_path,
+        "protein.oinst",
+        ("  set F {\n    f1\n  }", "  set F {\n    f1,\n    f2\n  }"),
+        *(
+            (f"  fn {arrow} {{\n    f1 -> {image}\n  }}",
+             f"  fn {arrow} {{\n    f1 -> {image},\n    f2 -> {image}\n  }}")
+            for arrow, image in (("12", "d1"), ("13", "j1"), ("14", "q2"))
+        ),
+    )
+    code, out = run_cli(capsys, "check", "paper.olog", path)
+    assert code == 1
+    lines = body_of(out)
+    assert "instance 'protein': 286 elements" in lines
+    assert [line for line in lines if " FAIL " in line] == [
+        "pullback E FAIL MISSING_PAIR f2 o1",
+        "pullback F FAIL COLLIDING_PAIR f1 f2",
+    ]
+    assert lines[-1] == "verdict: violation"
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
@@ -235,6 +288,21 @@ def test_iso_on_ordered_ids_calls_natural_key_on_box_ids_only(capsys, tmp_path, 
     assert set(seen) <= {box.id for box in bundled_schema().boxes}
 
 
+def test_iso_reports_an_invalid_instance_and_stops(capsys, tmp_path):
+    path = _edited(tmp_path, "social.oinst", ("    p001 -> tc1,\n", ""))
+    code, out = run_cli(capsys, "iso", "paper.olog", "protein.oinst", path)
+    assert code == 1
+    assert body_of(out) == [
+        "command: iso",
+        "input: bundled:paper.olog",
+        "input: bundled:protein.oinst",
+        f"input: {path}",
+        "social: error[MISSING_IMAGE] at 35/p001: arrow 35 has no image for element "
+        "'p001' of P",
+        "verdict: violation",
+    ]
+
+
 def test_analogy_default_bricks_match(capsys):
     code, out = run_cli(capsys, "analogy")
     assert code == 0
@@ -294,6 +362,26 @@ def test_pullback_rejects_an_instance_of_another_schema(capsys, tmp_path):
     assert code == 1
     assert "error[SCHEMA_MISMATCH]" in out
     assert "pairs" not in out
+
+
+@pytest.mark.parametrize("legs", [("9", "26"), ("9", "14")], ids=["cospan", "not-a-cospan"])
+def test_pullback_validates_the_instance_as_check_does(capsys, tmp_path, legs):
+    # Arrow 9 (D -> H) loses its only entry. A partial table is no functor,
+    # so no pullback of it is computed, and the legs are not looked at.
+    path = _edited(tmp_path, "protein.oinst", ("  fn 9 {\n    d1 -> h1\n  }\n", ""))
+    missing = "error[MISSING_IMAGE] at 9/d1: arrow 9 has no image for element 'd1' of D"
+    code, out = run_cli(capsys, "check", "paper.olog", path)
+    assert code == 1
+    assert missing in body_of(out)
+    code, out = run_cli(capsys, "pullback", "paper.olog", path, *legs)
+    assert code == 1
+    assert body_of(out) == [
+        "command: pullback",
+        "input: bundled:paper.olog",
+        f"input: {path}",
+        missing,
+        "verdict: violation",
+    ]
 
 
 @pytest.mark.parametrize("command", ["iso", "pullback"])

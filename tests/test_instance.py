@@ -281,6 +281,14 @@ def test_all_bundled_equations_hold(schema, protein, social):
         assert all(r.checked == len(inst.elements(r.equation.lhs.start)) for r in reports)
 
 
+def test_equation_checks_require_matching_schema_name(schema, protein):
+    stranger = Instance(protein.name, "other", protein.sets, protein.functions)
+    with pytest.raises(SchemaMismatchError):
+        check_equation(schema, stranger, schema.equations[0])
+    with pytest.raises(SchemaMismatchError):
+        check_all_equations(schema, stranger)
+
+
 def test_counterexample_reports_first_element_in_natural_order():
     s = OlogSchema(
         "sq",

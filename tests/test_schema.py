@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from ologkit import (
     EndpointMismatchError,
     EqualityResult,
     EqVerdict,
+    FiberProductDecl,
     MalformedPathError,
     OlogSchema,
     Path,
@@ -157,8 +159,6 @@ def _square_schema(with_eq):
         if with_eq
         else ()
     )
-    from ologkit import FiberProductDecl
-
     return OlogSchema(
         "square",
         tuple(BoxDecl(b, f"a {b}") for b in ("P", "X", "Y", "Z")),
@@ -186,6 +186,60 @@ def test_with_fiber_product_squares_fills_the_gap():
     assert len(fixed.equations) == 1
     # idempotent: nothing more to add
     assert with_fiber_product_squares(fixed) is fixed
+
+
+def _square_declaring(fp):
+    """The commuting square schema, plus h: Y -> X, declaring only ``fp``."""
+    base = _square_schema(True)
+    return dataclasses.replace(
+        base, arrows=base.arrows + (ArrowDecl("h", "Y", "X"),), fiber_products=(fp,)
+    )
+
+
+@pytest.mark.parametrize(
+    "fp, message",
+    [
+        (
+            FiberProductDecl("Q", "p1", "p2", "f", "g"),
+            "apex 'Q' is not a declared box",
+        ),
+        (
+            FiberProductDecl("P", "p1", "p2", "f", "k"),
+            "pullback P references undeclared arrow(s): leg2=k",
+        ),
+        (
+            FiberProductDecl("P", "q", "p2", "f", "k"),
+            "pullback P references undeclared arrow(s): proj1=q, leg2=k",
+        ),
+    ],
+    ids=["apex", "leg", "proj-and-leg"],
+)
+def test_fiber_product_names_undeclared_parts(fp, message):
+    diags = validate_schema(_square_declaring(fp))
+    assert [(d.code, d.message, d.location) for d in diags] == [
+        ("FP_BAD_ARROW", message, f"pullback {fp.apex}")
+    ]
+
+
+@pytest.mark.parametrize(
+    "fp",
+    [
+        FiberProductDecl("P", "f", "p2", "f", "g"),  # proj1 leaves X, not the apex
+        FiberProductDecl("P", "p1", "p2", "g", "f"),  # each leg leaves the other's box
+        FiberProductDecl("P", "p1", "p2", "f", "h"),  # legs end at Z and X
+    ],
+    ids=["proj-source", "leg-source", "leg-targets"],
+)
+def test_fiber_product_must_form_a_square_over_the_apex(fp):
+    diags = validate_schema(_square_declaring(fp))
+    assert [(d.code, d.message, d.location) for d in diags] == [
+        (
+            "FP_SQUARE_SHAPE",
+            f"pullback P: proj ({fp.proj1}, {fp.proj2}) legs ({fp.leg1}, {fp.leg2}) "
+            "do not form a cospan square over the apex",
+            "pullback P",
+        )
+    ]
 
 
 def test_canonical_ordering_is_stable(schema):
@@ -219,6 +273,36 @@ def test_longer_chains_are_found(schema):
     res = derive_equality(schema, Path("A", ("1", "10", "14")), Path("A", ("2", "14")), 3)
     assert res.holds
     assert replay_witness(schema, res)
+
+
+def _forge(res, step=None, **changes):
+    """``res`` with fields replaced; ``step`` replaces fields of its one rewrite."""
+    if step is not None:
+        changes["rewrites"] = (dataclasses.replace(res.rewrites[0], **step),)
+    return dataclasses.replace(res, **changes)
+
+
+@pytest.mark.parametrize(
+    "forge",
+    [
+        lambda res: _forge(res, verdict=EqVerdict.UNKNOWN),
+        lambda res: _forge(res, witness=res.witness[:1] + (Path("A", ("2",)),)),
+        lambda res: _forge(res, rewrites=res.rewrites * 2),
+        lambda res: _forge(res, rewrites=()),
+        lambda res: _forge(res, step={"position": 1}),
+        lambda res: _forge(res, step={"direction": "rhs->lhs"}),
+        lambda res: _forge(res, witness=res.witness[:1] * 2),
+    ],
+    ids=[
+        "not-holds", "non-parallel-path", "one-step-too-many", "one-step-too-few",
+        "wrong-position", "wrong-direction", "wrong-rebuilt-path",
+    ],
+)
+def test_replay_rejects_a_forged_witness(schema, forge):
+    res = derive_equality(schema, Path("A", ("1", "10", "14")), Path("A", ("2", "14")), 3)
+    assert res.rewrites == (RewriteStep(1, 0, "lhs->rhs"),)
+    assert replay_witness(schema, res)
+    assert not replay_witness(schema, forge(res))
 
 
 def test_budget_zero_cannot_prove_nontrivial_equalities(schema):
