@@ -14,6 +14,7 @@ is always last so tools can strip it before comparing runs byte for byte.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -290,6 +291,7 @@ _HANDLERS = {
 }
 
 
+@functools.cache  # built on the first call; parse_args keeps no state between calls
 def _build_parser() -> argparse.ArgumentParser:
     defaults = Comparators()
     common = argparse.ArgumentParser(add_help=False)

@@ -36,6 +36,7 @@ from __future__ import annotations
 import math
 import re
 from collections.abc import Callable
+from functools import lru_cache
 from pathlib import Path as FsPath
 from typing import TypeVar
 
@@ -494,8 +495,16 @@ def _parse(text: str, filename: str, block: Callable[[_Parser], _Block]) -> _Blo
     return result
 
 
+@lru_cache(maxsize=16)  # distinct schema documents kept; a process reads a few
 def parse_schema(text: str, filename: str = "<string>") -> OlogSchema:
-    """Parse a document holding exactly one schema block."""
+    """Parse a document holding exactly one schema block.
+
+    The schema is immutable, so equal ``(text, filename)`` returns one shared
+    schema per process: a command or library call that reads a document an
+    earlier one already parsed pays no parse.  A one-shot ``olog`` run parses
+    once either way.  Errors are not kept, so a bad document raises on every
+    call, with that call's filename in the span.
+    """
     return _parse(text, filename, _Parser.schema_block)
 
 

@@ -242,7 +242,11 @@ def validate_instance(schema: OlogSchema, instance: Instance) -> list[Diagnostic
 
 
 def eval_path(schema: OlogSchema, instance: Instance, path: Path, element: str) -> str:
-    """Evaluate a path on one element by chasing arrow tables left to right."""
+    """Evaluate a path on one element by chasing arrow tables left to right.
+
+    Raises SchemaMismatchError when the instance names a different schema.
+    """
+    _require_schema(schema, instance)
     path_endpoints(schema, path)  # raises MalformedPathError on bad paths
     return _chase(instance, path, element)
 
@@ -796,7 +800,10 @@ def verify_isomorphism(
     Tables are read as the search reads them, over each arrow's source box:
     no image must map to no image, an image outside the target box commutes
     with nothing, and an entry whose source is outside its box is not read.
+    Raises SchemaMismatchError when either instance names a different schema.
     """
+    _require_schema(schema, a)
+    _require_schema(schema, b)
     for box in schema.boxes:
         m = mapping.get(box.id, {})
         images = set(m.values())

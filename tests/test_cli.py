@@ -487,6 +487,33 @@ def test_a_closed_stdout_keeps_the_reports_exit_code(argv, code):
     assert (proc.returncode, proc.stderr) == (code, "")
 
 
+def test_in_process_calls_share_no_state(capsys, tmp_path):
+    # The parser and parsed schemas are kept between calls; nothing a call
+    # sets may show in the next one's report or written file.
+    def report(*argv):
+        code, out = run_cli(capsys, *argv)
+        return code, body_of(out)
+
+    check = ("check", "paper.olog", "protein.oinst")
+    iso = ("iso", "paper.olog", "protein.oinst", "social.oinst")
+    plain = {argv: report(*argv) for argv in (check, iso, ("analogy",))}
+    assert main(["check", "--no-such-flag"]) == 2
+    capsys.readouterr()  # swallow argparse noise
+    assert report(*check) == plain[check]
+    assert run_cli(capsys, "--quiet", *check) == (0, "ok\n")
+    assert report(*check) == plain[check]
+    assert report("analogy", "--kappa", "10")[0] == 1
+    assert report("analogy") == plain[("analogy",)]
+    assert report(*iso) == plain[iso]
+    written = []
+    for name in ("first.oinst", "second.oinst"):
+        out_file = tmp_path / name
+        code, lines = report("simulate", "--lifeline", "-o", str(out_file))
+        assert lines.pop(-2) == f"wrote {out_file}"
+        written.append((code, lines, out_file.read_bytes()))
+    assert written[0] == written[1]
+
+
 # ---------------------------------------------------------------------------
 # internal errors
 # ---------------------------------------------------------------------------

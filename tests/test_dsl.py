@@ -371,6 +371,21 @@ def test_trailing_content_rejected():
         parse_instance('instance "i" of "s" {} stray')
 
 
+def test_equal_schema_text_is_parsed_once_and_errors_every_time():
+    text = bundled_text("paper.olog")
+    first = parse_schema(text, "paper.olog")
+    assert parse_schema(text, "paper.olog") is first
+    assert parse_schema(text + " ", "paper.olog") == first
+    bad = 'schema "t" {\n  box A "an a"\n  arrow f A -> A\n}\n'
+    for filename in ("a.olog", "a.olog", "b.olog"):
+        with pytest.raises(ParseError) as exc:
+            parse_schema(bad, filename)
+        assert (exc.value.span.file, exc.value.span.line) == (filename, 3)
+    fixed = parse_schema(bad.replace("f A", "f : A"), "a.olog")
+    assert fixed.arrow("f").src == "A"
+    assert parse_schema(text, "paper.olog") is first
+
+
 def test_string_where_block_expected():
     with pytest.raises(ParseError) as exc:
         parse_instance('instance "i" of "s" { pullback }')

@@ -844,6 +844,17 @@ def test_iso_requires_matching_schema_name(schema, protein):
         check_instance_isomorphism(schema, protein, stranger)
 
 
+def test_path_evaluation_and_iso_verification_require_matching_schema_name(schema, protein):
+    stranger = Instance(protein.name, "other", protein.sets, protein.functions)
+    with pytest.raises(SchemaMismatchError):
+        eval_path(schema, stranger, Path("A", ("1",)), "a1")
+    mapping = check_instance_isomorphism(schema, protein, protein).mapping
+    assert verify_isomorphism(schema, protein, protein, mapping)
+    for a, b in ((protein, stranger), (stranger, protein)):
+        with pytest.raises(SchemaMismatchError):
+            verify_isomorphism(schema, a, b, mapping)
+
+
 def test_iso_reads_an_arrow_from_an_undeclared_box_as_validation_does():
     # Q is no declared box: each instance's Q elements are numbered as a box
     # of their own, as validate_instance reads them, and never a KeyError.
