@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from functools import cache
 from importlib.resources import files
 
 from .dsl import parse_instance, parse_schema
@@ -19,7 +20,12 @@ __all__ = [
 BUNDLED_FILES = ("paper.olog", "protein.oinst", "social.oinst")
 
 
+@cache
 def bundled_text(filename: str) -> str:
+    """The text of a bundled file, read once per process and shared after that.
+
+    An unknown name raises FileNotFoundError on every call: errors are not cached.
+    """
     if filename not in BUNDLED_FILES:
         raise FileNotFoundError(f"no bundled file named {filename!r}")
     return (files("ologkit") / "data" / filename).read_text(encoding="utf-8")

@@ -36,6 +36,7 @@ Instance validation (``validate_instance``):
 ``MISSING_IMAGE``         a function table misses an element of its source box
 ``IMAGE_NOT_IN_TARGET``   a function table maps outside its target box
 ``PAYLOAD_MIXED``         a box mixes payload types across its elements
+``PAYLOAD_UNKNOWN``       a box holds a value that is not a payload (nor None)
 ========================  ======================================================
 """
 

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import enum
 import math
-from collections.abc import Callable
+from collections import Counter
 from dataclasses import dataclass, field
-from functools import cache, partial
+from functools import partial
 from itertools import accumulate, chain, groupby, repeat
 
 import numpy as np
@@ -25,7 +25,14 @@ from .errors import (
 )
 from .graphs import Graph
 from .ordering import natural_key, natural_order
-from .schema import FiberProductDecl, OlogSchema, Path, PathEquation, path_endpoints
+from .schema import (
+    ArrowDecl,
+    FiberProductDecl,
+    OlogSchema,
+    Path,
+    PathEquation,
+    path_endpoints,
+)
 
 __all__ = [
     "RealPayload",
@@ -170,6 +177,10 @@ def _require_schema(schema: OlogSchema, instance: Instance) -> None:
 def validate_instance(schema: OlogSchema, instance: Instance) -> list[Diagnostic]:
     """Structural diagnostics: unknown ids, partial or ill-targeted tables.
 
+    Each box's payload types and each arrow's table are decided in whole-box
+    passes: a table is clean when its keys are its source box's and every
+    image is in its target box.  Only a table that is not clean is walked,
+    and natural-key order only decides the order its diagnostics come in.
     Raises SchemaMismatchError when the instance names a different schema.
     """
     _require_schema(schema, instance)
@@ -191,16 +202,21 @@ def validate_instance(schema: OlogSchema, instance: Instance) -> list[Diagnostic
             )
 
     for box in schema.boxes:
-        types = {
-            payload_type_name(p)
-            for p in instance.elements(box.id).values()
-            if p is not None
-        }
-        if len(types) > 1:
+        types = set(map(type, instance.elements(box.id).values())) - {type(None)}
+        for kind in sorted(types - _PAYLOAD_TYPES.keys(), key=lambda kind: kind.__name__):
+            diags.append(
+                error(
+                    "PAYLOAD_UNKNOWN",
+                    f"box {box.id} holds a value of type {kind.__name__}, which is not a payload",
+                    box.id,
+                )
+            )
+        names = sorted(_PAYLOAD_TYPES[kind] for kind in types & _PAYLOAD_TYPES.keys())
+        if len(names) > 1:
             diags.append(
                 error(
                     "PAYLOAD_MIXED",
-                    f"box {box.id} mixes payload types: {', '.join(sorted(types))}",
+                    f"box {box.id} mixes payload types: {', '.join(names)}",
                     box.id,
                 )
             )
@@ -209,6 +225,8 @@ def validate_instance(schema: OlogSchema, instance: Instance) -> list[Diagnostic
         table = instance.table(arrow.id)
         source = instance.elements(arrow.src)
         target = instance.elements(arrow.dst)
+        if table.keys() == source.keys() and all(map(target.__contains__, table.values())):
+            continue
         missing = source.keys() - table.keys()
         if missing:  # in natural-key order, ties in the box's order
             for eid in natural_order(eid for eid in source if eid in missing):
@@ -275,9 +293,11 @@ def _chase(instance: Instance, path: Path, element: str) -> str:
 class EquationReport:
     """Outcome of checking one path equation over every element of its start box.
 
-    The elements are walked once, in natural-key order.  On failure
-    ``witness`` is (element, lhs image, rhs image) for the first offending
-    element, and ``checked`` counts the elements up to and including it.
+    The equation is decided in whole-box passes: each side is composed over
+    the whole start box, and the two image lists are compared.  Natural-key
+    order only decides which offender is named: on failure ``witness`` is
+    (element, lhs image, rhs image) for the first offending element in that
+    order, and ``checked`` counts the elements up to and including it.
     """
 
     equation: PathEquation
@@ -290,60 +310,69 @@ class EquationReport:
         return "AllHold" if self.holds else "Counterexample"
 
 
-_BoxOrders = Callable[[str], list[str]]
+def _composed(
+    instance: Instance, start: str, arrows: tuple[str, ...], memo: dict[tuple, list]
+) -> list:
+    """The path's image of each element of the start box, in the box's order.
 
-
-def _box_orders(instance: Instance) -> _BoxOrders:
-    """Box id -> the box's element ids in natural-key order, each box ordered
-    once: one per instance check, shared by all its equations or fiber products."""
-    return cache(lambda box_id: natural_order(instance.elements(box_id)))
+    None where a table has no entry (and after it); one ``map(table.get, ...)``
+    pass per arrow.  ``memo`` keeps each distinct (start, prefix) composed
+    once, shared by every equation of one check.
+    """
+    key = (start, arrows)
+    if key not in memo:
+        if arrows:
+            images = _composed(instance, start, arrows[:-1], memo)
+            memo[key] = list(map(instance.table(arrows[-1]).get, images))
+        else:
+            memo[key] = list(instance.elements(start))
+    return memo[key]
 
 
 def check_equation(
     schema: OlogSchema, instance: Instance, equation: PathEquation
 ) -> EquationReport:
-    """Walk the start box once in natural-key order; the first offender is the witness.
+    """Compose both sides over the whole start box and compare the image lists.
 
-    An element on which either side is undefined raises ElementNotInSourceError
-    naming the arrow, unless a counterexample comes before it; raises
-    SchemaMismatchError when the instance names a different schema.
+    Only when they differ, or a table has no entry, are the elements walked in
+    natural-key order to name the first offender.  An element on which either
+    side is undefined raises ElementNotInSourceError naming the arrow, unless
+    a counterexample comes before it; raises SchemaMismatchError when the
+    instance names a different schema.
     """
     _require_schema(schema, instance)
-    return _check_equation(schema, instance, equation, _box_orders(instance))
+    return _check_equation(schema, instance, equation, {})
 
 
 def _check_equation(
-    schema: OlogSchema, instance: Instance, equation: PathEquation, orders: _BoxOrders
+    schema: OlogSchema, instance: Instance, equation: PathEquation, memo: dict[tuple, list]
 ) -> EquationReport:
-    elems = orders(equation.lhs.start)
+    start = equation.lhs.start
+    elems = _composed(instance, start, (), memo)
     if elems:
         path_endpoints(schema, equation.lhs)  # raises MalformedPathError on bad paths
         path_endpoints(schema, equation.rhs)
-    lhs_tables = [instance.table(arrow_id) for arrow_id in equation.lhs.arrows]
-    rhs_tables = [instance.table(arrow_id) for arrow_id in equation.rhs.arrows]
-    checked = 0
-    for checked, eid in enumerate(elems, 1):
-        lhs_val = rhs_val = eid
-        try:
-            for table in lhs_tables:
-                lhs_val = table[lhs_val]
-            for table in rhs_tables:
-                rhs_val = table[rhs_val]
-        except KeyError:  # a partial table: _chase raises the message naming the arrow
+    lhs = _composed(instance, start, equation.lhs.arrows, memo)
+    rhs = _composed(instance, start, equation.rhs.arrows, memo)
+    if lhs == rhs and None not in lhs:
+        return EquationReport(equation, holds=True, checked=len(elems))
+    lhs_of, rhs_of = dict(zip(elems, lhs)), dict(zip(elems, rhs))
+    for checked, eid in enumerate(natural_order(elems), 1):
+        lhs_val, rhs_val = lhs_of[eid], rhs_of[eid]
+        if lhs_val is None or rhs_val is None:  # _chase raises the message naming the arrow
             _chase(instance, equation.lhs, eid)
             _chase(instance, equation.rhs, eid)
-            raise
         if lhs_val != rhs_val:
             return EquationReport(
                 equation, holds=False, checked=checked, witness=(eid, lhs_val, rhs_val)
             )
-    return EquationReport(equation, holds=True, checked=checked)
+    return EquationReport(equation, holds=True, checked=len(elems))
 
 
 def check_all_equations(schema: OlogSchema, instance: Instance) -> list[EquationReport]:
     _require_schema(schema, instance)
-    orders = _box_orders(instance)
-    return [_check_equation(schema, instance, eq, orders) for eq in schema.equations]
+    memo: dict[tuple, list] = {}
+    return [_check_equation(schema, instance, eq, memo) for eq in schema.equations]
 
 
 # ---------------------------------------------------------------------------
@@ -362,12 +391,24 @@ def compute_pullback(
     target box); raises CospanMismatchError otherwise, and SchemaMismatchError
     when the instance names a different schema.
     """
-    return _pullback(schema, instance, leg1, leg2, _box_orders(instance))
+    decl1, decl2 = _cospan(schema, instance, leg1, leg2)
+    table1, table2 = instance.table(leg1), instance.table(leg2)
+    by_image: dict[str, list[str]] = {}
+    for y in natural_order(instance.elements(decl2.src)):
+        image = table2.get(y)
+        if image is not None:
+            by_image.setdefault(image, []).append(y)
+    return [
+        (x, y)
+        for x in natural_order(instance.elements(decl1.src))
+        if (image := table1.get(x)) is not None
+        for y in by_image.get(image, ())
+    ]
 
 
-def _pullback(
-    schema: OlogSchema, instance: Instance, leg1: str, leg2: str, orders: _BoxOrders
-) -> list[tuple[str, str]]:
+def _cospan(
+    schema: OlogSchema, instance: Instance, leg1: str, leg2: str
+) -> tuple[ArrowDecl, ArrowDecl]:
     _require_schema(schema, instance)
     decl1 = schema.arrow(leg1)
     decl2 = schema.arrow(leg2)
@@ -379,28 +420,19 @@ def _pullback(
             f"legs do not form a cospan: {leg1} ends at {decl1.dst}, "
             f"{leg2} ends at {decl2.dst}"
         )
-    table1, table2 = instance.table(leg1), instance.table(leg2)
-    by_image: dict[str, list[str]] = {}
-    for y in orders(decl2.src):
-        image = table2.get(y)
-        if image is not None:
-            by_image.setdefault(image, []).append(y)
-    return [
-        (x, y)
-        for x in orders(decl1.src)
-        if (image := table1.get(x)) is not None
-        for y in by_image.get(image, ())
-    ]
+    return decl1, decl2
 
 
 @dataclass(frozen=True, slots=True)
 class FiberProductReport:
     """Whether a declared fiber-product apex is the canonical pullback.
 
-    ``witness_kind`` on failure is one of COLLIDING_PAIR (two apex elements
-    project to the same pair), MISSING_PAIR (a canonical pair no apex element
-    projects to), or EXTRA_PAIR (an apex element projecting outside the
-    canonical pullback, i.e. its square does not commute).
+    The verdict is decided in whole-box passes; natural-key order only
+    decides which offender is named.  ``witness_kind`` on failure is one of
+    COLLIDING_PAIR (two apex elements project to the same pair), MISSING_PAIR
+    (a canonical pair no apex element projects to), or EXTRA_PAIR (an apex
+    element projecting outside the canonical pullback, i.e. its square does
+    not commute).
     """
 
     declaration: FiberProductDecl
@@ -418,23 +450,47 @@ class FiberProductReport:
 def verify_fiber_product(
     schema: OlogSchema, instance: Instance, decl: FiberProductDecl
 ) -> FiberProductReport:
-    """Walk the apex once in natural-key order; the first offender is the witness.
+    """Decide in whole-box passes whether the apex is the canonical pullback.
 
-    An apex element colliding with an earlier one, or projecting outside the
-    canonical pullback, stops the walk.  Otherwise the first canonical pair
-    no apex element projected to is the MISSING_PAIR witness.
+    It is when the apex elements project to pairwise distinct pairs, each
+    pair (x, y) lies in X × Y with leg1(x) defined and equal to leg2(y), and
+    there are as many apex elements as canonical pairs, counted per image
+    without listing them.  Only otherwise is the pullback listed and the apex
+    walked in natural-key order to name the first offender: an apex element
+    colliding with an earlier one, or projecting outside the canonical
+    pullback, stops the walk; else the first canonical pair no apex element
+    projected to is the MISSING_PAIR witness.
     """
-    return _verify_fiber_product(schema, instance, decl, _box_orders(instance))
+    decl1, decl2 = _cospan(schema, instance, decl.leg1, decl.leg2)
+    xs, ys = instance.elements(decl1.src), instance.elements(decl2.src)
+    leg1, leg2 = instance.table(decl.leg1), instance.table(decl.leg2)
+    over = Counter(map(leg2.get, ys))  # image -> how many y lie over it
+    over.pop(None, None)
+    size = sum(map(over.get, map(leg1.get, xs), repeat(0)))
+    apex = instance.elements(decl.apex)
+    proj1 = list(map(instance.table(decl.proj1).get, apex, repeat("")))
+    proj2 = list(map(instance.table(decl.proj2).get, apex, repeat("")))
+    images = list(map(leg1.get, proj1))
+    if (
+        len(apex) == size
+        and all(map(xs.__contains__, proj1))
+        and all(map(ys.__contains__, proj2))
+        and None not in images
+        and images == list(map(leg2.get, proj2))
+        and len(set(zip(proj1, proj2))) == size
+    ):
+        return FiberProductReport(decl, holds=True, apex_size=size, pullback_size=size)
+    canonical = compute_pullback(schema, instance, decl.leg1, decl.leg2)
+    return _name_offender(instance, decl, canonical)
 
 
-def _verify_fiber_product(
-    schema: OlogSchema, instance: Instance, decl: FiberProductDecl, orders: _BoxOrders
+def _name_offender(
+    instance: Instance, decl: FiberProductDecl, canonical: list[tuple[str, str]]
 ) -> FiberProductReport:
-    canonical = _pullback(schema, instance, decl.leg1, decl.leg2, orders)
     canonical_set = set(canonical)
     proj1 = instance.table(decl.proj1)
     proj2 = instance.table(decl.proj2)
-    apex = orders(decl.apex)
+    apex = natural_order(instance.elements(decl.apex))
     report = partial(
         FiberProductReport, decl, apex_size=len(apex), pullback_size=len(canonical)
     )
@@ -455,8 +511,7 @@ def _verify_fiber_product(
 def verify_all_fiber_products(
     schema: OlogSchema, instance: Instance
 ) -> list[FiberProductReport]:
-    orders = _box_orders(instance)
-    return [_verify_fiber_product(schema, instance, fp, orders) for fp in schema.fiber_products]
+    return [verify_fiber_product(schema, instance, fp) for fp in schema.fiber_products]
 
 
 # ---------------------------------------------------------------------------

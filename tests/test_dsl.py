@@ -12,6 +12,7 @@ import ologkit.dsl as dsl
 import ologkit.instance
 import ologkit.ordering
 from ologkit import (
+    BUNDLED_FILES,
     ArrowDecl,
     BoxDecl,
     DuplicateIdError,
@@ -384,6 +385,14 @@ def test_equal_schema_text_is_parsed_once_and_errors_every_time():
     fixed = parse_schema(bad.replace("f A", "f : A"), "a.olog")
     assert fixed.arrow("f").src == "A"
     assert parse_schema(text, "paper.olog") is first
+
+
+def test_each_bundled_file_is_read_once_and_unknown_names_fail_every_time():
+    for name in BUNDLED_FILES:
+        assert bundled_text(name) is bundled_text(name)
+    for _ in range(2):
+        with pytest.raises(FileNotFoundError, match="'nope.olog'"):
+            bundled_text("nope.olog")
 
 
 def test_string_where_block_expected():

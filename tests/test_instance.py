@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 import os
@@ -142,6 +143,18 @@ def test_validation_codes_cover_each_defect():
         "UNKNOWN_ARROW",  # g
         "UNKNOWN_BOX",  # Z
         "UNKNOWN_ELEMENT",  # f defined on ghost
+    ]
+
+
+
+def test_a_value_that_is_not_a_payload_is_a_diagnostic():
+    s = _toy_schema()
+    xs = {"x1": 5, "x2": "five", "x3": RealPayload(5.0), "x4": None}
+    inst = Instance("i", "toy", {"X": xs, "Y": {"y1": 5}}, {"f": dict.fromkeys(xs, "y1")})
+    assert [(d.code, d.location, d.message) for d in validate_instance(s, inst)] == [
+        ("PAYLOAD_UNKNOWN", "X", "box X holds a value of type int, which is not a payload"),
+        ("PAYLOAD_UNKNOWN", "X", "box X holds a value of type str, which is not a payload"),
+        ("PAYLOAD_UNKNOWN", "Y", "box Y holds a value of type int, which is not a payload"),
     ]
 
 
@@ -996,6 +1009,20 @@ def test_checks_on_ordered_ids_call_natural_key_on_no_element(schema, monkeypatc
     # Generated ids are already in natural-key order; the iso search keys
     # only the box ids, to find boxes whose ids tie.
     assert set(seen) <= {box.id for box in schema.boxes}
+
+
+def test_instance_checks_leave_no_reference_cycles(schema):
+    # Garbage in a cycle waits for the cyclic collector: the whole-box
+    # image lists of one check would stay alive into the next ones.
+    params = SimParams(
+        brick_count=6, brick_failure=100.0, lifeline_present=True, lifeline_failure=110.0
+    )
+    inst = generate_instance(params, schema)
+    gc.collect()
+    assert validate_instance(schema, inst) == []
+    assert all(r.holds for r in check_all_equations(schema, inst))
+    assert all(r.holds for r in verify_all_fiber_products(schema, inst))
+    assert gc.collect() == 0
 
 
 def test_two_empty_instances_are_isomorphic_by_the_empty_map(schema):
