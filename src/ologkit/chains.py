@@ -425,18 +425,21 @@ def _check_params(params: SimParams, comparators: Comparators) -> None:
         except (TypeError, ValueError, OverflowError):
             reject(box, f"{what} must be a real number, got {value!r}")
 
+    def extension(box: str, what: str, value: object, finite: bool) -> float:
+        result = real(box, what, value)
+        if math.isnan(result) or result < 0 or (finite and math.isinf(result)):
+            bound = "finite nonnegative" if finite else "nonnegative"
+            reject(box, f"{what} must be a {bound} real, got {value!r}")
+        return result
+
     try:
         count = operator.index(params.brick_count)
     except TypeError:
         reject("R", f"brick count must be an integer, got {params.brick_count!r}")
     if count < 2:
         reject("R", f"a chain needs at least 2 bricks, got {params.brick_count}")
-    glue = real("S", "glue failure", params.glue_failure)
-    if math.isnan(glue) or math.isinf(glue) or glue < 0:
-        reject("S", f"glue failure must be a finite nonnegative real, got {params.glue_failure!r}")
-    brick = real("R", "brick failure", params.brick_failure)
-    if math.isnan(brick) or brick < 0:
-        reject("R", f"brick failure must be a nonnegative real, got {params.brick_failure!r}")
+    glue = extension("S", "glue failure", params.glue_failure, True)
+    brick = extension("R", "brick failure", params.brick_failure, False)
     if not much_greater(brick, glue, comparators):
         reject(
             "N",
@@ -446,17 +449,8 @@ def _check_params(params: SimParams, comparators: Comparators) -> None:
     resting = real("W", "lifeline resting extension", params.lifeline_resting)
     failure = real("T", "lifeline failure", params.lifeline_failure)
     if params.lifeline_present:
-        if math.isnan(resting) or math.isinf(resting) or resting < 0:
-            reject(
-                "W",
-                f"lifeline resting extension must be a finite nonnegative real, "
-                f"got {params.lifeline_resting!r}",
-            )
-        if math.isnan(failure) or failure < 0:
-            reject(
-                "T",
-                f"lifeline failure must be a nonnegative real, got {params.lifeline_failure!r}",
-            )
+        extension("W", "lifeline resting extension", params.lifeline_resting, True)
+        extension("T", "lifeline failure", params.lifeline_failure, False)
         if failure < resting:
             reject(
                 "T",
@@ -521,8 +515,9 @@ def generate_instance(
     licenses them; otherwise their tables stay partial and validation reports
     the gap.
 
-    Every set and table comes out in natural-key order by construction, as
-    :meth:`Instance.canonical` would leave it, without a closing re-sort.
+    Every set and table is assigned whole, as one dict, and comes out in
+    natural-key order by construction, as :meth:`Instance.canonical` would
+    leave it, without a closing re-sort.
     """
     _check_params(params, comparators)
     chain = build_chain(params)
@@ -534,15 +529,6 @@ def generate_instance(
     rest = float(params.lifeline_resting)
     life_f = float(params.lifeline_failure)
     flavor = _FLAVORS.get(params.domain, _GENERIC_FLAVOR)
-
-    sets: dict[str, dict[str, Payload | None]] = {}
-    functions: dict[str, dict[str, str]] = {}
-
-    def put(box: str, eid: str, payload: Payload | None = None) -> None:
-        sets.setdefault(box, {})[eid] = payload
-
-    def link(arrow: str, src: str, dst: str) -> None:
-        functions.setdefault(arrow, {})[src] = dst
 
     # -- certified pair values ------------------------------------------------
     o_vals = {(brick_f, glue_f)}  # _check_params certified brick >> glue
@@ -561,72 +547,74 @@ def generate_instance(
         q_vals.add((brick_f, life_f))
     q_vals |= o_vals | m_vals
 
-    v_vals = {part for pair in q_vals for part in pair}
+    def numbered(prefix: str, values: set) -> dict:
+        """Each value's id: ``prefix`` and the value's 1-based rank."""
+        return {value: f"{prefix}{i}" for i, value in enumerate(sorted(values), 1)}
 
-    v_id = {value: f"v{i}" for i, value in enumerate(sorted(v_vals), 1)}
-    q_id = {pair: f"q{i}" for i, pair in enumerate(sorted(q_vals), 1)}
-    m_id = {pair: f"m{i}" for i, pair in enumerate(sorted(m_vals), 1)}
-    o_id = {pair: f"o{i}" for i, pair in enumerate(sorted(o_vals), 1)}
-
-    for value, vid in v_id.items():
-        put("V", vid, RealPayload(value))
-    for pair, qid in q_id.items():
-        put("Q", qid, PairPayload(*pair))
-        link("37", qid, v_id[pair[0]])
-        link("38", qid, v_id[pair[1]])
-    for pair, mid in m_id.items():
-        put("M", mid, PairPayload(*pair))
-        link("28", mid, q_id[pair])
-    for pair, oid in o_id.items():
-        put("O", oid, PairPayload(*pair))
-        link("33", oid, q_id[pair])
-
-    # -- building blocks --------------------------------------------------------
-    kind_box = {"brick": "R", "glue": "S", "lifeline": "T"}
-    kind_arrow = {"brick": "39", "glue": "40", "lifeline": "41"}
-    kind_text = {
-        "brick": flavor.brick_text,
-        "glue": flavor.glue_text,
-        "lifeline": flavor.lifeline_text,
+    v_id = numbered("v", {part for pair in q_vals for part in pair})
+    q_id = numbered("q", q_vals)
+    sets: dict[str, dict[str, Payload | None]] = {
+        "V": {vid: RealPayload(value) for value, vid in v_id.items()},
+        "Q": {qid: PairPayload(*pair) for pair, qid in q_id.items()},
     }
-    # The three block prefixes (e.g. aa/hb/bb) interleave in natural-key order.
-    blocks = sorted(
-        chain.bricks + chain.glues + chain.lifelines, key=lambda block: natural_key(block.id)
+    functions: dict[str, dict[str, str]] = {
+        "37": {qid: v_id[big] for (big, _), qid in q_id.items()},
+        "38": {qid: v_id[small] for (_, small), qid in q_id.items()},
+    }
+    for box, arrow, vals in (("M", "28", m_vals), ("O", "33", o_vals)):
+        pair_id = numbered(box.lower(), vals)
+        sets[box] = {pid: PairPayload(*pair) for pair, pid in pair_id.items()}
+        functions[arrow] = {pid: q_id[pair] for pair, pid in pair_id.items()}
+
+    # -- building blocks, one row per kind ---------------------------------------
+    kinds = (
+        ("R", "39", flavor.brick_text, chain.bricks),
+        ("S", "40", flavor.glue_text, chain.glues),
+        ("T", "41", flavor.lifeline_text, chain.lifelines),
     )
-    for block in blocks:
-        put("U", block.id, TextPayload(kind_text[block.kind]))
-        put(kind_box[block.kind], block.id)
-        link(kind_arrow[block.kind], block.id, block.id)
-        link("42", block.id, v_id[block.failure_extension])
+    for box, arrow, _, blocks in kinds:
+        ids = [block.id for block in blocks]
+        sets[box] = dict.fromkeys(ids)
+        functions[arrow] = dict(zip(ids, ids))
+    # The three block prefixes (e.g. aa/hb/bb) interleave in natural-key order.
+    rows = [
+        (block.id, text, block.failure_extension)
+        for _, _, text, blocks in kinds
+        for block in blocks
+    ]
+    rows.sort(key=lambda row: natural_key(row[0]))
+    sets["U"] = {bid: TextPayload(text) for bid, text, _ in rows}
+    functions["42"] = {bid: v_id[value] for bid, _, value in rows}
     if has_lifeline:
-        put("W", "w1", RealPayload(rest))
-        link("29", "w1", v_id[rest])
+        sets["W"] = {"w1": RealPayload(rest)}
+        functions["29"] = {"w1": v_id[rest]}
 
     # -- the systems and their shared graph -------------------------------------
     shape = GraphPayload(structure_graph(chain, "glue"))
-    put("H", "h1", shape)
-    put("D", "d1", shape)
-    link("9", "d1", "h1")
-    put("J", "j1", TextPayload(flavor.glue_system_text))
-    link("20", "j1", "h1")
-    link("26", "j1", "h1")
+    sets |= {
+        "H": {"h1": shape},
+        "D": {"d1": shape},
+        "J": {"j1": TextPayload(flavor.glue_system_text)},
+    }
+    functions |= {"9": {"d1": "h1"}, "20": {"j1": "h1"}, "26": {"j1": "h1"}}
     if has_lifeline:
-        put("G", "g1", TextPayload(flavor.lifeline_system_text))
-        link("15", "g1", "h1")
+        sets["G"] = {"g1": TextPayload(flavor.lifeline_system_text)}
+        functions["15"] = {"g1": "h1"}
     else:
-        put("B", "b1", TextPayload(flavor.brittle_system_text))
-        link("6", "b1", "f1")
+        sets["B"] = {"b1": TextPayload(flavor.brittle_system_text)}
+        functions["6"] = {"b1": "f1"}
 
     # -- connectable pairs --------------------------------------------------------
     connectors = chain.glues + chain.lifelines
     pairs = [(brick, conn) for brick in chain.bricks for conn in connectors]
     p_pad = pad_width(len(pairs))
-    for index, (brick, conn) in enumerate(pairs, 1):
-        pid = f"p{index:0{p_pad}d}"
-        put("P", pid)
-        link("34", pid, q_id[(brick_f, conn.failure_extension)])
-        link("35", pid, brick.id)
-        link("36", pid, conn.id)
+    p_ids = [f"p{i:0{p_pad}d}" for i in range(1, len(pairs) + 1)]
+    sets["P"] = dict.fromkeys(p_ids)
+    functions["34"] = dict(
+        zip(p_ids, (q_id[brick_f, conn.failure_extension] for _, conn in pairs))
+    )
+    functions["35"] = dict(zip(p_ids, (brick.id for brick, _ in pairs)))
+    functions["36"] = dict(zip(p_ids, (conn.id for _, conn in pairs)))
 
     # -- the pullback boxes, each the canonical pullback of its declared square --
     view = Instance(name or params.domain, schema.name, sets, functions)
@@ -639,8 +627,8 @@ def generate_instance(
                 f"schema {schema.name!r} declares no pullback for box {box!r}"
             )
         joined = compute_pullback(schema, view, fp.leg1, fp.leg2)
-        width = pad_width(len(joined))
-        ids = [f"{box.lower()}{i:0{width}d}" for i in range(1, len(joined) + 1)]
+        prefix, width = box.lower(), pad_width(len(joined))
+        ids = [f"{prefix}{i:0{width}d}" for i in range(1, len(joined) + 1)]
         sets[box] = dict.fromkeys(ids)
         functions[fp.proj1] = dict(zip(ids, map(operator.itemgetter(0), joined)))
         functions[fp.proj2] = dict(zip(ids, map(operator.itemgetter(1), joined)))
@@ -672,13 +660,14 @@ def generate_instance(
     # The two per-hypothesis arrows stay partial unless the classification
     # actually certifies them.
     if has_lifeline and cls is Classification.DUCTILE:
-        link("1", "a1", "e1")
+        functions["1"] = {"a1": "e1"}
     if not has_lifeline and cls is Classification.BRITTLE:
-        link("5", "b1", "c1")
+        functions["5"] = {"b1": "c1"}
 
     # Element ids are zero-padded counters inserted in ascending order, so only
-    # the box and arrow ids need sorting for the result to be canonical; a
-    # pullback with no pairs leaves an empty box and tables, which are dropped.
+    # the box and arrow ids need sorting for the result to be canonical; an
+    # empty box or table (a pullback with no pairs, T without a lifeline) is
+    # dropped.
     boxes = sorted(sets, key=natural_key)
     arrows = sorted(functions, key=natural_key)
     return Instance(

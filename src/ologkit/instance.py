@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import accumulate, chain, groupby, repeat
@@ -597,13 +597,15 @@ def _index_pair(schema: OlogSchema, pair: tuple[Instance, Instance]) -> _PairInd
     numbers: list[dict[str, int]] = []
     ids: list[str] = []
     payload: list[int] = []
+    # A value type that is not a payload type gets the next code when first met.
+    codes = defaultdict(lambda: len(codes), _PAYLOAD_CODE)
     for instance in pair:
         for box_id in box_ids:
             elems = instance.elements(box_id)
             ordered = natural_order(elems)
             numbers.append(dict(zip(ordered, range(len(ids), len(ids) + len(elems)))))
             ids += ordered
-            payload += [_PAYLOAD_CODE[type(elems[eid])] for eid in ordered]
+            payload += [codes[type(elems[eid])] for eid in ordered]
 
     degree = [0] * len(box_ids)
     slot = []
@@ -661,7 +663,7 @@ def _refine_colors(pair: _PairIndex) -> tuple[np.ndarray, int, str | None]:
 
     Colour refinement (1-dimensional Weisfeiler-Leman) on their disjoint
     union, in whole-array passes over the numbered pair (a few sorts per
-    round, no per-element Python).  Round 0 ranks (box, payload type).
+    round, no per-element Python).  Round 0 ranks (box, value type).
     Every later round ranks one row per element: its colour, the colours of
     its images by out-arrow slot (-1 for no image or one outside the target
     box), and its preimages as (arrow, colour, count) pairs in sorted order,
@@ -677,7 +679,8 @@ def _refine_colors(pair: _PairIndex) -> tuple[np.ndarray, int, str | None]:
     """
     split = pair.split
     source, arrow, image = pair.edges
-    colour, classes = _rank_rows((pair.box * len(_PAYLOAD_CODE) + pair.payload)[:, None])
+    kinds = int(pair.payload.max(initial=0)) + 1
+    colour, classes = _rank_rows((pair.box * kinds + pair.payload)[:, None])
     round_ = 0
     while True:
         differ = np.bincount(colour[:split], minlength=classes) != np.bincount(

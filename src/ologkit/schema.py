@@ -300,7 +300,7 @@ def validate_schema(schema: OlogSchema) -> list[Diagnostic]:
                 )
             )
 
-    undeclared = set(_undeclared_squares(schema))
+    squares = _squares(schema)
     for fp in schema.fiber_products:
         loc = f"pullback {fp.apex}"
         if schema.box(fp.apex) is None:
@@ -325,10 +325,9 @@ def validate_schema(schema: OlogSchema) -> list[Diagnostic]:
             continue
         # Both sides of the square run from the apex, so it has the shape
         # exactly when both chain and they end at the same box.
+        square, declared = squares[fp]
         try:
-            shape_ok = path_endpoints(
-                schema, Path(fp.apex, (fp.proj1, fp.leg1))
-            ) == path_endpoints(schema, Path(fp.apex, (fp.proj2, fp.leg2)))
+            shape_ok = path_endpoints(schema, square.lhs) == path_endpoints(schema, square.rhs)
         except MalformedPathError:
             shape_ok = False
         if not shape_ok:
@@ -341,28 +340,36 @@ def validate_schema(schema: OlogSchema) -> list[Diagnostic]:
                 )
             )
             continue
-        if fp in undeclared:
+        if not declared:
             diags.append(
                 error(
                     "FP_SQUARE_MISSING",
-                    f"{loc}: the square [{fp.proj1},{fp.leg1}] = [{fp.proj2},{fp.leg2}] "
-                    "is not among the declared path equations",
+                    f"{loc}: the square {square} is not among the declared path equations",
                     loc,
                 )
             )
     return diags
 
 
-def _undeclared_squares(schema: OlogSchema) -> list[FiberProductDecl]:
-    """Fiber products whose square ``[proj1,leg1] = [proj2,leg2]`` is not among
-    the equations in either orientation, in declaration order."""
+def _square(fp: FiberProductDecl) -> PathEquation:
+    """The square ``[proj1,leg1] = [proj2,leg2]`` that makes ``fp`` commute."""
+    return PathEquation(
+        Path(fp.apex, (fp.proj1, fp.leg1)),
+        Path(fp.apex, (fp.proj2, fp.leg2)),
+        note=f"pullback square of {fp.apex}",
+    )
+
+
+def _squares(schema: OlogSchema) -> dict[FiberProductDecl, tuple[PathEquation, bool]]:
+    """Each fiber product's square, and whether it is among the equations in
+    either orientation, in declaration order."""
     declared = {(eq.lhs.start, eq.lhs.arrows, eq.rhs.arrows) for eq in schema.equations}
     declared |= {(eq.lhs.start, eq.rhs.arrows, eq.lhs.arrows) for eq in schema.equations}
-    return [
-        fp
-        for fp in schema.fiber_products
-        if (fp.apex, (fp.proj1, fp.leg1), (fp.proj2, fp.leg2)) not in declared
-    ]
+    squares = {}
+    for fp in schema.fiber_products:
+        square = _square(fp)
+        squares[fp] = square, (fp.apex, square.lhs.arrows, square.rhs.arrows) in declared
+    return squares
 
 
 def with_fiber_product_squares(schema: OlogSchema) -> OlogSchema:
@@ -372,21 +379,14 @@ def with_fiber_product_squares(schema: OlogSchema) -> OlogSchema:
     files may omit squares that are implied.  Already-present squares (either
     orientation) are left alone, and a repeated declaration adds its square once.
     """
-    additions = [
-        PathEquation(
-            Path(fp.apex, (fp.proj1, fp.leg1)),
-            Path(fp.apex, (fp.proj2, fp.leg2)),
-            note=f"pullback square of {fp.apex}",
-        )
-        for fp in dict.fromkeys(_undeclared_squares(schema))
-    ]
+    additions = tuple(square for square, declared in _squares(schema).values() if not declared)
     if not additions:
         return schema
     return OlogSchema(
         schema.name,
         schema.boxes,
         schema.arrows,
-        schema.equations + tuple(additions),
+        schema.equations + additions,
         schema.fiber_products,
     )
 

@@ -297,51 +297,138 @@ def test_mc_estimate_guards_its_domain():
 # ---------------------------------------------------------------------------
 
 
+_PARAMETER_GATES = [
+    (SimParams(brick_count=1), "R", "box R: a chain needs at least 2 bricks, got 1"),
+    (
+        SimParams(glue_failure=INF),
+        "S",
+        "box S: glue failure must be a finite nonnegative real, got inf",
+    ),
+    (
+        SimParams(glue_failure=-1.0),
+        "S",
+        "box S: glue failure must be a finite nonnegative real, got -1.0",
+    ),
+    (
+        SimParams(glue_failure=float("nan")),
+        "S",
+        "box S: glue failure must be a finite nonnegative real, got nan",
+    ),
+    (
+        SimParams(brick_failure=-2.0),
+        "R",
+        "box R: brick failure must be a nonnegative real, got -2.0",
+    ),
+    (
+        SimParams(brick_failure=float("nan")),
+        "R",
+        "box R: brick failure must be a nonnegative real, got nan",
+    ),
+    (
+        SimParams(glue_failure=20.6, brick_failure=30.0),
+        "N",
+        "box N: brick failure 30 is not much greater than glue failure 20.6 (kappa=3)",
+    ),
+    (
+        SimParams(lifeline_present=True, lifeline_resting=INF),
+        "W",
+        "box W: lifeline resting extension must be a finite nonnegative real, got inf",
+    ),
+    (
+        SimParams(lifeline_present=True, lifeline_resting=-1.0),
+        "W",
+        "box W: lifeline resting extension must be a finite nonnegative real, got -1.0",
+    ),
+    (
+        SimParams(lifeline_present=True, lifeline_failure=float("nan")),
+        "T",
+        "box T: lifeline failure must be a nonnegative real, got nan",
+    ),
+    (
+        SimParams(lifeline_present=True, lifeline_failure=2.0),
+        "T",
+        "box T: lifeline failure 2 is below its resting extension 23.45",
+    ),
+    (
+        SimParams(
+            lifeline_present=True, brick_failure=100.0, lifeline_failure=50.0
+        ),
+        "L",
+        "box L: finite brick failure 100 and lifeline failure 50 are not roughly "
+        "equal (eps_rel=0.25)",
+    ),
+    (
+        SimParams(lifeline_present=True, lifeline_resting=5.0),
+        "I",
+        "box I: lifeline resting extension 5 is not roughly equal to glue failure "
+        "20.6 (eps_rel=0.25)",
+    ),
+    (
+        SimParams(
+            lifeline_present=True,
+            lifeline_resting=20.6,
+            lifeline_failure=20.6,
+        ),
+        "N",
+        "box N: lifeline failure equal to glue failure (20.6) would conflate "
+        "lifeline pairs with certified brick/glue pairs",
+    ),
+    # values of the wrong type
+    (SimParams(brick_count=2.5), "R", "box R: brick count must be an integer, got 2.5"),
+    (SimParams(brick_count="3"), "R", "box R: brick count must be an integer, got '3'"),
+    (SimParams(brick_count=None), "R", "box R: brick count must be an integer, got None"),
+    (SimParams(glue_failure="x"), "S", "box S: glue failure must be a real number, got 'x'"),
+    (
+        SimParams(glue_failure=None),
+        "S",
+        "box S: glue failure must be a real number, got None",
+    ),
+    (
+        SimParams(brick_failure="x"),
+        "R",
+        "box R: brick failure must be a real number, got 'x'",
+    ),
+    (
+        SimParams(lifeline_present=True, lifeline_resting=None),
+        "W",
+        "box W: lifeline resting extension must be a real number, got None",
+    ),
+    (
+        SimParams(lifeline_present=True, lifeline_failure="x"),
+        "T",
+        "box T: lifeline failure must be a real number, got 'x'",
+    ),
+    (
+        SimParams(lifeline_present=True, lifeline_failure=-3.0),
+        "T",
+        "box T: lifeline failure must be a nonnegative real, got -3.0",
+    ),
+    # the lifeline values must be reals even when no lifeline is present
+    (
+        SimParams(lifeline_resting="x"),
+        "W",
+        "box W: lifeline resting extension must be a real number, got 'x'",
+    ),
+    (
+        SimParams(lifeline_failure=None),
+        "T",
+        "box T: lifeline failure must be a real number, got None",
+    ),
+]
+
+
+# A case is named by its params and box (params<i>-<box>); the message is not
+# part of the name.
 @pytest.mark.parametrize(
-    "params,box",
-    [
-        (SimParams(brick_count=1), "R"),
-        (SimParams(glue_failure=INF), "S"),
-        (SimParams(glue_failure=-1.0), "S"),
-        (SimParams(glue_failure=float("nan")), "S"),
-        (SimParams(brick_failure=-2.0), "R"),
-        (SimParams(brick_failure=float("nan")), "R"),
-        (SimParams(glue_failure=20.6, brick_failure=30.0), "N"),
-        (SimParams(lifeline_present=True, lifeline_resting=INF), "W"),
-        (SimParams(lifeline_present=True, lifeline_resting=-1.0), "W"),
-        (SimParams(lifeline_present=True, lifeline_failure=float("nan")), "T"),
-        (SimParams(lifeline_present=True, lifeline_failure=2.0), "T"),
-        (
-            SimParams(
-                lifeline_present=True, brick_failure=100.0, lifeline_failure=50.0
-            ),
-            "L",
-        ),
-        (SimParams(lifeline_present=True, lifeline_resting=5.0), "I"),
-        (
-            SimParams(
-                lifeline_present=True,
-                lifeline_resting=20.6,
-                lifeline_failure=20.6,
-            ),
-            "N",
-        ),
-        # values of the wrong type
-        (SimParams(brick_count=2.5), "R"),
-        (SimParams(brick_count="3"), "R"),
-        (SimParams(brick_count=None), "R"),
-        (SimParams(glue_failure="x"), "S"),
-        (SimParams(glue_failure=None), "S"),
-        (SimParams(brick_failure="x"), "R"),
-        (SimParams(lifeline_present=True, lifeline_resting=None), "W"),
-        (SimParams(lifeline_present=True, lifeline_failure="x"), "T"),
-    ],
+    "params,box,message",
+    _PARAMETER_GATES,
+    ids=[f"params{i}-{box}" for i, (_, box, _) in enumerate(_PARAMETER_GATES)],
 )
-def test_each_parameter_gate_names_its_box(schema, params, box):
+def test_each_parameter_gate_names_its_box(schema, params, box, message):
     with pytest.raises(ParamConstraintError) as exc:
         generate_instance(params, schema)
     assert exc.value.box == box
-    assert exc.value.message.startswith(f"box {box}: ")
+    assert exc.value.message == message
 
 
 def test_any_index_integer_is_a_brick_count(schema):
@@ -513,6 +600,17 @@ def test_generated_bytes_are_pinned(schema, chain, domain, bricks, digest):
     params = SimParams(brick_count=bricks, domain=domain, **_SWEEP_CHAINS[chain])
     text = serialize_instance(generate_instance(params, schema))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("domain", ["protein", "social", "generic"])
+@pytest.mark.parametrize("chain", ["ductile", "bonded", "brittle", "no-lifeline"])
+def test_no_two_generated_tables_share_a_dict(schema, chain, domain):
+    # A table assigned to two arrows at once would make a change to one
+    # silently a change to the other.
+    params = SimParams(brick_count=5, domain=domain, **_SWEEP_CHAINS[chain])
+    inst = generate_instance(params, schema)
+    tables = [*inst.sets.values(), *inst.functions.values()]
+    assert len({id(table) for table in tables}) == len(tables)
 
 
 def test_domain_flavors_name_the_blocks():

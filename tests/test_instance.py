@@ -790,6 +790,17 @@ def test_changed_payload_type_gives_type_certificate(schema, protein):
     )
 
 
+def test_a_value_that_is_not_a_payload_has_a_type_of_its_own():
+    # Iso numbers every value type it meets; one outside the payload types
+    # matches only values of its own type.
+    s = OlogSchema("t", (BoxDecl("X", "an x"),), ())
+    a = Instance("i", "t", {"X": {"x1": 5}}, {})
+    twin = Instance("j", "t", {"X": {"x1": "5"}}, {})
+    assert check_instance_isomorphism(s, a, a).outcome is IsoOutcome.FOUND
+    res = check_instance_isomorphism(s, a, twin)
+    assert (res.found, res.certificate, res.detail) == (False, "PAYLOAD_TYPE_MISMATCH", "X")
+
+
 LOOP = OlogSchema("loop", (BoxDecl("X", "an x"),), (ArrowDecl("a", "X", "X"),))
 
 

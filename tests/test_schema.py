@@ -174,8 +174,12 @@ def _square_schema(with_eq):
 
 
 def test_fiber_product_square_must_be_declared():
-    assert [d.code for d in validate_schema(_square_schema(False))] == [
-        "FP_SQUARE_MISSING"
+    assert [(d.code, d.message, d.location) for d in validate_schema(_square_schema(False))] == [
+        (
+            "FP_SQUARE_MISSING",
+            "pullback P: the square [p1,f] = [p2,g] is not among the declared path equations",
+            "pullback P",
+        )
     ]
     assert validate_schema(_square_schema(True)) == []
 
