@@ -12,6 +12,7 @@ never claims two paths are unequal.  An ``UNKNOWN`` may rest on a proof all
 the same: when Knuth-Bendix completion of the equations finishes, different
 shortlex normal forms refute the pair without a search, but the verdict
 stays ``UNKNOWN``, exactly what the bounded search would have returned.
+A schema computes its diagnostics and that rewriting system on first use and keeps them.
 """
 
 from __future__ import annotations
@@ -19,10 +20,11 @@ from __future__ import annotations
 import enum
 import functools
 import heapq
+import operator
 from dataclasses import dataclass, field
 
 from .diagnostics import Diagnostic, error, warning
-from .errors import EndpointMismatchError, MalformedPathError
+from .errors import DomainError, EndpointMismatchError, MalformedPathError
 from .ordering import natural_key
 
 __all__ = [
@@ -156,6 +158,27 @@ class OlogSchema:
     def arrow(self, arrow_id: str) -> ArrowDecl | None:
         return self._arrow_by_id.get(arrow_id)
 
+    @functools.cached_property
+    def _diagnostics(self) -> tuple[Diagnostic, ...]:
+        return tuple(_diagnose(self))
+
+    @functools.cached_property
+    def _rewriting(self) -> tuple[tuple, dict[str, str], dict[str, str] | None]:
+        """Both rewrite sides of each usable equation (see _rewrite_neighbors), a
+        letter per declared arrow in sorted-id order, and the completed rules or None."""
+        code = {a: chr(i) for i, a in enumerate(sorted(self._arrow_by_id))}
+        sides, words = [], []
+        for index, eq in enumerate(self.equations):
+            try:
+                if path_endpoints(self, eq.lhs) != path_endpoints(self, eq.rhs):
+                    continue  # sides not parallel: validate_schema reports it
+            except MalformedPathError:
+                continue  # unusable equation; validate_schema reports it
+            sides.append((index, eq.lhs.start, eq.lhs.arrows, "lhs->rhs", eq.rhs.arrows))
+            sides.append((index, eq.rhs.start, eq.rhs.arrows, "rhs->lhs", eq.lhs.arrows))
+            words.append(tuple("".join(map(code.get, side.arrows)) for side in (eq.lhs, eq.rhs)))
+        return tuple(sides), code, _shortlex_system(words)
+
     def canonical(self) -> "OlogSchema":
         """The same schema with all declarations in canonical sorted order."""
 
@@ -252,7 +275,12 @@ def validate_schema(schema: OlogSchema) -> list[Diagnostic]:
     """All structural problems in the schema, as a deterministic list.
 
     Pure and idempotent; an empty result means the schema is well-formed.
+    Found once per schema object; each call returns a new list.
     """
+    return list(schema._diagnostics)
+
+
+def _diagnose(schema: OlogSchema) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
 
     seen_boxes: set[str] = set()
@@ -439,7 +467,7 @@ def _rewrite_neighbors(
     schema: OlogSchema,
     start_box: str,
     arrows: tuple[str, ...],
-    sides: list[tuple[int, str, tuple[str, ...], str, tuple[str, ...]]],
+    sides: tuple[tuple[int, str, tuple[str, ...], str, tuple[str, ...]], ...],
 ):
     """Yield (new_arrows, RewriteStep) for every single rewrite of the path.
 
@@ -481,30 +509,22 @@ def _normal_form(rules: dict[str, str], word: str) -> str:
             return word
 
 
-@functools.lru_cache(maxsize=256)
-def _shortlex_system(
-    equations: tuple[tuple[tuple[str, ...], tuple[str, ...]], ...],
-) -> tuple[dict[str, str], dict[str, str]] | None:
-    """Knuth-Bendix completion of the equations under shortlex order.
+def _shortlex_system(equations: list[tuple[str, str]]) -> dict[str, str] | None:
+    """Knuth-Bendix completion of word equations under shortlex order.
 
-    Arrows are coded as one character each, in sorted-id order, which is also
-    the letter order of shortlex.  Critical pairs are taken shortest first and
-    the rules are kept interreduced.  Returns (arrow code, rules): a confluent,
-    terminating system under which two words have one normal form exactly
-    when the equations, read as string equations, join them.  A rewrite of a
-    path by an equation is such a string step, so it never changes the normal
-    form.  Returns None once completion has added ``_RULE_BUDGET`` rules more
-    than there are equations.
+    Critical pairs are taken shortest first and the rules are kept
+    interreduced.  Returns the rules (lhs -> rhs): a confluent, terminating
+    system under which two words have one normal form exactly when the
+    equations join them.  A rewrite of a path by an equation is such a string
+    step, so it never changes the normal form.  Returns None once completion
+    has added ``_RULE_BUDGET`` rules more than there are equations.
     """
-    arrows = sorted({a for sides in equations for side in sides for a in side})
-    code = {a: chr(i) for i, a in enumerate(arrows)}
-    heap: list[tuple[int, str, str]] = []
+    heap = [(len(x) + len(y), x, y) for x, y in equations]
+    heapq.heapify(heap)
 
     def push(x: str, y: str) -> None:
         heapq.heappush(heap, (len(x) + len(y), x, y))
 
-    for lhs, rhs in equations:
-        push("".join(map(code.get, lhs)), "".join(map(code.get, rhs)))
     rules: dict[str, str] = {}
     added = 0
     while heap:
@@ -529,23 +549,7 @@ def _shortlex_system(
                 for k in range(1, min(len(a), len(c))):
                     if a.endswith(c[:k]):
                         push(b + c[k:], a[:-k] + d)
-    return code, rules
-
-
-def _normal_forms(
-    equations: tuple[tuple[tuple[str, ...], tuple[str, ...]], ...], paths: tuple[Path, ...]
-) -> list[str] | None:
-    """The paths' normal forms under the completed equations, in one letter
-    code, or None when the equations do not complete within the budget."""
-    system = _shortlex_system(equations)
-    if system is None:
-        return None
-    letters, rules = system
-    code = dict(letters)  # an arrow in no equation gets a fresh letter
-    return [
-        _normal_form(rules, "".join(code.setdefault(a, chr(len(code))) for a in path.arrows))
-        for path in paths
-    ]
+    return rules
 
 
 def derive_equality(
@@ -556,14 +560,17 @@ def derive_equality(
     Breadth-first over rewrite applications, both directions of every declared
     equation, matching any contiguous subpath.  Deterministic; emits the full
     witness chain on success.  Raises EndpointMismatchError when the two paths
-    are not even parallel.
+    are not even parallel, and DomainError unless ``max_steps`` is an integer.
 
-    Before searching, the usable equations are completed into a shortlex
-    rewriting system (once per equation set, cached).  When that completes and
-    p and q have different normal forms, no rewrite chain joins them, so the
-    search could only end in UNKNOWN: that verdict is returned at once.  The
-    result is the same either way; only the time to reach it differs.
+    When the schema's usable equations complete into a shortlex system (once
+    per schema, and kept) and p and q have different normal forms there, no
+    rewrite chain joins them, so the search could only end in UNKNOWN: that
+    verdict is returned at once, the same result sooner.
     """
+    try:
+        budget = operator.index(max_steps)
+    except TypeError:
+        raise DomainError(f"max_steps must be an integer, got {max_steps!r}") from None
     sp = path_endpoints(schema, p)
     sq = path_endpoints(schema, q)
     if sp != sq:
@@ -574,20 +581,11 @@ def derive_equality(
     if p.arrows == q.arrows:
         return EqualityResult(EqVerdict.HOLDS, steps=0, witness=(p,))
 
-    equations: list[tuple[tuple[str, ...], tuple[str, ...]]] = []
-    sides: list[tuple[int, str, tuple[str, ...], str, tuple[str, ...]]] = []
-    for index, eq in enumerate(schema.equations):
-        try:
-            if path_endpoints(schema, eq.lhs) != path_endpoints(schema, eq.rhs):
-                continue  # sides not parallel: validate_schema reports it
-        except MalformedPathError:
-            continue  # unusable equation; validate_schema reports it
-        equations.append((eq.lhs.arrows, eq.rhs.arrows))
-        sides.append((index, eq.lhs.start, eq.lhs.arrows, "lhs->rhs", eq.rhs.arrows))
-        sides.append((index, eq.rhs.start, eq.rhs.arrows, "rhs->lhs", eq.lhs.arrows))
-    forms = _normal_forms(tuple(equations), (p, q))
-    if forms is not None and forms[0] != forms[1]:
-        return EqualityResult(EqVerdict.UNKNOWN)  # no rewrite chain joins them
+    sides, code, rules = schema._rewriting
+    if rules is not None:
+        p_form, q_form = (_normal_form(rules, "".join(map(code.get, x.arrows))) for x in (p, q))
+        if p_form != q_form:
+            return EqualityResult(EqVerdict.UNKNOWN)  # no rewrite chain joins them
 
     start = p.arrows
     target = q.arrows
@@ -595,7 +593,7 @@ def derive_equality(
         start: None
     }
     frontier: list[tuple[str, ...]] = [start]
-    for depth in range(1, max(max_steps, 0) + 1):
+    for depth in range(1, budget + 1):
         next_frontier: list[tuple[str, ...]] = []
         for state in frontier:
             for new_arrows, step in _rewrite_neighbors(schema, p.start, state, sides):
@@ -636,29 +634,30 @@ def replay_witness(schema: OlogSchema, result: EqualityResult) -> bool:
 
     Used by tests as the soundness oracle: every consecutive pair of witness
     paths must differ by exactly the recorded equation application, and every
-    intermediate path must be well-formed and parallel to the first.
+    intermediate path must be well-formed and parallel to the first.  A step
+    naming no declared equation, direction or position in the path fails.
     """
-    if not result.holds or not result.witness:
+    if not result.holds or len(result.witness) != len(result.rewrites) + 1:
         return False
-    endpoints = path_endpoints(schema, result.witness[0])
-    for path in result.witness:
-        if path_endpoints(schema, path) != endpoints:
+    try:
+        if len({path_endpoints(schema, path) for path in result.witness}) != 1:
             return False
-    if len(result.witness) != len(result.rewrites) + 1:
+    except MalformedPathError:
         return False
-    for before, after, step in zip(
-        result.witness, result.witness[1:], result.rewrites
-    ):
+    for before, after, step in zip(result.witness, result.witness[1:], result.rewrites):
+        if not 0 <= step.eq_index < len(schema.equations):
+            return False
         eq = schema.equations[step.eq_index]
         if step.direction == "lhs->rhs":
             pattern, replacement = eq.lhs.arrows, eq.rhs.arrows
-        else:
+        elif step.direction == "rhs->lhs":
             pattern, replacement = eq.rhs.arrows, eq.lhs.arrows
-        pos = step.position
-        if before.arrows[pos : pos + len(pattern)] != pattern:
+        else:
             return False
-        rebuilt = before.arrows[:pos] + replacement + before.arrows[pos + len(pattern) :]
-        if rebuilt != after.arrows:
+        pos, end = step.position, step.position + len(pattern)
+        if not 0 <= pos <= end <= len(before.arrows) or before.arrows[pos:end] != pattern:
+            return False
+        if before.arrows[:pos] + replacement + before.arrows[end:] != after.arrows:
             return False
     return True
 

@@ -9,6 +9,7 @@ import ologkit.schema as schema_mod
 from ologkit import (
     ArrowDecl,
     BoxDecl,
+    DomainError,
     EndpointMismatchError,
     EqualityResult,
     EqVerdict,
@@ -246,6 +247,15 @@ def test_fiber_product_must_form_a_square_over_the_apex(fp):
     ]
 
 
+def test_validate_schema_returns_a_new_list_each_call():
+    s = _square_schema(False)
+    first, second = validate_schema(s), validate_schema(s)
+    assert first == second and first is not second
+    assert first  # FP_SQUARE_MISSING, so clearing the list changes it
+    first.clear()
+    assert validate_schema(s) == second
+
+
 def test_canonical_ordering_is_stable(schema):
     c = schema.canonical()
     assert [b.id for b in c.boxes] == sorted(b.id for b in schema.boxes)
@@ -296,10 +306,18 @@ def _forge(res, step=None, **changes):
         lambda res: _forge(res, step={"position": 1}),
         lambda res: _forge(res, step={"direction": "rhs->lhs"}),
         lambda res: _forge(res, witness=res.witness[:1] * 2),
+        lambda res: _forge(res, step={"eq_index": 17}),  # len(schema.equations)
+        lambda res: _forge(res, step={"eq_index": 1 - 17}),  # equation 1 from the end
+        lambda res: _forge(res, step={"position": -3}),  # position 0 from the end
+        # the real reverse step is rhs->lhs; no other direction may stand for it
+        lambda res: _forge(res, witness=res.witness[::-1], step={"direction": "bogus"}),
+        lambda res: _forge(res, witness=res.witness[:1] + (Path("A", ("99",)),)),
     ],
     ids=[
         "not-holds", "non-parallel-path", "one-step-too-many", "one-step-too-few",
         "wrong-position", "wrong-direction", "wrong-rebuilt-path",
+        "equation-past-the-end", "negative-equation", "negative-position",
+        "unknown-direction", "malformed-path",
     ],
 )
 def test_replay_rejects_a_forged_witness(schema, forge):
@@ -313,6 +331,25 @@ def test_budget_zero_cannot_prove_nontrivial_equalities(schema):
     res = derive_equality(schema, Path("A", ("1", "10")), Path("A", ("2",)), 0)
     assert res.verdict is EqVerdict.UNKNOWN
     assert res.witness == ()
+    # a negative budget is a budget of zero
+    assert derive_equality(schema, Path("A", ("1", "10")), Path("A", ("2",)), -1) == res
+
+
+@pytest.mark.parametrize("max_steps", [1.5, "64", None])
+@pytest.mark.parametrize(
+    "p, q",
+    [
+        (Path("A", ("1", "10")), Path("A", ("1", "10"))),  # identical
+        (Path("N", ("30", "39")), Path("N", ("31", "40"))),  # refuted by normal forms
+        (Path("A", ("1", "10")), Path("A", ("2",))),  # decided by the search
+    ],
+    ids=["identical", "refuted", "searched"],
+)
+def test_rewrite_budget_must_be_an_integer(schema, p, q, max_steps):
+    with pytest.raises(DomainError, match="max_steps must be an integer"):
+        derive_equality(schema, p, q, max_steps)
+    with pytest.raises(DomainError):
+        check_functor(SchemaFunctor.identity_on(schema), max_steps)
 
 
 def test_nonparallel_paths_are_rejected(schema):
@@ -412,16 +449,13 @@ def _one_box(letters, equations, name="one-box"):
     )
 
 
-def _equation_key(schema):
-    return tuple((eq.lhs.arrows, eq.rhs.arrows) for eq in schema.equations)
-
-
 def _completes(schema):
-    return schema_mod._shortlex_system(_equation_key(schema)) is not None
+    return schema._rewriting[2] is not None
 
 
 def _normal_forms(schema, paths):
-    return schema_mod._normal_forms(_equation_key(schema), tuple(paths))
+    _, code, rules = schema._rewriting
+    return [schema_mod._normal_form(rules, "".join(map(code.get, p.arrows))) for p in paths]
 
 
 BRAID = _one_box("ab", [(("a", "b", "a"), ("b", "a", "b"))], "braid")
@@ -443,6 +477,30 @@ def test_unequal_normal_forms_refute_without_a_search(schema, monkeypatch):
 def test_bundled_equations_complete_within_the_rule_budget(schema):
     assert _completes(schema)
     _assert_completed(schema)
+
+
+def test_completion_runs_once_per_schema_over_all_bundled_pairs(schema, monkeypatch):
+    paths = _all_paths(schema, len(schema.boxes))  # the schema is acyclic: every path
+    pairs = [
+        (p, q)
+        for i, p in enumerate(paths)
+        for q in paths[i + 1 :]
+        if path_endpoints(schema, p) == path_endpoints(schema, q)
+    ]
+    assert len(pairs) == 587
+    expected = [derive_equality(schema, p, q, 64) for p, q in pairs]
+    completions = []
+
+    def counted(words):
+        completions.append(words)
+        return complete(words)
+
+    complete = schema_mod._shortlex_system
+    monkeypatch.setattr(schema_mod, "_shortlex_system", counted)
+    for fresh in (dataclasses.replace(schema), dataclasses.replace(schema)):
+        assert [derive_equality(fresh, p, q, 64) for p, q in pairs] == expected
+        assert [derive_equality(schema, p, q, 64) for p, q in pairs] == expected
+    assert len(completions) == 2  # once per new schema object, never again for `schema`
 
 
 def test_bundled_normal_forms_agree_with_the_search(schema):
@@ -584,7 +642,7 @@ def _critical_pairs(rules):
 def _assert_completed(presentation):
     """The rules decrease in shortlex, join every critical pair and join each
     equation's two sides."""
-    _, rules = schema_mod._shortlex_system(_equation_key(presentation))
+    _, _, rules = presentation._rewriting
     for lhs, rhs in rules.items():
         assert (len(lhs), lhs) > (len(rhs), rhs)  # shortlex-decreasing: terminates
     for u, v in _critical_pairs(rules):
