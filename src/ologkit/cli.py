@@ -136,10 +136,7 @@ def _check_instance_body(
     for eq_report in check_all_equations(schema, instance):
         eq = eq_report.equation
         end = path_endpoints(schema, eq.lhs)[1]
-        desc = (
-            f"eq {eq.lhs.start}..{end} : "
-            f"[{','.join(eq.lhs.arrows)}] = [{','.join(eq.rhs.arrows)}]"
-        )
+        desc = f"eq {eq.lhs.start}..{end} : {eq}"
         if eq_report.holds:
             report.line(f"{prefix}{desc} AllHold ({eq_report.checked} elements)")
         else:

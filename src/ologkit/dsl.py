@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 import re
-from collections.abc import Callable
+from collections.abc import Callable, Container
 from functools import lru_cache
 from pathlib import Path as FsPath
 from typing import TypeVar
@@ -188,6 +188,13 @@ class _Parser:
             raise self.error(f"expected {wanted}, found {found}")
         return value
 
+    def unique(self, key: str, taken: Container[str], what: str, here: int) -> str:
+        """``key``, unless ``taken`` holds it: then ``what`` is declared twice,
+        an error at ``here``, the declaration's start."""
+        if key in taken:
+            raise DuplicateIdError(f"{what} {key!r} declared twice", self.span(here))
+        return key
+
     def ident(self, what: str = "identifier") -> str:
         return self.expect("ident", what=what)
 
@@ -238,15 +245,12 @@ class _Parser:
         name = self.string("schema name")
         self.expect("punct", "{")
 
-        boxes: list[BoxDecl] = []
-        arrows: list[ArrowDecl] = []
+        boxes: dict[str, BoxDecl] = {}
+        arrows: dict[str, ArrowDecl] = {}
         equations: list[PathEquation] = []
         eq_sites: list[tuple[int, str, str]] = []
-        fps: list[FiberProductDecl] = []
+        fps: dict[str, FiberProductDecl] = {}
         fp_sites: list[tuple[int, str, str, str]] = []
-        box_ids: set[str] = set()
-        arrow_ids: set[str] = set()
-        apexes: set[str] = set()
 
         while not self.at("punct", "}"):
             here = self.pos
@@ -256,12 +260,7 @@ class _Parser:
                 box_id = self.ident("box id")
                 label = self.string("box label")
                 tags = self.tag_group()
-                if box_id in box_ids:
-                    raise DuplicateIdError(
-                        f"box {box_id!r} declared twice", self.span(here)
-                    )
-                box_ids.add(box_id)
-                boxes.append(BoxDecl(box_id, label, tags))
+                boxes[self.unique(box_id, boxes, "box", here)] = BoxDecl(box_id, label, tags)
             elif self.take("ident", "arrow"):
                 arrow_id = self.ident("arrow id")
                 self.expect("punct", ":")
@@ -270,12 +269,8 @@ class _Parser:
                 dst = self.ident("target box")
                 label = self.string() if self.at("string") else ""
                 tags = self.tag_group()
-                if arrow_id in arrow_ids:
-                    raise DuplicateIdError(
-                        f"arrow {arrow_id!r} declared twice", self.span(here)
-                    )
-                arrow_ids.add(arrow_id)
-                arrows.append(ArrowDecl(arrow_id, src, dst, label, tags))
+                decl = ArrowDecl(arrow_id, src, dst, label, tags)
+                arrows[self.unique(arrow_id, arrows, "arrow", here)] = decl
             elif self.take("ident", "eq"):
                 start = self.ident("start box")
                 self.expect("dotdot", what="'..'")
@@ -300,18 +295,15 @@ class _Parser:
                 proj1, proj2 = self.pair(lambda: self.ident("projection arrow"))
                 self.expect("ident", "legs")
                 leg1, leg2 = self.pair(lambda: self.ident("leg arrow"))
-                if apex in apexes:
-                    raise DuplicateIdError(
-                        f"pullback for apex {apex!r} declared twice", self.span(here)
-                    )
-                apexes.add(apex)
-                fps.append(FiberProductDecl(apex, proj1, proj2, leg1, leg2))
+                fp = FiberProductDecl(apex, proj1, proj2, leg1, leg2)
+                fps[self.unique(apex, fps, "pullback for apex", here)] = fp
                 fp_sites.append((here, x, y, z))
             else:
                 raise self.error(f"expected a schema declaration, found {self.value!r}")
         self.expect("punct", "}")
 
-        schema = OlogSchema(name, tuple(boxes), tuple(arrows), tuple(equations), tuple(fps))
+        decls = (boxes.values(), arrows.values(), equations, fps.values())
+        schema = OlogSchema(name, *map(tuple, decls))
         self._cross_check_eqs(schema, eq_sites)
         self._cross_check_fps(schema, fp_sites)
         return with_fiber_product_squares(schema)
@@ -371,19 +363,12 @@ class _Parser:
             if self.kind is None:
                 raise ParseError("unterminated instance block", self.span(here))
             if self.take("ident", "set"):
-                box_id = self.ident("box id")
-                if box_id in sets:
-                    raise DuplicateIdError(
-                        f"set block for box {box_id!r} declared twice", self.span(here)
-                    )
+                box_id = self.unique(self.ident("box id"), sets, "set block for box", here)
                 sets[box_id] = self._set_entries(box_id)
             elif self.take("ident", "fn"):
-                arrow_id = self.ident("arrow id")
-                if arrow_id in functions:
-                    raise DuplicateIdError(
-                        f"fn block for arrow {arrow_id!r} declared twice",
-                        self.span(here),
-                    )
+                arrow_id = self.unique(
+                    self.ident("arrow id"), functions, "fn block for arrow", here
+                )
                 functions[arrow_id] = self._fn_entries(arrow_id)
             else:
                 raise self.error(f"expected 'set', 'fn' or '}}', found {self.value!r}")
@@ -554,10 +539,6 @@ def _tag_suffix(tags: frozenset[str]) -> str:
     return " [" + ", ".join(sorted(tags)) + "]"
 
 
-def _path_lit(path: Path) -> str:
-    return "[" + ",".join(path.arrows) + "]"
-
-
 def serialize_schema(schema: OlogSchema) -> str:
     """Canonical text for a schema (sorted declarations, stable bytes)."""
     s = schema.canonical()
@@ -576,9 +557,7 @@ def serialize_schema(schema: OlogSchema) -> str:
         except MalformedPathError:
             start, end = eq.lhs.start, "?"
         note = f" {_quote(eq.note)}" if eq.note else ""
-        lines.append(
-            f"  eq {start}..{end} : {_path_lit(eq.lhs)} = {_path_lit(eq.rhs)}{note}"
-        )
+        lines.append(f"  eq {start}..{end} : {eq}{note}")
     for fp in s.fiber_products:
         proj1 = s.arrow(fp.proj1)
         proj2 = s.arrow(fp.proj2)

@@ -635,7 +635,8 @@ def replay_witness(schema: OlogSchema, result: EqualityResult) -> bool:
     Used by tests as the soundness oracle: every consecutive pair of witness
     paths must differ by exactly the recorded equation application, and every
     intermediate path must be well-formed and parallel to the first.  A step
-    naming no declared equation, direction or position in the path fails.
+    naming no declared equation, direction or position in the path fails, and
+    so does one through an equation whose sides do not chain to shared ends.
     """
     if not result.holds or len(result.witness) != len(result.rewrites) + 1:
         return False
@@ -648,6 +649,11 @@ def replay_witness(schema: OlogSchema, result: EqualityResult) -> bool:
         if not 0 <= step.eq_index < len(schema.equations):
             return False
         eq = schema.equations[step.eq_index]
+        try:
+            if path_endpoints(schema, eq.lhs) != path_endpoints(schema, eq.rhs):
+                return False
+        except MalformedPathError:
+            return False
         if step.direction == "lhs->rhs":
             pattern, replacement = eq.lhs.arrows, eq.rhs.arrows
         elif step.direction == "rhs->lhs":

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -8,7 +9,13 @@ import pytest
 import ologkit.instance
 import ologkit.ordering
 import ologkit.schema
-from ologkit import bundled_schema, bundled_text, load_instance, validate_instance
+from ologkit import (
+    PairPayload,
+    bundled_schema,
+    bundled_text,
+    load_instance,
+    validate_instance,
+)
 from ologkit.cli import main
 from ologkit.ordering import natural_key
 
@@ -163,6 +170,22 @@ def test_simulate_writes_a_loadable_instance(capsys, tmp_path, schema, protein):
     written = load_instance(out_file)
     assert validate_instance(schema, written) == []
     assert written == protein
+
+
+def test_simulate_social_lifeline_pairs_unbreakable_bricks_and_lifelines(capsys, tmp_path):
+    # the default social lifeline run, at 4 bricks: both members of a bonded
+    # pair never fail, so its pair is (inf, inf)
+    out_file = tmp_path / "social.oinst"
+    code, out = run_cli(
+        capsys, "simulate", "--domain", "social", "--lifeline", "--bricks", "4",
+        "-o", str(out_file),
+    )
+    assert code == 0
+    lines = body_of(out)
+    assert "failure=inf class=Ductile" in lines
+    assert "elements=156" in lines
+    assert run_cli(capsys, "check", "paper.olog", str(out_file))[0] == 0
+    assert PairPayload(math.inf, math.inf) in load_instance(out_file).sets["M"].values()
 
 
 def test_simulate_rejects_weak_bricks(capsys):

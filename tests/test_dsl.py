@@ -16,6 +16,7 @@ from ologkit import (
     ArrowDecl,
     BoxDecl,
     DuplicateIdError,
+    EqVerdict,
     FiberProductDecl,
     Graph,
     GraphPayload,
@@ -24,6 +25,7 @@ from ologkit import (
     PROTEIN_DEFAULTS,
     SOCIAL_MATCHED_DEFAULTS,
     PairPayload,
+    SchemaFunctor,
     SimParams,
     ParseError,
     PathEquation,
@@ -31,6 +33,8 @@ from ologkit import (
     TextPayload,
     bundled_schema,
     bundled_text,
+    check_functor,
+    derive_equality,
     generate_instance,
     load_instance,
     load_schema,
@@ -281,6 +285,46 @@ _HEAD = 'instance "i" of "s" {\n'
             ParseError, (2, 12), "expected '->', found 'b'",
             id="earlier-parse-error-beats-lexical-error",
         ),
+        # a repeated declaration: reported at its start, once its header is read
+        pytest.param(
+            'schema "t" { box A "a" box A "b" }',
+            DuplicateIdError, (1, 24), "box 'A' declared twice",
+            id="duplicate-box",
+        ),
+        pytest.param(
+            'schema "t" { box A "a" box A "b" [x y] }',
+            ParseError, (1, 37), "expected ], found 'y'",
+            id="tag-error-beats-duplicate-box",
+        ),
+        pytest.param(
+            'schema "t" { box A "a" arrow f : A -> A arrow f : A -> A "again" }',
+            DuplicateIdError, (1, 41), "arrow 'f' declared twice",
+            id="duplicate-arrow",
+        ),
+        pytest.param(
+            'schema "t" { box A "a" arrow f : A -> A\n'
+            "  pullback A = A ×[A] A proj (f, f) legs (f, f)\n"
+            "  pullback A = A ×[A] A proj (f, f) legs (f, f) }",
+            DuplicateIdError, (3, 3), "pullback for apex 'A' declared twice",
+            id="duplicate-pullback",
+        ),
+        pytest.param(
+            'schema "t" { box A "a" arrow f : A -> A\n'
+            "  pullback A = A ×[A] A proj (f, f) legs (f, f)\n"
+            "  pullback A = A ×[A] A proj (f, f) legs (f f) }",
+            ParseError, (3, 45), "expected ,, found 'f'",
+            id="legs-error-beats-duplicate-pullback",
+        ),
+        pytest.param(
+            'instance "d" of "s" { set X { x1 } set X { @ } }',
+            DuplicateIdError, (1, 36), "set block for box 'X' declared twice",
+            id="duplicate-set-block-beats-its-body",
+        ),
+        pytest.param(
+            'instance "d" of "s" { fn f { a -> b }\n  fn f { a -> b } }',
+            DuplicateIdError, (2, 3), "fn block for arrow 'f' declared twice",
+            id="duplicate-fn-block",
+        ),
         # every comma-separated list: a missing comma and a doubled comma
         pytest.param(
             'schema "t" { box A "an a" [x y] }',
@@ -510,6 +554,38 @@ def test_parser_supplies_missing_square_equations():
     assert len(s.equations) == 1
     assert s.equations[0].lhs == Path("P", ("p1", "f"))
     assert validate_schema(s) == []
+
+
+def test_malformed_equations_and_pullbacks_parse_and_are_diagnosed():
+    # Undeclared arrows and boxes are validation's to report, not the parser's:
+    # the endpoint cross-checks, the canonical sort, serialization, the
+    # rewriting system and the functor check each step over them.
+    s = parse_schema(
+        'schema "t" { box A "a" box B "b" arrow g : A -> A '
+        "eq A..A : [g] = [zz] "
+        "pullback P = A ×[A] A proj (p, q) legs (g, g) }"
+    )
+    codes = [d.code for d in validate_schema(s)]
+    assert codes == ["MALFORMED_PATH"] * 3 + ["FP_BAD_ARROW"]
+    assert serialize_schema(s) == (
+        'schema "t" {\n'
+        '  box A "a"\n'
+        '  box B "b"\n'
+        "  arrow g : A -> A\n"
+        "  eq A..A : [g] = [zz]\n"
+        '  eq P..? : [p,g] = [q,g] "pullback square of P"\n'
+        "  pullback P = ? ×[A] ? proj (p, q) legs (g, g)\n"
+        "}\n"
+    )
+    assert check_functor(SchemaFunctor.identity_on(s)) == []
+    # an equation whose sides start where their first arrow does not
+    found = parse_schema(
+        'schema "f" { box A "a" box B "b" arrow g : A -> A arrow h : A -> A '
+        "eq B..A : [g] = [h] }"
+    )
+    assert [d.code for d in validate_schema(found)] == ["MALFORMED_PATH"] * 2
+    result = derive_equality(found, Path("A", ("g",)), Path("A", ("h",)), 8)
+    assert result.verdict is EqVerdict.UNKNOWN
 
 
 # ---------------------------------------------------------------------------

@@ -289,42 +289,49 @@ def test_longer_chains_are_found(schema):
     assert replay_witness(schema, res)
 
 
-def _forge(res, step=None, **changes):
-    """``res`` with fields replaced; ``step`` replaces fields of its one rewrite."""
+def _forge(schema, res, step=None, equations=(), **changes):
+    """``schema`` with ``equations`` appended, and ``res`` with fields replaced;
+    ``step`` replaces fields of its one rewrite."""
     if step is not None:
         changes["rewrites"] = (dataclasses.replace(res.rewrites[0], **step),)
-    return dataclasses.replace(res, **changes)
+    schema = dataclasses.replace(schema, equations=schema.equations + equations)
+    return schema, dataclasses.replace(res, **changes)
 
 
 @pytest.mark.parametrize(
     "forge",
     [
-        lambda res: _forge(res, verdict=EqVerdict.UNKNOWN),
-        lambda res: _forge(res, witness=res.witness[:1] + (Path("A", ("2",)),)),
-        lambda res: _forge(res, rewrites=res.rewrites * 2),
-        lambda res: _forge(res, rewrites=()),
-        lambda res: _forge(res, step={"position": 1}),
-        lambda res: _forge(res, step={"direction": "rhs->lhs"}),
-        lambda res: _forge(res, witness=res.witness[:1] * 2),
-        lambda res: _forge(res, step={"eq_index": 17}),  # len(schema.equations)
-        lambda res: _forge(res, step={"eq_index": 1 - 17}),  # equation 1 from the end
-        lambda res: _forge(res, step={"position": -3}),  # position 0 from the end
+        lambda s, res: _forge(s, res, verdict=EqVerdict.UNKNOWN),
+        lambda s, res: _forge(s, res, witness=res.witness[:1] + (Path("A", ("2",)),)),
+        lambda s, res: _forge(s, res, rewrites=res.rewrites * 2),
+        lambda s, res: _forge(s, res, rewrites=()),
+        lambda s, res: _forge(s, res, step={"position": 1}),
+        lambda s, res: _forge(s, res, step={"direction": "rhs->lhs"}),
+        lambda s, res: _forge(s, res, witness=res.witness[:1] * 2),
+        lambda s, res: _forge(s, res, step={"eq_index": 17}),  # len(schema.equations)
+        lambda s, res: _forge(s, res, step={"eq_index": 1 - 17}),  # equation 1 from the end
+        lambda s, res: _forge(s, res, step={"position": -3}),  # position 0 from the end
         # the real reverse step is rhs->lhs; no other direction may stand for it
-        lambda res: _forge(res, witness=res.witness[::-1], step={"direction": "bogus"}),
-        lambda res: _forge(res, witness=res.witness[:1] + (Path("A", ("99",)),)),
+        lambda s, res: _forge(s, res, witness=res.witness[::-1], step={"direction": "bogus"}),
+        lambda s, res: _forge(s, res, witness=res.witness[:1] + (Path("A", ("99",)),)),
+        # equation 1's sides moved to box B, where arrow 1 does not start
+        lambda s, res: _forge(
+            s, res, step={"eq_index": 17},
+            equations=(PathEquation(Path("B", ("1", "10")), Path("B", ("2",))),),
+        ),
     ],
     ids=[
         "not-holds", "non-parallel-path", "one-step-too-many", "one-step-too-few",
         "wrong-position", "wrong-direction", "wrong-rebuilt-path",
         "equation-past-the-end", "negative-equation", "negative-position",
-        "unknown-direction", "malformed-path",
+        "unknown-direction", "malformed-path", "malformed-equation",
     ],
 )
 def test_replay_rejects_a_forged_witness(schema, forge):
     res = derive_equality(schema, Path("A", ("1", "10", "14")), Path("A", ("2", "14")), 3)
     assert res.rewrites == (RewriteStep(1, 0, "lhs->rhs"),)
     assert replay_witness(schema, res)
-    assert not replay_witness(schema, forge(res))
+    assert not replay_witness(*forge(schema, res))
 
 
 def test_budget_zero_cannot_prove_nontrivial_equalities(schema):
