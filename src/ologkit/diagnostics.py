@@ -8,6 +8,7 @@ Schema validation (``validate_schema``):
 ========================  ======================================================
 ``DUP_BOX_ID``            two boxes share an identifier
 ``DUP_ARROW_ID``          two arrows share an identifier
+``DUP_FP_APEX``           two fiber products share an apex
 ``EMPTY_LABEL``           a box label is empty
 ``DANGLING_ARROW``        an arrow endpoint names an undeclared box
 ``MALFORMED_PATH``        an equation path does not chain (or start) correctly

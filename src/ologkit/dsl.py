@@ -72,35 +72,51 @@ __all__ = [
     "serialize_instance",
 ]
 
+# A real literal as the lexer reads it; ``\d`` takes any Unicode digit.
+_NUMBER = r"-?\d+\.\d+(?:[eE][+-]?\d+)?|-?\d+[eE][+-]\d+|-\d+|-inf"
 # One match per token or per run of whitespace and comments; the run is the
 # unnamed group, so its lastgroup is None.  ``bad`` catches any other
 # character, so matches tile the text with no gaps.
 _TOKEN_RE = re.compile(
-    r"""
+    rf"""
       (?:\s|\#[^\n]*)+
     | (?P<string>"(?:[^"\\\n]|\\.)*")
-    | (?P<number>-?\d+\.\d+(?:[eE][+-]?\d+)?|-?\d+[eE][+-]\d+|-\d+|-inf)
+    | (?P<number>{_NUMBER})
     | (?P<ident>[A-Za-z0-9_]+)
     | (?P<arrowsym>->)
     | (?P<dotdot>\.\.)
     | (?P<times>×)
-    | (?P<punct>[{}()\[\]:=,])
+    | (?P<punct>[{{}}()\[\]:=,])
     | (?P<bad>.)
     """,
     re.VERBOSE,
 )
 _ESCAPE_RE = re.compile(r"\\(.)")
 
-# Set and fn bodies that hold only ids, ``->``, commas and whitespace, in the
-# list rule of :meth:`_Parser.listed`, written ``{ (E ,)* E? }``, are read in
-# one match: their ids are what is left once the punctuation becomes
-# spaces.  The lexer reads the same ids there.  Each is a whole run of id
-# characters, and where the lexer would read a number instead (``3e-4``,
-# ``1e+5``, ``12.5``) the run is followed by ``-`` and a digit, ``+`` or
-# ``.``, which the patterns refuse.  They allow no comment, since inside one
-# a pattern could take a ``}`` or ``,`` for a real one.  Every other body goes
-# through ``listed``, which owns every error message.
+# Set and fn blocks are read in runs (:meth:`_Parser._block_run`): a head
+# ``set|fn ID``, then its body, one match each.  A body matches only in the
+# list rule of :meth:`_Parser.listed`, ``{ (E ,)* E? }``.  A plain body holds
+# ids, ``->``, commas and whitespace; its ids are what is left once the
+# punctuation becomes spaces.  A set body with payloads matches entries ``ID
+# (= payload)?``: ``real R``, ``pair (R, R)``, ``text "..."`` escaping only
+# ``\"`` and ``\\``, or ``graph { N (-> N)?, ... }``, where R is the lexer's
+# number, a run of ASCII digits or ``inf``.  The patterns read what the lexer
+# reads: an id or keyword is a whole run of id characters, and where the
+# lexer would read a number (``3e-4``, ``1e+5``, ``12.5``) the run is followed
+# by ``-`` and a digit, ``+`` or ``.``, which they refuse.  They allow no
+# comment, since inside one a pattern could take a ``}`` or ``,`` for a real
+# one.  A refused block, or one repeating a block id, an element or a source,
+# ends the run; the token loop, which owns every error message, reads it.
 _ID = r"[A-Za-z0-9_]+"
+_REAL = rf"({_NUMBER}|[0-9]+|inf)"
+_NODE = rf"{_ID}(?:\s*->\s*{_ID})?"
+_ENTRY_RE = re.compile(
+    rf"({_ID})(?:\s*=\s*(?:real\b\s*{_REAL}|pair\s*\(\s*{_REAL}\s*,\s*{_REAL}\s*\)"
+    rf'|text\s*("(?:[^"\\\n]|\\["\\])*")'
+    rf"|graph\s*(\{{\s*(?:{_NODE}\s*,\s*)*(?:{_NODE}\s*)?\}})))?"
+)
+_NODE_RE = re.compile(rf"({_ID})(?:\s*->\s*({_ID}))?")
+_HEAD_RE = re.compile(rf"\s*(set|fn)\s+({_ID})\s*")
 
 
 def _body_re(entry: str) -> re.Pattern[str]:
@@ -109,11 +125,53 @@ def _body_re(entry: str) -> re.Pattern[str]:
 
 _SET_BODY_RE = _body_re(_ID)
 _FN_BODY_RE = _body_re(rf"{_ID}\s*->\s*{_ID}")
+_PAYLOAD_BODY_RE = _body_re(_ENTRY_RE.pattern)
 _PUNCT_TO_SPACE = str.maketrans("{},->", "     ")
 
 
 def _body_ids(body: re.Match[str]) -> list[str]:
     return body.group().translate(_PUNCT_TO_SPACE).split()
+
+
+def _payload(real: str, first: str, second: str, text: str, graph: str) -> Payload | None:
+    """The payload of one ``_ENTRY_RE`` match, built as the token loop builds it."""
+    if real:
+        return RealPayload(float(real))
+    if first:
+        return PairPayload(float(first), float(second))
+    if text:
+        return TextPayload(_ESCAPE_RE.sub(r"\1", text[1:-1]))
+    if graph:
+        entries = _NODE_RE.findall(graph)
+        nodes = dict.fromkeys(node for entry in entries for node in entry if node)
+        return GraphPayload(Graph(tuple(nodes), tuple(e for e in entries if e[1])))
+    return None
+
+
+def _set_body(text: str, pos: int) -> tuple[dict[str, Payload | None], int] | None:
+    """A set body read in bulk from ``pos``, and its end; None if refused."""
+    body = _SET_BODY_RE.match(text, pos)
+    if body:
+        entries = _body_ids(body)
+        elems: dict[str, Payload | None] = dict.fromkeys(entries)
+    else:
+        body = _PAYLOAD_BODY_RE.match(text, pos)
+        if body is None:
+            return None
+        entries = _ENTRY_RE.findall(body.group())
+        elems = {eid: _payload(*payload) for eid, *payload in entries}
+    return (elems, body.end()) if len(elems) == len(entries) else None
+
+
+def _fn_body(text: str, pos: int) -> tuple[dict[str, str], int] | None:
+    """A fn body read in bulk from ``pos``, and its end; None if refused."""
+    body = _FN_BODY_RE.match(text, pos)
+    if body is None:
+        return None
+    ids = _body_ids(body)
+    pairs = iter(ids)
+    table = dict(zip(pairs, pairs))
+    return (table, body.end()) if 2 * len(table) == len(ids) else None
 
 
 def _span(text: str, filename: str, offset: int) -> SourceSpan:
@@ -358,7 +416,7 @@ class _Parser:
         sets: dict[str, dict[str, Payload | None]] = {}
         functions: dict[str, dict[str, str]] = {}
 
-        while not self.at("punct", "}"):
+        while not self._block_run(sets, functions):
             here = self.pos
             if self.kind is None:
                 raise ParseError("unterminated instance block", self.span(here))
@@ -375,15 +433,23 @@ class _Parser:
         self.expect("punct", "}")
         return Instance(name, schema_name, sets, functions)
 
+    def _block_run(self, sets: dict, functions: dict) -> bool:
+        """Read whole blocks from the current token on, until the patterns
+        refuse one; then lex on from there.  True if the token is ``}``."""
+        text, end = self.text, self.pos
+        while head := _HEAD_RE.match(text, end):
+            kind, key = head.groups()
+            blocks, body = (sets, _set_body) if kind == "set" else (functions, _fn_body)
+            read = None if key in blocks else body(text, head.end())
+            if read is None:
+                break
+            blocks[key], end = read
+        if end != self.pos:
+            self._seek(end)
+        return self.at("punct", "}")
+
     def _set_entries(self, box_id: str) -> dict[str, Payload | None]:
-        body = _SET_BODY_RE.match(self.text, self.pos)
-        if body:
-            ids = _body_ids(body)
-            elems: dict[str, Payload | None] = dict.fromkeys(ids)
-            if len(elems) == len(ids):  # else an id repeats: the loop reports it
-                self._seek(body.end())
-                return elems
-        elems = {}
+        elems: dict[str, Payload | None] = {}
 
         def entry() -> None:
             here = self.pos
@@ -400,14 +466,7 @@ class _Parser:
         return elems
 
     def _fn_entries(self, arrow_id: str) -> dict[str, str]:
-        body = _FN_BODY_RE.match(self.text, self.pos)
-        if body:
-            ids = _body_ids(body)
-            table: dict[str, str] = dict(zip(ids[::2], ids[1::2]))
-            if 2 * len(table) == len(ids):  # else a source repeats: the loop reports it
-                self._seek(body.end())
-                return table
-        table = {}
+        table: dict[str, str] = {}
 
         def entry() -> None:
             here = self.pos

@@ -51,11 +51,9 @@ def is_chain(graph: Graph) -> bool:
         indeg[dst] += 1
         if indeg[dst] > 1:
             return False
-    starts = [n for n in graph.nodes if indeg[n] == 0]
-    if len(starts) != 1:
-        return False
+    # n - 1 edges and every in-degree at most 1: exactly one node has none.
+    node = next(n for n in graph.nodes if indeg[n] == 0)
     seen = 1
-    node = starts[0]
     while node in out:
         node = out[node]
         seen += 1

@@ -366,7 +366,8 @@ def _check_equation(
             return EquationReport(
                 equation, holds=False, checked=checked, witness=(eid, lhs_val, rhs_val)
             )
-    return EquationReport(equation, holds=True, checked=len(elems))
+    # The whole-box pass found the sides differ, so some element must: a bug.
+    raise RuntimeError(f"equation {equation} fails, yet no element is its witness")
 
 
 def check_all_equations(schema: OlogSchema, instance: Instance) -> list[EquationReport]:
@@ -505,7 +506,8 @@ def _name_offender(
     if len(seen) < len(canonical):  # seen is a subset of canonical_set by now
         missing = next(pair for pair in canonical if pair not in seen)
         return report(holds=False, witness_kind="MISSING_PAIR", witness=missing)
-    return report(holds=True)
+    # The whole-box pass found the apex wrong, so some element must be: a bug.
+    raise RuntimeError(f"pullback {decl.apex} fails, yet no element is its witness")
 
 
 def verify_all_fiber_products(

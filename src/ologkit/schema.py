@@ -329,8 +329,14 @@ def _diagnose(schema: OlogSchema) -> list[Diagnostic]:
             )
 
     squares = _squares(schema)
+    seen_apexes: set[str] = set()
     for fp in schema.fiber_products:
         loc = f"pullback {fp.apex}"
+        if fp.apex in seen_apexes:
+            diags.append(
+                error("DUP_FP_APEX", f"pullback for apex {fp.apex!r} declared twice", loc)
+            )
+        seen_apexes.add(fp.apex)
         if schema.box(fp.apex) is None:
             diags.append(
                 error("FP_BAD_ARROW", f"apex {fp.apex!r} is not a declared box", loc)

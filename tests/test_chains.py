@@ -13,6 +13,7 @@ from ologkit import (
     Classification,
     Comparators,
     DomainError,
+    Graph,
     InconsistentComparatorsError,
     NoLifelineError,
     NonFiniteInputError,
@@ -187,6 +188,21 @@ def test_system_failure_bounds_and_lifeline_monotonicity(data):
     assert bare_failure == min(min(bricks), min(glues))
     assert helped_failure >= bare_failure  # a lifeline can only strengthen
     assert helped_failure <= min(bricks)  # but never past the weakest brick
+
+
+@pytest.mark.parametrize(
+    "nodes, edges",
+    [
+        ("abc", [("a", "b"), ("a", "b")]),
+        ("abc", [("a", "b")]),
+        ("abc", [("a", "b"), ("a", "c")]),
+        ("abc", [("a", "c"), ("b", "c")]),
+        ("abcd", [("a", "b"), ("b", "a"), ("c", "d")]),
+    ],
+    ids=["repeated-edge", "edge-count", "fork", "join", "cycle-and-detached-edge"],
+)
+def test_is_chain_rejects_what_is_not_one_line(nodes, edges):
+    assert not is_chain(Graph(tuple(nodes), tuple(edges)))
 
 
 def test_structure_graph_is_a_chain_graph():

@@ -473,8 +473,6 @@ def test_canonical_instance_is_read_without_a_token_per_entry(monkeypatch):
     text = serialize_instance(generate_instance(params, bundled_schema()))
     blocks = re.finditer(r"\n  (?:set|fn) \w+ (\{.*?\n  \})", text, re.S)
     bodies = [block.span(1) for block in blocks]
-    id_only = [(a, b) for a, b in bodies if "=" not in text[a:b]]
-    with_payloads = [(a, b) for a, b in bodies if "=" in text[a:b]]
 
     taken_at = []
     take = dsl._Parser.take
@@ -488,9 +486,37 @@ def test_canonical_instance_is_read_without_a_token_per_entry(monkeypatch):
     assert serialize_instance(inst) == text
     entries = text.count("\n    ")
     assert len(bodies) == len(inst.sets) + len(inst.functions) and entries > 1000
-    assert not [pos for pos in taken_at for a, b in id_only if a <= pos < b]
-    outside = [pos for pos in taken_at if not any(a <= pos < b for a, b in with_payloads)]
-    assert len(outside) <= 4 * len(bodies) + 8
+    assert any("=" in text[a:b] for a, b in bodies)
+    assert not [pos for pos in taken_at for a, b in bodies if a <= pos < b]
+    assert len(taken_at) <= 8
+
+
+@pytest.mark.parametrize(
+    "payload, expected",
+    [
+        ("real 007", RealPayload(7.0)),
+        ("real-5", RealPayload(-5.0)),
+        ("real -\u0663", RealPayload(-3.0)),
+        ("real \u0663.5", RealPayload(3.5)),
+        ("real \u0663", (41, "unexpected character '\u0663'")),
+        ("real 12e5", (41, "expected a real value")),
+        ("real Inf", (41, "expected a real value")),
+        ("real nan", (41, "expected a real value")),
+        ("real5", (36, "unknown payload kind 'real5'")),
+        ('text "a\\nb"', (41, "invalid escape \\n in string")),
+        ("graph { n1, n1 }", GraphPayload(Graph(("n1",), ()))),
+    ],
+)
+def test_payload_edge_cases(payload, expected):
+    # The lexer's number takes any Unicode digit; an identifier only ASCII
+    # ones.  A keyword ends where its run of id characters does.
+    text = f'instance "i" of "s" {{ set A {{ a1 = {payload}, a2 }} }}'
+    if isinstance(expected, tuple):
+        with pytest.raises(ParseError) as exc:
+            parse_instance(text)
+        assert (exc.value.span.column, exc.value.bare_message) == expected
+    else:
+        assert parse_instance(text).elements("A") == {"a1": expected, "a2": None}
 
 
 # ---------------------------------------------------------------------------
@@ -869,9 +895,14 @@ _BONDED_2 = serialize_instance(
 _HAND_WRITTEN = (
     'instance "d" of "s" {\n  set A { a1 = real 1.5, a2, }\n  set B {b1,b2}\n'
     "  fn put { a1 -> b1, a2->b2, }\n  fn q {\n    x -> y,\n    z -> w\n  }\n"
-    "  set C {}\n}\n"
+    "  set C {}\n"
+    '  set P { p1 = real 007, p2 = real -inf, p3 = real 1e+5, p4 = pair(1.0,2.0),\n'
+    '    p5 = text "a\\"b\\\\c", p6 = graph { n1 -> n2, n3 }, p7 = graph {} }\n}\n'
 )
-_PIECES = ["#", "# } -> ,\n", "->", "}", "{", ",", "3e-4", '"', "é", " ", "\x1f", "\u2028"]
+_PIECES = [
+    "#", "# } -> ,\n", "->", "}", "{", ",", "3e-4", '"', "é", " ", "\x1f", "\u2028",
+    "=", "real ", "(", ")", "\\", "\u0663", "-", ".", "e+", "inf",
+]
 _EDITS = ["delete", "insert", "duplicate line"]
 _edits = st.lists(
     st.tuples(st.sampled_from(_EDITS), st.integers(0, 3000), st.sampled_from(_PIECES)),
@@ -904,12 +935,13 @@ def _outcome(text):
 
 
 _NEVER = re.compile(r"(?!)")
+_BULK_PATTERNS = ["_HEAD_RE", "_SET_BODY_RE", "_PAYLOAD_BODY_RE", "_FN_BODY_RE"]
 
 
 def _token_loop_outcome(text):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dsl, "_SET_BODY_RE", _NEVER)
-        mp.setattr(dsl, "_FN_BODY_RE", _NEVER)
+        for name in _BULK_PATTERNS:
+            mp.setattr(dsl, name, _NEVER)
         return _outcome(text)
 
 
@@ -921,32 +953,41 @@ def test_bulk_bodies_parse_as_the_token_loop_does(base, edits):
 
 
 def test_mutated_documents_reach_bulk_and_token_loop_bodies(monkeypatch):
-    # The edits above must leave some bodies to bulk reading and send some
-    # bodies without payloads back to the token loop.
-    reached = {"bulk": 0, "token loop": 0}
+    # The edits above must leave some heads and bodies of every kind to bulk
+    # reading and send some set and fn blocks back to the token loop.
+    reached = dict.fromkeys([*_BULK_PATTERNS, "_set_entries", "_fn_entries"], 0)
 
     class Counting:
-        def __init__(self, pattern):
-            self.pattern = pattern
+        def __init__(self, name):
+            self.name, self.pattern = name, getattr(dsl, name)
 
         def match(self, text, pos):
-            body = self.pattern.match(text, pos)
-            if body is not None:
-                reached["bulk"] += 1
-            elif "=" not in text[pos : text.find("}", pos)]:
-                reached["token loop"] += 1
-            return body
+            found = self.pattern.match(text, pos)
+            reached[self.name] += found is not None
+            return found
 
-    monkeypatch.setattr(dsl, "_SET_BODY_RE", Counting(dsl._SET_BODY_RE))
-    monkeypatch.setattr(dsl, "_FN_BODY_RE", Counting(dsl._FN_BODY_RE))
+    def counting(name):
+        method = getattr(dsl._Parser, name)
+
+        def counted(self, key):
+            reached[name] += 1
+            return method(self, key)
+
+        return counted
+
+    for name in _BULK_PATTERNS:
+        monkeypatch.setattr(dsl, name, Counting(name))
+    for name in ("_set_entries", "_fn_entries"):
+        monkeypatch.setattr(dsl._Parser, name, counting(name))
     rng = random.Random(0)
-    for _ in range(100):
-        edits = [
-            (rng.choice(_EDITS), rng.randrange(3000), rng.choice(_PIECES))
-            for _ in range(rng.randint(1, 3))
-        ]
-        _outcome(_mutate(_BONDED_2, edits))
-    assert reached["bulk"] > 0 and reached["token loop"] > 0
+    for base in (_BONDED_2, _HAND_WRITTEN):
+        for _ in range(100):
+            edits = [
+                (rng.choice(_EDITS), rng.randrange(3000), rng.choice(_PIECES))
+                for _ in range(rng.randint(1, 3))
+            ]
+            _outcome(_mutate(base, edits))
+    assert all(reached.values()), reached
 
 
 # ---------------------------------------------------------------------------

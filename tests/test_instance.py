@@ -539,6 +539,24 @@ def test_fiber_product_pass_and_each_failure_witness():
             assert (report.apex_size, report.pullback_size) == (len(apex_pairs), 12)
 
 
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda s, inst: check_equation(s, inst, s.equations[0]),
+        lambda s, inst: verify_fiber_product(s, inst, s.fiber_products[0]),
+    ],
+    ids=["equation", "fiber-product"],
+)
+def test_a_failing_check_that_names_no_offender_is_an_internal_error(check, monkeypatch):
+    # The whole-box pass decides that the check fails; an element walk that
+    # then finds no offender is a bug, reported as one and never as a pass.
+    s, extra = _square_instance([("p1", "x1", "y1"), ("p2", "x2", "y1"), ("p3", "x1", "y2")])
+    assert not check(s, extra).holds
+    monkeypatch.setattr(ologkit.instance, "natural_order", lambda ids: [])
+    with pytest.raises(RuntimeError, match="yet no element is its witness"):
+        check(s, extra)
+
+
 # Ids of mixed widths whose natural keys tie (x1, x01, x001; x3 and x٣).
 _TIED_IDS = ("1", "01", "001", "2", "02", "3", "٣", "9", "10", "010", "11", "1a2", "01a2")
 

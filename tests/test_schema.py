@@ -10,6 +10,7 @@ from ologkit import (
     ArrowDecl,
     BoxDecl,
     DomainError,
+    DuplicateIdError,
     EndpointMismatchError,
     EqualityResult,
     EqVerdict,
@@ -24,8 +25,10 @@ from ologkit import (
     compose,
     derive_equality,
     identity,
+    parse_schema,
     path_endpoints,
     replay_witness,
+    serialize_schema,
     validate_schema,
     with_fiber_product_squares,
 )
@@ -183,6 +186,18 @@ def test_fiber_product_square_must_be_declared():
         )
     ]
     assert validate_schema(_square_schema(True)) == []
+
+
+def test_a_fiber_product_apex_declared_twice_is_reported():
+    # The text format rejects the repeated declaration, so a schema built in
+    # Python that holds one must not validate clean.
+    square = _square_schema(True)
+    twice = dataclasses.replace(square, fiber_products=square.fiber_products * 2)
+    assert [(d.code, d.message, d.location) for d in validate_schema(twice)] == [
+        ("DUP_FP_APEX", "pullback for apex 'P' declared twice", "pullback P")
+    ]
+    with pytest.raises(DuplicateIdError, match="pullback for apex 'P' declared twice"):
+        parse_schema(serialize_schema(twice))
 
 
 def test_with_fiber_product_squares_fills_the_gap():
