@@ -36,7 +36,7 @@ from .instance import (
     Payload,
     RealPayload,
     TextPayload,
-    compute_pullback,
+    _pullback_columns,
 )
 from .ordering import natural_key, pad_width
 from .schema import OlogSchema
@@ -497,6 +497,11 @@ def _bonded(brick: float, lifeline: float, comparators: Comparators) -> bool:
     return roughly_equal(brick, lifeline, comparators)
 
 
+def _numbered_ids(prefix: str, count: int) -> list[str]:
+    """``prefix`` and 1..count, zero-padded to one width, from one format."""
+    return list(map(f"{prefix}%0{pad_width(count)}d".__mod__, range(1, count + 1)))
+
+
 def generate_instance(
     params: SimParams,
     schema: OlogSchema,
@@ -506,10 +511,11 @@ def generate_instance(
     """Populate every box of the bundled schema from one uniform chain.
 
     Pair boxes hold exactly the pairs the comparators certify.  Each apex box
-    (F, C, E, A, N, L, K, I, in that order) is filled by :func:`compute_pullback`
-    over the square the schema declares for it, and each other arrow out of an
-    apex is the path its equation names, so the result passes equation checks
-    and fiber-product verification by construction.  A schema that declares no
+    (F, C, E, A, N, L, K, I, in that order) holds the pairs
+    :func:`compute_pullback` gives over the square the schema declares for it,
+    taken as two columns, one per projection table; each other arrow out of
+    an apex is the path its equation names, so the result passes equation
+    checks and fiber-product verification by construction.  A schema that declares no
     pullback for one of these boxes raises SchemaMismatchError.  The two
     per-hypothesis arrows are filled in only when the classification actually
     licenses them; otherwise their tables stay partial and validation reports
@@ -607,8 +613,7 @@ def generate_instance(
     # -- connectable pairs --------------------------------------------------------
     connectors = chain.glues + chain.lifelines
     pairs = [(brick, conn) for brick in chain.bricks for conn in connectors]
-    p_pad = pad_width(len(pairs))
-    p_ids = [f"p{i:0{p_pad}d}" for i in range(1, len(pairs) + 1)]
+    p_ids = _numbered_ids("p", len(pairs))
     sets["P"] = dict.fromkeys(p_ids)
     functions["34"] = dict(
         zip(p_ids, (q_id[brick_f, conn.failure_extension] for _, conn in pairs))
@@ -626,12 +631,11 @@ def generate_instance(
             raise SchemaMismatchError(
                 f"schema {schema.name!r} declares no pullback for box {box!r}"
             )
-        joined = compute_pullback(schema, view, fp.leg1, fp.leg2)
-        prefix, width = box.lower(), pad_width(len(joined))
-        ids = [f"{prefix}{i:0{width}d}" for i in range(1, len(joined) + 1)]
+        lefts, rights = _pullback_columns(schema, view, fp.leg1, fp.leg2)
+        ids = _numbered_ids(box.lower(), len(lefts))
         sets[box] = dict.fromkeys(ids)
-        functions[fp.proj1] = dict(zip(ids, map(operator.itemgetter(0), joined)))
-        functions[fp.proj2] = dict(zip(ids, map(operator.itemgetter(1), joined)))
+        functions[fp.proj1] = dict(zip(ids, lefts))
+        functions[fp.proj2] = dict(zip(ids, rights))
         return ids
 
     def composite(arrow: str, first: str, *steps: str) -> None:

@@ -37,6 +37,7 @@ import math
 import re
 from collections.abc import Callable, Container
 from functools import lru_cache
+from operator import countOf
 from pathlib import Path as FsPath
 from typing import TypeVar
 
@@ -599,7 +600,12 @@ def _tag_suffix(tags: frozenset[str]) -> str:
 
 
 def serialize_schema(schema: OlogSchema) -> str:
-    """Canonical text for a schema (sorted declarations, stable bytes)."""
+    """Canonical text for a schema (sorted declarations, stable bytes).
+
+    An equation whose left side does not resolve, or a pullback whose corners
+    its arrows do not name, has no text that parses back, so it raises
+    MalformedPathError naming the declaration.
+    """
     s = schema.canonical()
     lines = [f"schema {_quote(s.name)} {{"]
     for box in s.boxes:
@@ -613,23 +619,28 @@ def serialize_schema(schema: OlogSchema) -> str:
     for eq in s.equations:
         try:
             start, end = path_endpoints(s, eq.lhs)
-        except MalformedPathError:
-            start, end = eq.lhs.start, "?"
+        except MalformedPathError as exc:
+            raise MalformedPathError(
+                f"equation {eq} from {eq.lhs.start} cannot be written: {exc.message}"
+            ) from None
         note = f" {_quote(eq.note)}" if eq.note else ""
         lines.append(f"  eq {start}..{end} : {eq}{note}")
     for fp in s.fiber_products:
-        proj1 = s.arrow(fp.proj1)
-        proj2 = s.arrow(fp.proj2)
-        leg1 = s.arrow(fp.leg1)
-        x = proj1.dst if proj1 else "?"
-        y = proj2.dst if proj2 else "?"
-        z = leg1.dst if leg1 else "?"
+        x, y, z = (s.arrow(a) for a in (fp.proj1, fp.proj2, fp.leg1))
+        if x is None or y is None or z is None:
+            raise MalformedPathError(
+                f"pullback {fp.apex} cannot be written: its corners need declared "
+                f"arrows {fp.proj1}, {fp.proj2} and {fp.leg1}"
+            )
         lines.append(
-            f"  pullback {fp.apex} = {x} ×[{z}] {y} "
+            f"  pullback {fp.apex} = {x.dst} ×[{z.dst}] {y.dst} "
             f"proj ({fp.proj1}, {fp.proj2}) legs ({fp.leg1}, {fp.leg2})"
         )
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+_ENTRY_SEP = ",\n    "  # between the entries of a set or fn body
 
 
 def _real_lit(value: float) -> str:
@@ -662,29 +673,36 @@ def serialize_instance(instance: Instance) -> str:
     """Canonical text for an instance (sorted, empties dropped, stable bytes).
 
     Boxes, arrows and the ids within each are written in natural-key order,
-    through :func:`natural_order`. No copy of the instance is built.
+    through :func:`natural_order`. No copy of the instance is built: each body
+    is one join over its ids or pairs, where only payload entries are
+    formatted one by one, and the document is one join over its pieces, so
+    no body is copied again.
     """
     sets, functions = instance.sets, instance.functions
-    lines = [f"instance {_quote(instance.name)} of {_quote(instance.schema_name)} {{"]
+    pieces = [f"instance {_quote(instance.name)} of {_quote(instance.schema_name)} {{\n"]
     for box_id in natural_order(sets):
         elems = sets[box_id]
         if not elems:
             continue
-        lines.append(f"  set {box_id} {{")
-        entries = []
-        for eid in natural_order(elems):
-            payload = elems[eid]
-            entries.append(
-                f"    {eid}" if payload is None else f"    {eid} = {_payload_lit(payload)}"
-            )
-        lines.append(",\n".join(entries))
-        lines.append("  }")
+        ids = natural_order(elems)
+        if countOf(elems.values(), None) != len(elems):
+            ids = [
+                eid if (payload := elems[eid]) is None else f"{eid} = {_payload_lit(payload)}"
+                for eid in ids
+            ]
+        pieces += (f"  set {box_id} {{\n    ", _ENTRY_SEP.join(ids), "\n  }\n")
     for arrow_id in natural_order(functions):
         table = functions[arrow_id]
         if not table:
             continue
-        lines.append(f"  fn {arrow_id} {{")
-        lines.append(",\n".join(f"    {src} -> {table[src]}" for src in natural_order(table)))
-        lines.append("  }")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        keys = list(table)
+        ordered = natural_order(keys)
+        # in the table's own order its items are the pairs; else look each image up
+        if ordered == keys:
+            pairs = table.items()
+        else:
+            pairs = zip(ordered, map(table.__getitem__, ordered))
+        body = _ENTRY_SEP.join(map(" -> ".join, pairs))
+        pieces += (f"  fn {arrow_id} {{\n    ", body, "\n  }\n")
+    pieces.append("}\n")
+    return "".join(pieces)

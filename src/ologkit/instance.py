@@ -392,6 +392,17 @@ def compute_pullback(
     target box); raises CospanMismatchError otherwise, and SchemaMismatchError
     when the instance names a different schema.
     """
+    return list(zip(*_pullback_columns(schema, instance, leg1, leg2)))
+
+
+def _pullback_columns(
+    schema: OlogSchema, instance: Instance, leg1: str, leg2: str
+) -> tuple[list[str], list[str]]:
+    """:func:`compute_pullback` as two columns, the pairs' lefts and rights.
+
+    Each x's run of partners is one group of the index, so both columns are
+    built by C-level passes over the groups, with no Python step per pair.
+    """
     decl1, decl2 = _cospan(schema, instance, leg1, leg2)
     table1, table2 = instance.table(leg1), instance.table(leg2)
     by_image: dict[str, list[str]] = {}
@@ -399,12 +410,10 @@ def compute_pullback(
         image = table2.get(y)
         if image is not None:
             by_image.setdefault(image, []).append(y)
-    return [
-        (x, y)
-        for x in natural_order(instance.elements(decl1.src))
-        if (image := table1.get(x)) is not None
-        for y in by_image.get(image, ())
-    ]
+    xs = natural_order(instance.elements(decl1.src))
+    groups = list(map(by_image.get, map(table1.get, xs), repeat(())))
+    lefts = list(chain.from_iterable(map(repeat, xs, map(len, groups))))
+    return lefts, list(chain.from_iterable(groups))
 
 
 def _cospan(

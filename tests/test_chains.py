@@ -607,6 +607,9 @@ _SWEEP_CHAINS = {
         ("bonded", "generic", 5, "eda9d78e8975f3d5a0571cdf79ab22abfffaff628e55a7232288266c14324e6b"),
         ("neither", "generic", 5, "8492e41f6db7e68523f1b8bba99599743d7ebbe39611d8e9756eaba5e1d8dfa6"),
         ("no-lifeline", "generic", 2, "1958111718c5d523606428920cc1209dfa63092ab673c8f27c42f453fb2d9d75"),
+        # bonded n=40 is the simulate benchmark's largest op (128 174 elements)
+        ("bonded", "protein", 40, "06e56472f71ae0fb966b8ded72eb2604dd007a483a7de045304787d6f8601adf"),
+        ("ductile", "social", 80, "d40fb88ad00cd3afb8b3ea09154db5841b71314b63b1ef38e887389773eacd12"),
     ],
 )
 def test_generated_bytes_are_pinned(schema, chain, domain, bricks, digest):

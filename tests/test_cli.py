@@ -510,6 +510,37 @@ def test_a_closed_stdout_keeps_the_reports_exit_code(argv, code):
     assert (proc.returncode, proc.stderr) == (code, "")
 
 
+def test_a_reader_that_leaves_mid_report_keeps_the_exit_code(tmp_path):
+    # `olog pullback ... | head -1`: the report (about 265 kB of pairs) is
+    # larger than a pipe holds, so the reader closes while the write is still
+    # going.  Unhandled, that would be a traceback and exit 1.
+    out = tmp_path / "s28.oinst"
+    argv = ["simulate", "--quiet", "--bricks", "28", "--domain", "social", "--lifeline"]
+    assert main([*argv, "-o", str(out)]) == 0
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ologkit.cli", "pullback", "paper.olog", str(out), "30", "27"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=120), first, stderr) == (0, b"command: pullback\n", b"")
+
+
+def test_a_closed_stdout_in_process_leaves_the_verdict_and_mutes_stdout(monkeypatch):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    stdout = os.fdopen(write_end, "w")
+    monkeypatch.setattr(sys, "stdout", stdout)
+    try:
+        assert main(["analogy", "--bricks-b", "12"]) == 1
+        print("now written to devnull", flush=True)
+    finally:
+        stdout.close()
+
+
 def test_in_process_calls_share_no_state(capsys, tmp_path):
     # The parser and parsed schemas are kept between calls; nothing a call
     # sets may show in the next one's report or written file.

@@ -727,6 +727,12 @@ def test_functor_reports_missing_and_unknown():
     f = SchemaFunctor(src, dst, {"X": "X2"}, {"go": "nope"})
     codes = sorted(d.code for d in check_functor(f))
     assert codes == ["MISSING_MAPPING", "UNKNOWN_TARGET"]
+    # the other two branches: a box image the target lacks, an arrow with none
+    f = SchemaFunctor(src, dst, {"X": "X2", "Y": "Z9"}, {})
+    assert [(d.code, d.location, d.message) for d in check_functor(f)] == [
+        ("UNKNOWN_TARGET", "Y", "box Y maps to undeclared box 'Z9'"),
+        ("MISSING_MAPPING", "go", "arrow go has no image"),
+    ]
 
 
 def test_functor_endpoint_violation():
