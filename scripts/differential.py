@@ -1,0 +1,429 @@
+#!/usr/bin/env python3
+"""Run one seeded corpus through ologkit at a git revision and in this tree.
+
+    python scripts/differential.py --base REV
+
+REV's committed files are exported with ``git archive`` into a temporary
+directory, so no worktree is registered and an interrupted run leaves nothing
+behind in the repository.  The corpus is built here, from this tree's files,
+then read by two worker subprocesses of this same script: one imports
+``ologkit`` from REV's ``src``, the other from this tree's ``src``.  Each
+records one outcome per case:
+
+  schema-doc    the bundled schema, every hand-written schema in ``tests/`` and
+                2 000 mutated documents: the canonical bytes of the parsed
+                schema (or the error type and message), and its diagnostics;
+  schema-built  1 000 schemas built in Python, some with undeclared arrows,
+                non-parallel sides, bent pullbacks and duplicate ids:
+                ``validate_schema`` diagnostics and the ``serialize_schema``
+                outcome;
+  derive        ``derive_equality`` (64 steps) and ``replay_witness`` on every
+                parallel path pair of the bundled schema;
+  check         ``olog check`` reports, minus ``elapsed_ms``, on ductile,
+                bonded and brittle instances of both domains at small n.
+
+It prints, per slice, the count of identical outcomes and of each class of
+difference, then one example of each class and the first few differences
+that fit no expected class ("other").  It exits 0 only when every outcome is
+identical, so ``--base HEAD`` on a clean tree is a self-check.  Standard
+library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import ast
+import collections
+import contextlib
+import hashlib
+import io
+import json
+import math
+import os
+import random
+import re
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SEED = 20240611
+MUTATED_DOCUMENTS = 2000
+BUILT_SCHEMAS = 1000
+SHOWN = 5
+
+# Edits as in the parser's mutation tests, plus pieces of the schema grammar;
+# most edits put one identifier in place of another, which keeps the grammar
+# and moves declarations' meaning instead.
+_PIECES = [
+    "#", "# } -> ,\n", "->", "}", "{", ",", "3e-4", '"', "é", " ", "\x1f", "\u2028",
+    "\u0663", "=", "(", ")", "\\", "-", ".", "..", "×", "[", "]", ":", "eq ", "box ",
+    "arrow ", "pullback ", "proj ", "legs ",
+]
+_EDITS = ["delete", "insert", "duplicate line", "drop line"] + ["swap ids"] * 6
+_KEYWORDS = {"schema", "box", "arrow", "eq", "pullback", "proj", "legs"}
+
+
+# ---------------------------------------------------------------------------
+# corpus
+# ---------------------------------------------------------------------------
+
+
+def _hand_written_schemas() -> list[str]:
+    """String literals in the tests that hold a schema block."""
+    found = []
+    for path in sorted((ROOT / "tests").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                if node.value.lstrip().startswith('schema "') and node.value not in found:
+                    found.append(node.value)
+    return found
+
+
+def _mutate(rng: random.Random, text: str) -> str:
+    for _ in range(rng.randint(1, 3)):
+        op, at = rng.choice(_EDITS), rng.randrange(len(text) + 1)
+        lines = text.split("\n")
+        if op == "delete":
+            text = text[:at] + text[at + 1 :]
+        elif op == "insert":
+            text = text[:at] + rng.choice(_PIECES) + text[at:]
+        elif op == "duplicate line":
+            line = rng.randrange(len(lines))
+            text = "\n".join(lines[:line] + [lines[line]] + lines[line:])
+        elif op == "drop line":
+            line = rng.randrange(len(lines))
+            text = "\n".join(lines[:line] + lines[line + 1 :])
+        else:  # one identifier in place of another
+            words = sorted(set(re.findall(r"[A-Za-z0-9_]+", text)) - _KEYWORDS)
+            if words:
+                old, new = rng.choice(words), rng.choice(words + ["zz", "Q9"])
+                spots = list(re.finditer(rf"(?<![A-Za-z0-9_]){old}(?![A-Za-z0-9_])", text))
+                i, j = rng.choice(spots).span()
+                text = text[:i] + new + text[j:]
+    return text
+
+
+def _built_schema(rng: random.Random) -> dict:
+    """A schema as plain data, drawn as the tests' widened strategy draws them;
+    many carry a defect: an undeclared arrow, sides apart, a bent pullback arrow
+    or an id declared twice."""
+
+    def rare() -> bool:
+        return rng.random() < 0.12
+
+    boxes = [f"b{i}" for i in range(rng.randint(1, 5))]
+    arrows = [[f"a{i}", rng.choice(boxes), rng.choice(boxes)] for i in range(rng.randint(0, 6))]
+    paths = [[b, []] for b in boxes]
+    frontier = [(b, [], b) for b in boxes]
+    for _ in range(3):
+        frontier = [(s, p + [a], d) for s, p, end in frontier for a, src, d in arrows if src == end]
+        paths += [[s, p] for s, p, _ in frontier]
+    ends = {}
+    for start, arrow_ids in paths:
+        at = start
+        for a in arrow_ids:
+            at = next(d for x, _, d in arrows if x == a)
+        ends.setdefault((start, at), []).append([start, arrow_ids])
+    pools = [pool for pool in ends.values() if len(pool) >= 2]
+    equations = []
+    for _ in range(rng.randint(0, 2)):
+        if pools and not rare():
+            pool = rng.choice(pools)
+            lhs, rhs = rng.choice(pool), rng.choice(pool)
+        else:
+            lhs, rhs = rng.choice(paths), rng.choice(paths)
+        lhs, rhs = [lhs[0], list(lhs[1])], [rhs[0], list(rhs[1])]
+        if rare():
+            rhs[1].append("NO1")
+        if rare():
+            lhs[1].insert(0, "NO1")
+        equations.append([lhs, rhs])
+    fps = []
+    if rng.random() < 0.5:
+        apex, x, y, z = (rng.choice(boxes) for _ in range(4))
+        square = {"PR1": (apex, x), "PR2": (apex, y), "LG1": (x, z), "LG2": (y, z)}
+        for arrow_id, (src, dst) in square.items():
+            if rare():
+                src, dst = rng.choice(boxes), rng.choice(boxes)
+            if not rare():
+                arrows.append([arrow_id, src, dst])
+        fps.append([apex, *square])
+        if rare():
+            fps.append([apex, *square])
+    box_list = [[b, f"a {b}"] for b in boxes]
+    if rare():
+        box_list.append([rng.choice(boxes), "again"])
+    if arrows and rare():
+        twice = rng.choice(arrows)
+        arrows.append([twice[0], twice[2], twice[1]])
+    squares = rng.random() < 0.5
+    return {"boxes": box_list, "arrows": arrows, "equations": equations, "fps": fps,
+            "squares": squares}
+
+
+def _corpus() -> dict:
+    rng = random.Random(SEED)
+    bundled = (ROOT / "src" / "ologkit" / "data" / "paper.olog").read_text(encoding="utf-8")
+    bases = [bundled, *_hand_written_schemas()]
+    # half from the bundled schema, whose equations and pullbacks the edits move
+    mutated = [
+        _mutate(rng, bundled if rng.random() < 0.5 else rng.choice(bases))
+        for _ in range(MUTATED_DOCUMENTS)
+    ]
+    return {
+        "documents": bases + mutated,
+        "built": [_built_schema(rng) for _ in range(BUILT_SCHEMAS)],
+        "instances": [
+            [kind, domain, n]
+            for kind in ("ductile", "bonded", "brittle")
+            for domain in ("protein", "social")
+            for n in (2, 5)
+        ],
+    }
+
+
+# ---------------------------------------------------------------------------
+# worker: runs in each tree
+# ---------------------------------------------------------------------------
+
+
+def _raised(exc: BaseException) -> list:
+    return ["raised", type(exc).__name__, str(exc)]
+
+
+def _serialized(ok, schema) -> list:
+    """The text by hash, and what it parses back to: the schema (squares
+    added), another schema, text that does not write back the same, or an
+    error; or the error serializing raised."""
+    try:
+        text = ok.serialize_schema(schema)
+    except Exception as exc:  # the outcome under comparison, whatever it is
+        return _raised(exc)
+    try:
+        reparsed = ok.parse_schema(text)
+        if ok.serialize_schema(reparsed) != text:
+            back = "parses, not stable"
+        elif reparsed.canonical() == ok.with_fiber_product_squares(schema).canonical():
+            back = "stable, same schema"
+        else:
+            back = "stable, another schema"
+    except ok.OlogError as exc:
+        back = f"rejected: {type(exc).__name__}: {exc}"
+    return ["text", hashlib.sha256(text.encode()).hexdigest()[:16], back]
+
+
+def _diagnostics(ok, schema) -> list:
+    return [[d.code, d.message, d.location] for d in ok.validate_schema(schema)]
+
+
+def _schema_doc(ok, text: str) -> dict:
+    try:
+        schema = ok.parse_schema(text, "doc.olog")
+    except Exception as exc:  # a parse error is the outcome; so is a crash
+        return {"parse": _raised(exc)}
+    return {"diagnostics": _diagnostics(ok, schema), "serialize": _serialized(ok, schema)}
+
+
+def _schema_built(ok, spec: dict) -> dict:
+    s = ok.schema
+    schema = s.OlogSchema(
+        "built",
+        tuple(s.BoxDecl(b, label) for b, label in spec["boxes"]),
+        tuple(s.ArrowDecl(a, src, dst) for a, src, dst in spec["arrows"]),
+        tuple(
+            s.PathEquation(s.Path(ls, tuple(la)), s.Path(rs, tuple(ra)))
+            for (ls, la), (rs, ra) in spec["equations"]
+        ),
+        tuple(s.FiberProductDecl(*fp) for fp in spec["fps"]),
+    )
+    if spec["squares"]:
+        schema = s.with_fiber_product_squares(schema)
+    return {
+        "diagnostics": _diagnostics(ok, schema),
+        "serialize": _serialized(ok, schema),
+        "squareless": s.with_fiber_product_squares(schema) is not schema,
+    }
+
+
+def _derive_cases(ok) -> dict:
+    """Every parallel pair of paths of the bundled schema, walked from the
+    declarations alone so the enumeration does not depend on the code."""
+    schema = ok.bundled_schema()
+    paths, frontier = [], [(b.id, (), b.id) for b in schema.boxes]
+    for _ in schema.boxes:  # the schema is acyclic, so no path is longer
+        paths += frontier
+        frontier = [
+            (s, p + (a.id,), a.dst) for s, p, end in frontier for a in schema.arrows if a.src == end
+        ]
+    out = {}
+    for i, (s, p, e) in enumerate(paths):
+        for s2, q, e2 in paths[i + 1 :]:
+            if (s, e) != (s2, e2):
+                continue
+            left, right = ok.Path(s, p), ok.Path(s, q)
+            try:
+                res = ok.derive_equality(schema, left, right, 64)
+                got = [
+                    res.verdict.value,
+                    res.steps,
+                    [str(w) for w in res.witness],
+                    [[r.eq_index, r.position, r.direction] for r in res.rewrites],
+                    ok.replay_witness(schema, res),
+                ]
+            except Exception as exc:  # the outcome under comparison
+                got = _raised(exc)
+            out[f"{left} = {right}"] = got
+    return out
+
+
+def _check_cases(ok, instances: list) -> dict:
+    from ologkit import cli
+    from ologkit.chains import SimParams
+
+    out = {}
+    schema = ok.bundled_schema()
+    for kind, domain, n in instances:
+        if kind == "ductile":
+            params = SimParams(n, 20.6, math.inf, True, 23.45, 100.0, domain)
+        elif kind == "bonded":
+            params = SimParams(n, 20.6, 100.0, True, 23.45, 110.0, domain)
+        else:
+            params = SimParams(n, 20.6, math.inf, False, domain=domain)
+        name = f"{kind}-{domain}-{n}.oinst"
+        instance = ok.generate_instance(params, schema)
+        Path(name).write_text(ok.serialize_instance(instance), encoding="utf-8")
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = cli.main(["check", "paper.olog", name])
+        lines = stdout.getvalue().splitlines()
+        out[name] = [code, [line for line in lines if not line.startswith("elapsed_ms:")]]
+    return out
+
+
+def _work(corpus_path: str, out_path: str, tree: str) -> None:
+    import ologkit as ok
+
+    if not Path(ok.__file__).resolve().is_relative_to(Path(tree).resolve()):
+        sys.exit(f"imported ologkit from {ok.__file__}, not from {tree}")
+    corpus = json.loads(Path(corpus_path).read_text(encoding="utf-8"))
+    results = {
+        "schema-doc": {str(i): _schema_doc(ok, t) for i, t in enumerate(corpus["documents"])},
+        "schema-built": {str(i): _schema_built(ok, s) for i, s in enumerate(corpus["built"])},
+        "derive": _derive_cases(ok),
+        "check": _check_cases(ok, corpus["instances"]),
+    }
+    Path(out_path).write_text(json.dumps(results), encoding="utf-8")
+
+
+# ---------------------------------------------------------------------------
+# driver
+# ---------------------------------------------------------------------------
+
+
+def _classify(slice_name: str, base, head) -> str:
+    """Name the kind of difference between two outcomes of one case."""
+    if not slice_name.startswith("schema-") or "serialize" not in base or "serialize" not in head:
+        return "other"
+    if {k: v for k, v in base.items() if k != "serialize"} != {
+        k: v for k, v in head.items() if k != "serialize"
+    }:
+        return "other"
+    was, now = base["serialize"], head["serialize"]
+    if was[0] == "text" and now[:2] == ["raised", "UnwritableSchemaError"]:
+        if was[2].startswith("rejected"):
+            return "serialize: now refused; base wrote text its parser rejects"
+        if was[2] == "stable, another schema":
+            return "serialize: now refused; base wrote text that parses to another schema"
+        if was[2] == "parses, not stable":
+            return "serialize: now refused; base wrote text that does not write back the same"
+    squared = now[0] == "text" and now[2] == "stable, same schema"
+    if was[0] == "text" and squared and base.get("squareless"):
+        return "serialize: squareless schema; square now written"
+    if was[:2] == ["raised", "MalformedPathError"] and now[1] == "UnwritableSchemaError":
+        if was[2] == now[2]:
+            return "serialize: refusal now typed UnwritableSchemaError, same message"
+        return "serialize: refused by both; now UnwritableSchemaError naming another fault"
+    return "other"
+
+
+def _export(rev: str, into: Path) -> None:
+    archive = subprocess.run(
+        ["git", "-C", str(ROOT), "archive", "--format=tar", rev],
+        check=True,
+        capture_output=True,
+    ).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(into, **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
+
+
+def _natural(key: str) -> tuple:
+    return (len(key), key) if key.isdigit() else (0, key)
+
+
+def _run_worker(tree: Path, corpus: Path, out: Path, work: Path) -> dict:
+    work.mkdir()
+    (work / "paper.olog").write_text(
+        (tree / "src" / "ologkit" / "data" / "paper.olog").read_text(encoding="utf-8"),
+        encoding="utf-8",
+    )
+    env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONHASHSEED": "0"}
+    subprocess.run(
+        [sys.executable, str(Path(__file__).resolve()), "--worker", *map(str, (corpus, out, tree))],
+        check=True,
+        env=env,
+        cwd=work,
+    )
+    return json.loads(out.read_text(encoding="utf-8"))
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--base", help="git revision to compare this tree against")
+    parser.add_argument("--worker", nargs=3, help=argparse.SUPPRESS)
+    args = parser.parse_args()
+    if args.worker:
+        _work(*args.worker)
+        return 0
+    if not args.base:
+        parser.error("--base is required")
+
+    with tempfile.TemporaryDirectory(prefix="ologkit-differential-") as tmp:
+        tmp = Path(tmp)
+        base_tree = tmp / "base"
+        base_tree.mkdir()
+        _export(args.base, base_tree)
+        corpus = tmp / "corpus.json"
+        corpus.write_text(json.dumps(_corpus()), encoding="utf-8")
+        base = _run_worker(base_tree, corpus, tmp / "base.json", tmp / "base-work")
+        head = _run_worker(ROOT, corpus, tmp / "head.json", tmp / "head-work")
+
+    different, shown = False, []
+    for slice_name in head:
+        classes = collections.Counter()
+        for key in sorted(base[slice_name].keys() | head[slice_name].keys(), key=_natural):
+            was, now = base[slice_name].get(key), head[slice_name].get(key)
+            if was == now:
+                classes["identical"] += 1
+                continue
+            different = True
+            if was is None or now is None:
+                kind = "missing on one side"
+            else:
+                kind = _classify(slice_name, was, now)
+            classes[kind] += 1
+            if classes[kind] == 1 or kind == "other" and classes[kind] <= SHOWN:
+                shown.append((slice_name, key, was, now))
+        print(f"{slice_name}: {sum(classes.values())} cases")
+        for kind in sorted(classes, key=lambda kind: (kind != "identical", kind)):
+            print(f"  {classes[kind]:6d}  {kind}")
+    for slice_name, key, was, now in shown:
+        print(f"\n{slice_name} {key}:")
+        print(f"  base: {json.dumps(was)[:400]}\n  head: {json.dumps(now)[:400]}")
+    return 1 if different else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -48,7 +48,7 @@ from .instance import (
     verify_all_fiber_products,
 )
 from .ordering import natural_order
-from .schema import OlogSchema, path_endpoints, validate_schema
+from .schema import OlogSchema, validate_schema
 
 __all__ = ["main"]
 
@@ -133,10 +133,9 @@ def _check_instance_body(
     total = sum(len(elems) for elems in instance.sets.values())
     report.line(f"{prefix}instance {instance.name!r}: {total} elements")
     clean = True
-    for eq_report in check_all_equations(schema, instance):
-        eq = eq_report.equation
-        end = path_endpoints(schema, eq.lhs)[1]
-        desc = f"eq {eq.lhs.start}..{end} : {eq}"
+    for index, eq_report in enumerate(check_all_equations(schema, instance)):
+        start, end = schema._resolution.usable[index]  # the schema validated
+        desc = f"eq {start}..{end} : {eq_report.equation}"
         if eq_report.holds:
             report.line(f"{prefix}{desc} AllHold ({eq_report.checked} elements)")
         else:

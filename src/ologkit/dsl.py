@@ -41,7 +41,7 @@ from operator import countOf
 from pathlib import Path as FsPath
 from typing import TypeVar
 
-from .errors import DuplicateIdError, MalformedPathError, ParseError, SourceSpan
+from .errors import DuplicateIdError, ParseError, SourceSpan, UnwritableSchemaError
 from .graphs import Graph
 from .instance import (
     GraphPayload,
@@ -59,7 +59,6 @@ from .schema import (
     OlogSchema,
     Path,
     PathEquation,
-    path_endpoints,
     with_fiber_product_squares,
 )
 
@@ -363,29 +362,25 @@ class _Parser:
 
         decls = (boxes.values(), arrows.values(), equations, fps.values())
         schema = OlogSchema(name, *map(tuple, decls))
-        self._cross_check_eqs(schema, eq_sites)
-        self._cross_check_fps(schema, fp_sites)
+        self._cross_check(schema, eq_sites, fp_sites)
         return with_fiber_product_squares(schema)
 
-    def _cross_check_eqs(
-        self, schema: OlogSchema, eq_sites: list[tuple[int, str, str]]
+    def _cross_check(
+        self,
+        schema: OlogSchema,
+        eq_sites: list[tuple[int, str, str]],
+        fp_sites: list[tuple[int, str, str, str]],
     ) -> None:
-        for eq, (here, start, end) in zip(schema.equations, eq_sites):
-            for side in (eq.lhs, eq.rhs):
-                try:
-                    got = path_endpoints(schema, side)
-                except MalformedPathError:
-                    continue  # undeclared pieces: schema validation reports those
-                if got != (start, end):
+        """Stated ends and corners must be those the arrows give, where they resolve."""
+        resolved = zip(schema.equations, schema._resolution.sides, eq_sites)
+        for eq, ends, (here, start, end) in resolved:
+            for side, got in zip((eq.lhs, eq.rhs), ends):
+                if isinstance(got, tuple) and got != (start, end):
                     raise ParseError(
                         f"path [{','.join(side.arrows)}] runs {got[0]}->{got[1]} "
                         f"but the equation declares {start}..{end}",
                         self.span(here),
                     )
-
-    def _cross_check_fps(
-        self, schema: OlogSchema, fp_sites: list[tuple[int, str, str, str]]
-    ) -> None:
         for fp, (here, x, y, z) in zip(schema.fiber_products, fp_sites):
             stated = {
                 fp.proj1: (fp.apex, x),
@@ -602,11 +597,14 @@ def _tag_suffix(tags: frozenset[str]) -> str:
 def serialize_schema(schema: OlogSchema) -> str:
     """Canonical text for a schema (sorted declarations, stable bytes).
 
-    An equation whose left side does not resolve, or a pullback whose corners
-    its arrows do not name, has no text that parses back, so it raises
-    MalformedPathError naming the declaration.
+    Missing fiber-product squares are written, as the parser adds them.  An id
+    declared twice, an equation whose sides the text cannot state, or a pullback
+    whose arrows give no corners raises UnwritableSchemaError: no text parses back.
     """
-    s = schema.canonical()
+    s = with_fiber_product_squares(schema).canonical()
+    for diag in s._diagnostics:
+        if diag.code in ("DUP_BOX_ID", "DUP_ARROW_ID", "DUP_FP_APEX"):
+            raise UnwritableSchemaError(f"schema cannot be written: {diag.message}")
     lines = [f"schema {_quote(s.name)} {{"]
     for box in s.boxes:
         lines.append(f"  box {box.id} {_quote(box.label)}{_tag_suffix(box.tags)}")
@@ -616,24 +614,22 @@ def serialize_schema(schema: OlogSchema) -> str:
             f"  arrow {arrow.id} : {arrow.src} -> {arrow.dst}{label}"
             f"{_tag_suffix(arrow.tags)}"
         )
-    for eq in s.equations:
-        try:
-            start, end = path_endpoints(s, eq.lhs)
-        except MalformedPathError as exc:
-            raise MalformedPathError(
-                f"equation {eq} from {eq.lhs.start} cannot be written: {exc.message}"
-            ) from None
+    for eq, (lhs, rhs) in zip(s.equations, s._resolution.sides):
+        unwritable = f"equation {eq} from {eq.lhs.start} cannot be written"
+        if not isinstance(lhs, tuple):
+            raise UnwritableSchemaError(f"{unwritable}: {lhs.message}")
+        start, end = lhs
+        # the text starts both sides at the left's start; the parser checks a side that resolves
+        if eq.rhs.start != start or isinstance(rhs, tuple) and rhs != lhs:
+            raise UnwritableSchemaError(f"{unwritable}: its right side does not run {start}->{end}")
         note = f" {_quote(eq.note)}" if eq.note else ""
         lines.append(f"  eq {start}..{end} : {eq}{note}")
-    for fp in s.fiber_products:
-        x, y, z = (s.arrow(a) for a in (fp.proj1, fp.proj2, fp.leg1))
-        if x is None or y is None or z is None:
-            raise MalformedPathError(
-                f"pullback {fp.apex} cannot be written: its corners need declared "
-                f"arrows {fp.proj1}, {fp.proj2} and {fp.leg1}"
-            )
+    for fp, corners in zip(s.fiber_products, s._resolution.corners):
+        if isinstance(corners, str):
+            raise UnwritableSchemaError(f"pullback {fp.apex} cannot be written: {corners}")
+        x, y, z = corners
         lines.append(
-            f"  pullback {fp.apex} = {x.dst} ×[{z.dst}] {y.dst} "
+            f"  pullback {fp.apex} = {x} ×[{z}] {y} "
             f"proj ({fp.proj1}, {fp.proj2}) legs ({fp.leg1}, {fp.leg2})"
         )
     lines.append("}")

@@ -33,6 +33,12 @@ class MalformedPathError(OlogError):
     code = "MALFORMED_PATH"
 
 
+class UnwritableSchemaError(OlogError):
+    """A schema holds a declaration the text format cannot write so that it parses back."""
+
+    code = "UNWRITABLE_SCHEMA"
+
+
 class ElementNotInSourceError(OlogError):
     """A path was evaluated at an element outside its start box."""
 

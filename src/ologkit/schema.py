@@ -12,7 +12,7 @@ never claims two paths are unequal.  An ``UNKNOWN`` may rest on a proof all
 the same: when Knuth-Bendix completion of the equations finishes, different
 shortlex normal forms refute the pair without a search, but the verdict
 stays ``UNKNOWN``, exactly what the bounded search would have returned.
-A schema computes its diagnostics and that rewriting system on first use and keeps them.
+A schema resolves its declarations and finds its diagnostics and rewriting system once.
 """
 
 from __future__ import annotations
@@ -21,7 +21,8 @@ import enum
 import functools
 import heapq
 import operator
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass, field, replace
 
 from .diagnostics import Diagnostic, error, warning
 from .errors import DomainError, EndpointMismatchError, MalformedPathError
@@ -142,21 +143,27 @@ class OlogSchema:
     equations: tuple[PathEquation, ...] = ()
     fiber_products: tuple[FiberProductDecl, ...] = ()
 
-    def __post_init__(self) -> None:
-        boxes: dict[str, BoxDecl] = {}
-        for b in self.boxes:
-            boxes.setdefault(b.id, b)
-        arrows: dict[str, ArrowDecl] = {}
-        for a in self.arrows:
-            arrows.setdefault(a.id, a)
-        object.__setattr__(self, "_box_by_id", boxes)
-        object.__setattr__(self, "_arrow_by_id", arrows)
+    @functools.cached_property
+    def _box_by_id(self) -> dict[str, BoxDecl]:
+        return {b.id: b for b in reversed(self.boxes)}  # the first declaration wins
+
+    @functools.cached_property
+    def _arrow_by_id(self) -> dict[str, ArrowDecl]:
+        return {a.id: a for a in reversed(self.arrows)}
 
     def box(self, box_id: str) -> BoxDecl | None:
         return self._box_by_id.get(box_id)
 
     def arrow(self, arrow_id: str) -> ArrowDecl | None:
         return self._arrow_by_id.get(arrow_id)
+
+    @functools.cached_property
+    def _resolution(self) -> _Resolution:
+        """Per equation, each side's :func:`_ends`; the index and ends of each equation
+        whose sides agree; per fiber product, its corners or why there are none."""
+        sides = tuple((_ends(self, eq.lhs), _ends(self, eq.rhs)) for eq in self.equations)
+        usable = {index: lhs for index, (lhs, rhs) in enumerate(sides) if lhs == rhs}
+        return _Resolution(sides, usable, tuple(_corners(self, fp) for fp in self.fiber_products))
 
     @functools.cached_property
     def _diagnostics(self) -> tuple[Diagnostic, ...]:
@@ -168,12 +175,8 @@ class OlogSchema:
         letter per declared arrow in sorted-id order, and the completed rules or None."""
         code = {a: chr(i) for i, a in enumerate(sorted(self._arrow_by_id))}
         sides, words = [], []
-        for index, eq in enumerate(self.equations):
-            try:
-                if path_endpoints(self, eq.lhs) != path_endpoints(self, eq.rhs):
-                    continue  # sides not parallel: validate_schema reports it
-            except MalformedPathError:
-                continue  # unusable equation; validate_schema reports it
+        for index in self._resolution.usable:
+            eq = self.equations[index]
             sides.append((index, eq.lhs.start, eq.lhs.arrows, "lhs->rhs", eq.rhs.arrows))
             sides.append((index, eq.rhs.start, eq.rhs.arrows, "rhs->lhs", eq.lhs.arrows))
             words.append(tuple("".join(map(code.get, side.arrows)) for side in (eq.lhs, eq.rhs)))
@@ -182,11 +185,9 @@ class OlogSchema:
     def canonical(self) -> "OlogSchema":
         """The same schema with all declarations in canonical sorted order."""
 
-        def eq_key(eq: PathEquation) -> tuple:
-            try:
-                s, e = path_endpoints(self, eq.lhs)
-            except MalformedPathError:
-                s, e = eq.lhs.start, ""
+        def eq_key(resolved: tuple[PathEquation, tuple]) -> tuple:
+            eq, (lhs, _) = resolved
+            s, e = lhs if isinstance(lhs, tuple) else (eq.lhs.start, "")
             return (
                 natural_key(s),
                 natural_key(e),
@@ -198,7 +199,7 @@ class OlogSchema:
             self.name,
             tuple(sorted(self.boxes, key=lambda b: natural_key(b.id))),
             tuple(sorted(self.arrows, key=lambda a: natural_key(a.id))),
-            tuple(sorted(self.equations, key=eq_key)),
+            tuple(eq for eq, _ in sorted(zip(self.equations, self._resolution.sides), key=eq_key)),
             tuple(sorted(self.fiber_products, key=lambda f: natural_key(f.apex))),
         )
 
@@ -238,21 +239,43 @@ class SchemaFunctor:
 # ---------------------------------------------------------------------------
 
 
-def path_endpoints(schema: OlogSchema, path: Path) -> tuple[str, str]:
-    """(start box, end box) of a path; raises MalformedPathError otherwise."""
+def _ends(schema: OlogSchema, path: Path) -> tuple[str, str] | MalformedPathError:
+    """(start box, end box) of a path, or the error saying why it has none.  An
+    error equals only itself: equal results mean two paths resolve and are parallel."""
     if schema.box(path.start) is None:
-        raise MalformedPathError(f"path starts at undeclared box {path.start!r}")
+        return MalformedPathError(f"path starts at undeclared box {path.start!r}")
     at = path.start
     for arrow_id in path.arrows:
         decl = schema.arrow(arrow_id)
         if decl is None:
-            raise MalformedPathError(f"path references undeclared arrow {arrow_id!r}")
+            return MalformedPathError(f"path references undeclared arrow {arrow_id!r}")
         if decl.src != at:
-            raise MalformedPathError(
-                f"arrow {arrow_id} starts at {decl.src}, not {at}"
-            )
+            return MalformedPathError(f"arrow {arrow_id} starts at {decl.src}, not {at}")
         at = decl.dst
     return path.start, at
+
+
+def path_endpoints(schema: OlogSchema, path: Path) -> tuple[str, str]:
+    """(start box, end box) of a path; raises MalformedPathError otherwise."""
+    if isinstance(ends := _ends(schema, path), MalformedPathError):
+        raise ends
+    return ends
+
+
+_Resolution = namedtuple("_Resolution", "sides usable corners")
+
+
+def _corners(schema: OlogSchema, fp: FiberProductDecl) -> tuple[str, str, str] | str:
+    """The boxes X, Y, Z that ``proj1``, ``proj2`` and ``leg1`` end at, when every
+    declared arrow of ``fp`` runs apex->X, apex->Y, X->Z and Y->Z; else why not."""
+    p1, p2, l1, l2 = map(schema.arrow, (fp.proj1, fp.proj2, fp.leg1, fp.leg2))
+    if None in (p1, p2, l1):
+        return f"its corners need declared arrows {fp.proj1}, {fp.proj2} and {fp.leg1}"
+    x, y, z = p1.dst, p2.dst, l1.dst
+    for a, src, dst in ((p1, fp.apex, x), (p2, fp.apex, y), (l1, x, z), (l2, y, z)):
+        if a is not None and (a.src, a.dst) != (src, dst):
+            return f"arrow {a.id} runs {a.src}->{a.dst}, not {src}->{dst}"
+    return x, y, z
 
 
 def compose(schema: OlogSchema, first: Path, second: Path) -> Path:
@@ -308,29 +331,25 @@ def _diagnose(schema: OlogSchema) -> list[Diagnostic]:
                     )
                 )
 
-    for index, eq in enumerate(schema.equations):
+    for index, (eq, (lhs, rhs)) in enumerate(zip(schema.equations, schema._resolution.sides)):
         loc = f"eq#{index + 1}"
-        endpoints: list[tuple[str, str]] = []
-        for side_name, side in (("lhs", eq.lhs), ("rhs", eq.rhs)):
-            try:
-                endpoints.append(path_endpoints(schema, side))
-            except MalformedPathError as exc:
+        for side_name, ends in (("lhs", lhs), ("rhs", rhs)):
+            if isinstance(ends, MalformedPathError):
                 diags.append(
-                    error("MALFORMED_PATH", f"{side_name} of {eq}: {exc.message}", loc)
+                    error("MALFORMED_PATH", f"{side_name} of {eq}: {ends.message}", loc)
                 )
-        if len(endpoints) == 2 and endpoints[0] != endpoints[1]:
+        if isinstance(lhs, tuple) and isinstance(rhs, tuple) and lhs != rhs:
             diags.append(
                 error(
                     "EQ_ENDPOINT_MISMATCH",
-                    f"{eq}: sides run {endpoints[0][0]}->{endpoints[0][1]} "
-                    f"vs {endpoints[1][0]}->{endpoints[1][1]}",
+                    f"{eq}: sides run {lhs[0]}->{lhs[1]} vs {rhs[0]}->{rhs[1]}",
                     loc,
                 )
             )
 
     squares = _squares(schema)
     seen_apexes: set[str] = set()
-    for fp in schema.fiber_products:
+    for fp, corners in zip(schema.fiber_products, schema._resolution.corners):
         loc = f"pullback {fp.apex}"
         if fp.apex in seen_apexes:
             diags.append(
@@ -357,14 +376,9 @@ def _diagnose(schema: OlogSchema) -> list[Diagnostic]:
                 )
             )
             continue
-        # Both sides of the square run from the apex, so it has the shape
-        # exactly when both chain and they end at the same box.
+        # with the apex and all four arrows declared, the square chains iff they give corners
         square, declared = squares[fp]
-        try:
-            shape_ok = path_endpoints(schema, square.lhs) == path_endpoints(schema, square.rhs)
-        except MalformedPathError:
-            shape_ok = False
-        if not shape_ok:
+        if isinstance(corners, str):
             diags.append(
                 error(
                     "FP_SQUARE_SHAPE",
@@ -410,19 +424,12 @@ def with_fiber_product_squares(schema: OlogSchema) -> OlogSchema:
     """Return the schema with every missing fiber-product square equation added.
 
     The DSL parser applies this after reading a schema block, so hand-written
-    files may omit squares that are implied.  Already-present squares (either
-    orientation) are left alone, and a repeated declaration adds its square once.
+    files may omit squares that are implied, and the serializer before writing.
+    Already-present squares (either orientation) are left alone, and a repeated
+    declaration adds its square once.
     """
     additions = tuple(square for square, declared in _squares(schema).values() if not declared)
-    if not additions:
-        return schema
-    return OlogSchema(
-        schema.name,
-        schema.boxes,
-        schema.arrows,
-        schema.equations + additions,
-        schema.fiber_products,
-    )
+    return replace(schema, equations=schema.equations + additions) if additions else schema
 
 
 # ---------------------------------------------------------------------------
@@ -646,20 +653,13 @@ def replay_witness(schema: OlogSchema, result: EqualityResult) -> bool:
     """
     if not result.holds or len(result.witness) != len(result.rewrites) + 1:
         return False
-    try:
-        if len({path_endpoints(schema, path) for path in result.witness}) != 1:
-            return False
-    except MalformedPathError:
+    ends = {_ends(schema, path) for path in result.witness}  # an error equals only itself
+    if len(ends) != 1 or not isinstance(ends.pop(), tuple):
         return False
     for before, after, step in zip(result.witness, result.witness[1:], result.rewrites):
-        if not 0 <= step.eq_index < len(schema.equations):
+        if step.eq_index not in schema._resolution.usable:
             return False
         eq = schema.equations[step.eq_index]
-        try:
-            if path_endpoints(schema, eq.lhs) != path_endpoints(schema, eq.rhs):
-                return False
-        except MalformedPathError:
-            return False
         if step.direction == "lhs->rhs":
             pattern, replacement = eq.lhs.arrows, eq.rhs.arrows
         elif step.direction == "rhs->lhs":
@@ -747,14 +747,11 @@ def check_functor(functor: SchemaFunctor, max_steps: int = 64) -> list[Diagnosti
     if any(d.code in ("MISSING_MAPPING", "UNKNOWN_TARGET", "ENDPOINT_VIOLATION") for d in diags):
         return diags
 
-    for index, eq in enumerate(src.equations):
-        try:
-            lhs_image = functor.map_path(eq.lhs)
-            rhs_image = functor.map_path(eq.rhs)
-            outcome = derive_equality(dst, lhs_image, rhs_image, max_steps)
-        except (KeyError, MalformedPathError, EndpointMismatchError):
-            continue  # source equation itself is malformed; not the functor's fault
-        if not outcome.holds:
+    # neither a malformed source equation nor images parting at an undeclared box is its fault
+    for index in src._resolution.usable:
+        eq = src.equations[index]
+        lhs, rhs = functor.map_path(eq.lhs), functor.map_path(eq.rhs)
+        if _ends(dst, lhs) == _ends(dst, rhs) and not derive_equality(dst, lhs, rhs, max_steps).holds:
             diags.append(
                 warning(
                     "EQ_IMAGE_UNKNOWN",

@@ -21,7 +21,6 @@ from ologkit import (
     Graph,
     GraphPayload,
     Instance,
-    MalformedPathError,
     OlogSchema,
     PROTEIN_DEFAULTS,
     SOCIAL_MATCHED_DEFAULTS,
@@ -32,6 +31,7 @@ from ologkit import (
     PathEquation,
     RealPayload,
     TextPayload,
+    UnwritableSchemaError,
     bundled_schema,
     bundled_text,
     check_functor,
@@ -47,7 +47,7 @@ from ologkit import (
     with_fiber_product_squares,
 )
 from ologkit.ordering import natural_key
-from ologkit.schema import Path, path_endpoints
+from ologkit.schema import Path
 
 GOLDEN = FsPath(__file__).parent / "golden" / "paper.canonical.olog"
 
@@ -596,11 +596,22 @@ def test_malformed_equations_and_pullbacks_parse_and_are_diagnosed():
     )
     codes = [d.code for d in validate_schema(s)]
     assert codes == ["MALFORMED_PATH"] * 3 + ["FP_BAD_ARROW"]
-    with pytest.raises(MalformedPathError, match=r"^equation \[p,g\] = \[q,g\] from P "):
+    with pytest.raises(UnwritableSchemaError, match=r"^equation \[p,g\] = \[q,g\] from P "):
         serialize_schema(s)
+    # the serializer adds a missing square as the parser does
     squareless = OlogSchema(s.name, s.boxes, s.arrows, s.equations[:1], s.fiber_products)
-    with pytest.raises(MalformedPathError, match="^pullback P cannot be written"):
+    with pytest.raises(UnwritableSchemaError, match=r"^equation \[p,g\] = \[q,g\] from P "):
         serialize_schema(squareless)
+    # a square that resolves on the left, where only the pullback lacks an arrow
+    apexed = parse_schema(
+        'schema "t" { box P "p" box A "a" arrow p : P -> A arrow g : A -> A '
+        "pullback P = A ×[A] A proj (p, q) legs (g, g) }"
+    )
+    with pytest.raises(
+        UnwritableSchemaError,
+        match="^pullback P cannot be written: its corners need declared arrows p, q and g$",
+    ):
+        serialize_schema(apexed)
     assert serialize_schema(OlogSchema(s.name, s.boxes, s.arrows, s.equations[:1])) == (
         'schema "t" {\n'
         '  box A "a"\n'
@@ -766,10 +777,20 @@ _tags = st.frozensets(_ids, max_size=2)
 _reals = st.floats(allow_nan=False)
 
 
+_NOT_DECLARED = "NO1"  # an arrow id no schema below declares: _ids has no capitals
+
+
 @st.composite
 def _schemas(draw):
+    """Schemas built in Python, most of which the text format can hold.
+
+    Now and then a draw breaks one: an undeclared arrow in a path, projection
+    or leg; an equation whose sides are not parallel or start apart; a
+    pullback arrow bent off its square; a box, arrow or apex declared twice.
+    """
+    rare = st.integers(0, 7).map(lambda n: n == 3)  # about one draw in eight
     box_ids = draw(st.lists(_ids, min_size=1, max_size=5, unique=True))
-    boxes = tuple(BoxDecl(b, draw(_labels), draw(_tags)) for b in box_ids)
+    boxes = [BoxDecl(b, draw(_labels), draw(_tags)) for b in box_ids]
     arrow_ids = draw(st.lists(_ids, max_size=6, unique=True))
     arrows = [
         ArrowDecl(
@@ -782,44 +803,79 @@ def _schemas(draw):
         for a in arrow_ids
     ]
 
-    schema = OlogSchema("seed", boxes, tuple(arrows))
-    by_endpoints: dict[tuple[str, str], list[Path]] = {}
-    frontier = [Path(b, ()) for b in box_ids]
-    for b in box_ids:
-        by_endpoints.setdefault((b, b), []).append(Path(b, ()))
+    # every path of at most three arrows, grouped by its ends
+    by_endpoints: dict[tuple[str, str], list[Path]] = {(b, b): [Path(b, ())] for b in box_ids}
+    frontier = [(Path(b, ()), b) for b in box_ids]
     for _ in range(3):
-        nxt = []
-        for p in frontier:
-            _, end = path_endpoints(schema, p)
-            for a in arrows:
-                if a.src == end:
-                    q = Path(p.start, p.arrows + (a.id,))
-                    nxt.append(q)
-                    by_endpoints.setdefault(path_endpoints(schema, q), []).append(q)
-        frontier = nxt
-    eqs = []
+        frontier = [
+            (Path(p.start, p.arrows + (a.id,)), a.dst)
+            for p, end in frontier
+            for a in arrows
+            if a.src == end
+        ]
+        for q, end in frontier:
+            by_endpoints.setdefault((q.start, end), []).append(q)
+    paths = [p for ps in by_endpoints.values() for p in ps]
     pools = [ps for ps in by_endpoints.values() if len(ps) >= 2]
+    eqs = []
     for _ in range(draw(st.integers(0, 2))):
-        if not pools:
-            break
-        pool = draw(st.sampled_from(pools))
-        lhs, rhs = (draw(st.sampled_from(pool)) for _ in range(2))
+        if pools and not draw(rare):
+            pool = draw(st.sampled_from(pools))
+            lhs, rhs = draw(st.sampled_from(pool)), draw(st.sampled_from(pool))
+        else:
+            lhs, rhs = draw(st.sampled_from(paths)), draw(st.sampled_from(paths))
+        if draw(rare):
+            rhs = Path(rhs.start, rhs.arrows + (_NOT_DECLARED,))
+        if draw(rare):
+            lhs = Path(lhs.start, (_NOT_DECLARED,) + lhs.arrows)
         eqs.append(PathEquation(lhs, rhs, draw(st.one_of(st.just(""), _labels))))
 
-    fps = ()
+    fps = []
     if draw(st.booleans()):
         apex, x, y, z = (draw(st.sampled_from(box_ids)) for _ in range(4))
-        arrows += [
-            ArrowDecl("PR1", apex, x),
-            ArrowDecl("PR2", apex, y),
-            ArrowDecl("LG1", x, z),
-            ArrowDecl("LG2", y, z),
-        ]
-        fps = (FiberProductDecl(apex, "PR1", "PR2", "LG1", "LG2"),)
+        square = {"PR1": (apex, x), "PR2": (apex, y), "LG1": (x, z), "LG2": (y, z)}
+        for arrow_id, (src, dst) in square.items():
+            if draw(rare):  # bent off the square
+                src, dst = draw(st.sampled_from(box_ids)), draw(st.sampled_from(box_ids))
+            if not draw(rare):  # else left undeclared
+                arrows.append(ArrowDecl(arrow_id, src, dst))
+        fps.append(FiberProductDecl(apex, *square))
+        if draw(rare):
+            fps.append(FiberProductDecl(apex, *square))
+    if draw(rare):
+        boxes.append(BoxDecl(draw(st.sampled_from(box_ids)), draw(_labels)))
+    if arrows and draw(rare):
+        twice = draw(st.sampled_from(arrows))
+        arrows.append(ArrowDecl(twice.id, twice.dst, twice.src))
 
-    return with_fiber_product_squares(
-        OlogSchema(draw(_quoted), boxes, tuple(arrows), tuple(eqs), fps)
-    )
+    schema = OlogSchema(draw(_quoted), tuple(boxes), tuple(arrows), tuple(eqs), tuple(fps))
+    return with_fiber_product_squares(schema) if draw(st.booleans()) else schema
+
+
+_REFUSED = {"DUP_BOX_ID", "DUP_ARROW_ID", "DUP_FP_APEX", "EQ_ENDPOINT_MISMATCH", "FP_SQUARE_SHAPE"}
+
+
+def _unwritable(schema):
+    """Whether the text cannot hold the schema with its squares added: validation
+    reports a duplicate, sides that run apart, a bent square, or a left side that
+    does not resolve; or an equation's sides start apart, or a pullback's arrows
+    give no corners."""
+    full = with_fiber_product_squares(schema)
+    for diag in validate_schema(full):
+        left_unresolved = diag.code == "MALFORMED_PATH" and diag.message.startswith("lhs ")
+        if diag.code in _REFUSED or left_unresolved:
+            return True
+    if any(eq.lhs.start != eq.rhs.start for eq in full.equations):
+        return True
+    for fp in full.fiber_products:
+        p1, p2, l1, l2 = (full.arrow(a) for a in (fp.proj1, fp.proj2, fp.leg1, fp.leg2))
+        if p1 is None or p2 is None or l1 is None:
+            return True
+        if not (p1.src == p2.src == fp.apex and l1.src == p1.dst):
+            return True
+        if l2 is not None and (l2.src, l2.dst) != (p2.dst, l1.dst):
+            return True
+    return False
 
 
 @st.composite
@@ -861,9 +917,92 @@ def _instances(draw):
 @settings(max_examples=120, deadline=None)
 @given(schema=_schemas())
 def test_schema_serialization_is_byte_stable(schema):
-    text = serialize_schema(schema)
+    # serialize_schema refuses exactly the schemas the text cannot hold, and
+    # what it writes parses back to the same bytes
+    try:
+        text = serialize_schema(schema)
+    except UnwritableSchemaError:
+        assert _unwritable(schema)
+        return
+    assert not _unwritable(schema)
     reparsed = parse_schema(text)
     assert serialize_schema(reparsed) == text
+
+
+def _pq(*arrows, equations=(), fiber_products=()):
+    boxes = tuple(BoxDecl(b, f"a {b}") for b in "PXYZ")
+    return OlogSchema("pq", boxes, tuple(ArrowDecl(*a) for a in arrows), equations, fiber_products)
+
+
+_CORNERS = [("p1", "P", "X"), ("p2", "P", "Y"), ("f", "X", "Z"), ("g", "Y", "Z")]
+_PULLBACK = (FiberProductDecl("P", "p1", "p2", "f", "g"),)
+_SQUARE = (PathEquation(Path("P", ("p1", "f")), Path("P", ("p2", "g"))),)
+
+
+@pytest.mark.parametrize(
+    "schema, code, message",
+    [
+        (
+            OlogSchema("s", (BoxDecl("A", "an a"), BoxDecl("A", "another a"))),
+            "DUP_BOX_ID",
+            "schema cannot be written: box 'A' declared twice",
+        ),
+        (
+            _pq(("f", "X", "Z"), ("f", "Y", "Z")),
+            "DUP_ARROW_ID",
+            "schema cannot be written: arrow 'f' declared twice",
+        ),
+        (
+            _pq(*_CORNERS, equations=_SQUARE, fiber_products=_PULLBACK * 2),
+            "DUP_FP_APEX",
+            "schema cannot be written: pullback for apex 'P' declared twice",
+        ),
+        (
+            _pq(("f", "X", "Y"), ("g", "X", "Z"), equations=(
+                PathEquation(Path("X", ("f",)), Path("X", ("g",))),
+            )),
+            "EQ_ENDPOINT_MISMATCH",
+            "equation [f] = [g] from X cannot be written: its right side does not run X->Y",
+        ),
+        (
+            # the text gives both sides one start, so [zz] would move to X
+            _pq(("f", "X", "Y"), equations=(PathEquation(Path("X", ("f",)), Path("Y", ("zz",))),)),
+            "MALFORMED_PATH",
+            "equation [f] = [zz] from X cannot be written: its right side does not run X->Y",
+        ),
+        (
+            _pq(
+                _CORNERS[0], ("p2", "X", "Y"), *_CORNERS[2:],
+                equations=_SQUARE, fiber_products=_PULLBACK,
+            ),
+            "FP_SQUARE_SHAPE",
+            "pullback P cannot be written: arrow p2 runs X->Y, not P->Y",
+        ),
+        (
+            _pq(*_CORNERS[:3], ("g", "Y", "X"), equations=_SQUARE, fiber_products=_PULLBACK),
+            "FP_SQUARE_SHAPE",
+            "equation [p1,f] = [p2,g] from P cannot be written: its right side does not run P->Z",
+        ),
+    ],
+    ids=[
+        "box-twice", "arrow-twice", "apex-twice", "sides-apart", "starts-apart",
+        "proj-off-apex", "legs-apart",
+    ],
+)
+def test_a_schema_the_text_cannot_hold_is_refused(schema, code, message):
+    # Written out, each of these would be text that parse_schema rejects.
+    assert code in [d.code for d in validate_schema(schema)]
+    with pytest.raises(UnwritableSchemaError) as exc:
+        serialize_schema(schema)
+    assert (exc.value.code, exc.value.message) == ("UNWRITABLE_SCHEMA", message)
+
+
+def test_a_squareless_schema_is_written_with_its_square():
+    squareless = _pq(*_CORNERS, fiber_products=_PULLBACK)
+    text = serialize_schema(squareless)
+    assert "  eq P..Z : [p1,f] = [p2,g] \"pullback square of P\"\n" in text
+    assert text == serialize_schema(with_fiber_product_squares(squareless))
+    assert serialize_schema(parse_schema(text)) == text
 
 
 @settings(max_examples=120, deadline=None)

@@ -10,7 +10,6 @@ from ologkit import (
     ArrowDecl,
     BoxDecl,
     DomainError,
-    DuplicateIdError,
     EndpointMismatchError,
     EqualityResult,
     EqVerdict,
@@ -21,11 +20,11 @@ from ologkit import (
     PathEquation,
     RewriteStep,
     SchemaFunctor,
+    UnwritableSchemaError,
     check_functor,
     compose,
     derive_equality,
     identity,
-    parse_schema,
     path_endpoints,
     replay_witness,
     serialize_schema,
@@ -190,14 +189,17 @@ def test_fiber_product_square_must_be_declared():
 
 def test_a_fiber_product_apex_declared_twice_is_reported():
     # The text format rejects the repeated declaration, so a schema built in
-    # Python that holds one must not validate clean.
+    # Python that holds one must not validate clean, nor be written.
     square = _square_schema(True)
     twice = dataclasses.replace(square, fiber_products=square.fiber_products * 2)
     assert [(d.code, d.message, d.location) for d in validate_schema(twice)] == [
         ("DUP_FP_APEX", "pullback for apex 'P' declared twice", "pullback P")
     ]
-    with pytest.raises(DuplicateIdError, match="pullback for apex 'P' declared twice"):
-        parse_schema(serialize_schema(twice))
+    with pytest.raises(
+        UnwritableSchemaError,
+        match="^schema cannot be written: pullback for apex 'P' declared twice$",
+    ):
+        serialize_schema(twice)
 
 
 def test_with_fiber_product_squares_fills_the_gap():
@@ -525,6 +527,29 @@ def test_completion_runs_once_per_schema_over_all_bundled_pairs(schema, monkeypa
     assert len(completions) == 2  # once per new schema object, never again for `schema`
 
 
+def test_a_schema_resolves_its_declarations_once(schema, monkeypatch):
+    # Validation, the canonical sort, the rewriting system, witness replay and
+    # the functor check read one resolution of the equations and pullbacks.
+    p, q = Path("A", ("1", "10", "14")), Path("A", ("2", "14"))
+    expected = derive_equality(schema, p, q, 3)
+    resolutions = []
+
+    def counted(*fields):
+        resolutions.append(fields)
+        return make(*fields)
+
+    make = schema_mod._Resolution
+    monkeypatch.setattr(schema_mod, "_Resolution", counted)
+    for fresh in (dataclasses.replace(schema), dataclasses.replace(schema)):
+        for _ in range(2):
+            assert validate_schema(fresh) == []
+            assert fresh.canonical().equations == schema.canonical().equations
+            assert derive_equality(fresh, p, q, 3) == expected
+            assert replay_witness(fresh, expected)
+            assert check_functor(SchemaFunctor.identity_on(fresh)) == []
+    assert len(resolutions) == 2  # once per new schema object, never again for `schema`
+
+
 def test_bundled_normal_forms_agree_with_the_search(schema):
     paths = _all_paths(schema, 3)
     forms = dict(zip(paths, _normal_forms(schema, paths)))
@@ -758,3 +783,26 @@ def test_functor_warns_on_undderivable_equation_images():
     diags = check_functor(f)
     assert [d.code for d in diags] == ["EQ_IMAGE_UNKNOWN"]
     assert all(d.severity.name == "WARNING" for d in diags)
+
+
+def test_functor_skips_equation_images_that_part_at_an_undeclared_box():
+    # The source equation resolves, but runs through a box it never declares,
+    # so no endpoint check binds its arrows' images: those images do not chain
+    # in the target, or do not end together, and neither is the functor's fault.
+    src = OlogSchema(
+        "ghost",
+        (BoxDecl("X", "an x"),),
+        (ArrowDecl("out", "X", "Ghost"), ArrowDecl("in", "Ghost", "X"), ArrowDecl("off", "X", "Ghost")),
+        (
+            PathEquation(Path("X", ("out", "in")), Path("X", ())),
+            PathEquation(Path("X", ("out",)), Path("X", ("off",))),
+        ),
+    )
+    dst = OlogSchema(
+        "split",
+        tuple(BoxDecl(b, f"a {b}") for b in "XLR"),
+        (ArrowDecl("l", "X", "L"), ArrowDecl("r", "R", "X"), ArrowDecl("m", "X", "R")),
+    )
+    functor = SchemaFunctor(src, dst, {"X": "X"}, {"out": "l", "in": "r", "off": "m"})
+    assert [d.code for d in validate_schema(src)] == ["DANGLING_ARROW"] * 3
+    assert check_functor(functor) == []
