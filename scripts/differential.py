@@ -20,7 +20,13 @@ records one outcome per case:
   derive        ``derive_equality`` (64 steps) and ``replay_witness`` on every
                 parallel path pair of the bundled schema;
   check         ``olog check`` reports, minus ``elapsed_ms``, on ductile,
-                bonded and brittle instances of both domains at small n.
+                bonded and brittle instances of both domains at small n;
+  simulate      ``olog simulate -o`` on ductile, bonded, brittle (with and
+                without lifeline) chains of both domains and social message
+                chains (with and without lifeline), at n = 2, 9, 10, 11, 32
+                and 40, across the id pad widths: the exit code, the report
+                minus ``elapsed_ms`` and the sha256 of the written file; and
+                ``olog pullback paper.olog FILE 30 27`` on bonded n <= 11.
 
 It prints, per slice, the count of identical outcomes and of each class of
 difference, then one example of each class and the first few differences
@@ -53,6 +59,20 @@ SEED = 20240611
 MUTATED_DOCUMENTS = 2000
 BUILT_SCHEMAS = 1000
 SHOWN = 5
+SIMULATE_SIZES = (2, 9, 10, 11, 32, 40)
+
+# `olog simulate` flags per chain kind, given with --domain and --bricks.
+_SIMULATE_FLAGS = {
+    "ductile": ["--glue-fail", "20.6", "--lifeline", "--ll-rest", "23.45", "--ll-fail", "100"],
+    "bonded": [
+        "--glue-fail", "20.6", "--brick-fail", "100",
+        "--lifeline", "--ll-rest", "23.45", "--ll-fail", "110",
+    ],
+    "brittle": ["--glue-fail", "20.6"],
+    "brittle-ll": ["--glue-fail", "20.6", "--lifeline", "--ll-rest", "23.45", "--ll-fail", "23.45"],
+    "social-msg": ["--msg-len", "40", "--msg-success", "0.6"],
+    "social-msg-ll": ["--msg-len", "40", "--msg-success", "0.6", "--lifeline"],
+}
 
 # Edits as in the parser's mutation tests, plus pieces of the schema grammar;
 # most edits put one identifier in place of another, which keeps the grammar
@@ -182,6 +202,12 @@ def _corpus() -> dict:
             for domain in ("protein", "social")
             for n in (2, 5)
         ],
+        "simulate": [
+            [kind, domain, n]
+            for kind in _SIMULATE_FLAGS
+            for domain in (("social",) if kind.startswith("social") else ("protein", "social"))
+            for n in SIMULATE_SIZES
+        ],
     }
 
 
@@ -279,8 +305,35 @@ def _derive_cases(ok) -> dict:
     return out
 
 
-def _check_cases(ok, instances: list) -> dict:
+def _cli(argv: list) -> list:
+    """``olog`` run in this process: the exit code and the report lines,
+    minus ``elapsed_ms``."""
     from ologkit import cli
+
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = cli.main(argv)
+    lines = stdout.getvalue().splitlines()
+    return [code, [line for line in lines if not line.startswith("elapsed_ms:")]]
+
+
+def _simulate_cases(cases: list) -> dict:
+    out = {}
+    for kind, domain, n in cases:
+        name = f"simulate-{kind}-{domain}-{n}.oinst"
+        argv = ["simulate", "--domain", domain, "--bricks", str(n), *_SIMULATE_FLAGS[kind]]
+        code, lines = _cli([*argv, "-o", name])
+        written = Path(name).exists() and hashlib.sha256(Path(name).read_bytes()).hexdigest()
+        out[name] = [code, lines, written]
+        if kind == "bonded" and n <= 11:
+            code, lines = _cli(["pullback", "paper.olog", name, "30", "27"])
+            pairs = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+            out[f"pullback-30-27-{name}"] = [code, lines[:3], len(lines), pairs]
+        Path(name).unlink(missing_ok=True)
+    return out
+
+
+def _check_cases(ok, instances: list) -> dict:
     from ologkit.chains import SimParams
 
     out = {}
@@ -295,11 +348,7 @@ def _check_cases(ok, instances: list) -> dict:
         name = f"{kind}-{domain}-{n}.oinst"
         instance = ok.generate_instance(params, schema)
         Path(name).write_text(ok.serialize_instance(instance), encoding="utf-8")
-        stdout = io.StringIO()
-        with contextlib.redirect_stdout(stdout):
-            code = cli.main(["check", "paper.olog", name])
-        lines = stdout.getvalue().splitlines()
-        out[name] = [code, [line for line in lines if not line.startswith("elapsed_ms:")]]
+        out[name] = _cli(["check", "paper.olog", name])
     return out
 
 
@@ -314,6 +363,7 @@ def _work(corpus_path: str, out_path: str, tree: str) -> None:
         "schema-built": {str(i): _schema_built(ok, s) for i, s in enumerate(corpus["built"])},
         "derive": _derive_cases(ok),
         "check": _check_cases(ok, corpus["instances"]),
+        "simulate": _simulate_cases(corpus["simulate"]),
     }
     Path(out_path).write_text(json.dumps(results), encoding="utf-8")
 

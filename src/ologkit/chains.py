@@ -498,8 +498,23 @@ def _bonded(brick: float, lifeline: float, comparators: Comparators) -> bool:
 
 
 def _numbered_ids(prefix: str, count: int) -> list[str]:
-    """``prefix`` and 1..count, zero-padded to one width, from one format."""
-    return list(map(f"{prefix}%0{pad_width(count)}d".__mod__, range(1, count + 1)))
+    """``prefix`` and 1..count, zero-padded to one width, from one byte array.
+
+    Each row is the prefix, the digit columns of its number and a space, so
+    one split of the decoded rows gives the ids; ``prefix`` must be an ASCII
+    identifier, so it holds no space.
+    """
+    head = prefix.encode()
+    width = pad_width(count)
+    rows = np.empty((count, len(head) + width + 1), np.uint8)
+    rows[:, : len(head)] = np.frombuffer(head, np.uint8)
+    rows[:, -1] = ord(" ")
+    numbers = np.arange(1, count + 1, dtype=np.min_scalar_type(count))
+    for j in range(width):  # digit j counts from the right
+        rows[:, len(head) + width - 1 - j] = ord("0") + numbers // 10**j % 10
+    text = str(rows, "ascii")
+    del rows, numbers  # free the arrays before the ids are allocated
+    return text.split()
 
 
 def generate_instance(

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 import re
-from collections.abc import Callable, Container
+from collections.abc import Callable, Container, Iterator
 from functools import lru_cache
 from operator import countOf
 from pathlib import Path as FsPath
@@ -108,6 +108,7 @@ _ESCAPE_RE = re.compile(r"\\(.)")
 # one.  A refused block, or one repeating a block id, an element or a source,
 # ends the run; the token loop, which owns every error message, reads it.
 _ID = r"[A-Za-z0-9_]+"
+_ID_RE = re.compile(_ID)
 _REAL = rf"({_NUMBER}|[0-9]+|inf)"
 _NODE = rf"{_ID}(?:\s*->\s*{_ID})?"
 _ENTRY_RE = re.compile(
@@ -382,13 +383,14 @@ class _Parser:
                         self.span(here),
                     )
         for fp, (here, x, y, z) in zip(schema.fiber_products, fp_sites):
-            stated = {
-                fp.proj1: (fp.apex, x),
-                fp.proj2: (fp.apex, y),
-                fp.leg1: (x, z),
-                fp.leg2: (y, z),
-            }
-            for arrow_id, (want_src, want_dst) in stated.items():
+            # one check per role, so an arrow named twice meets both of its roles
+            stated = (
+                (fp.proj1, fp.apex, x),
+                (fp.proj2, fp.apex, y),
+                (fp.leg1, x, z),
+                (fp.leg2, y, z),
+            )
+            for arrow_id, want_src, want_dst in stated:
                 decl = schema.arrow(arrow_id)
                 if decl is None:
                     continue
@@ -594,17 +596,52 @@ def _tag_suffix(tags: frozenset[str]) -> str:
     return " [" + ", ".join(sorted(tags)) + "]"
 
 
+def _words(s: OlogSchema) -> Iterator[tuple[str, tuple[str, ...], dict[str, str]]]:
+    """Each declaration as the text names it, the ids it writes, and its strings."""
+    yield "schema", (), {"name": s.name}
+    for box in s.boxes:
+        yield f"box {box.id}", (box.id, *box.tags), {"label": box.label}
+    for arrow in s.arrows:
+        ids = (arrow.id, arrow.src, arrow.dst, *arrow.tags)
+        yield f"arrow {arrow.id}", ids, {"label": arrow.label}
+    for fp in s.fiber_products:
+        yield f"pullback {fp.apex}", (fp.apex, fp.proj1, fp.proj2, fp.leg1, fp.leg2), {}
+    for eq in s.equations:
+        ids = (eq.lhs.start, eq.rhs.start, *eq.lhs.arrows, *eq.rhs.arrows)
+        yield f"equation {eq} from {eq.lhs.start}", ids, {"note": eq.note}
+
+
+def _refuse_unwritable_words(s: OlogSchema) -> None:
+    """Raise UnwritableSchemaError naming the first declaration that holds an
+    id that is not an identifier, or a name, label or note with a raw newline.
+    Pullbacks come before equations, so a pullback is named before its square."""
+    for owner, ids, texts in _words(s):
+        for ident in ids:
+            if _ID_RE.fullmatch(ident) is None:
+                raise UnwritableSchemaError(
+                    f"{owner} cannot be written: {ident!r} is not an identifier"
+                )
+        for what, text in texts.items():
+            if "\n" in text:
+                raise UnwritableSchemaError(
+                    f"{owner} cannot be written: its {what} holds a raw newline"
+                )
+
+
 def serialize_schema(schema: OlogSchema) -> str:
     """Canonical text for a schema (sorted declarations, stable bytes).
 
     Missing fiber-product squares are written, as the parser adds them.  An id
-    declared twice, an equation whose sides the text cannot state, or a pullback
-    whose arrows give no corners raises UnwritableSchemaError: no text parses back.
+    declared twice, an id that is not an identifier, a name, label or note
+    holding a raw newline, an equation whose sides the text cannot state, or a
+    pullback whose arrows give no corners raises UnwritableSchemaError naming
+    the declaration: no text parses back.
     """
     s = with_fiber_product_squares(schema).canonical()
     for diag in s._diagnostics:
         if diag.code in ("DUP_BOX_ID", "DUP_ARROW_ID", "DUP_FP_APEX"):
             raise UnwritableSchemaError(f"schema cannot be written: {diag.message}")
+    _refuse_unwritable_words(s)
     lines = [f"schema {_quote(s.name)} {{"]
     for box in s.boxes:
         lines.append(f"  box {box.id} {_quote(box.label)}{_tag_suffix(box.tags)}")
@@ -669,18 +706,35 @@ def serialize_instance(instance: Instance) -> str:
     """Canonical text for an instance (sorted, empties dropped, stable bytes).
 
     Boxes, arrows and the ids within each are written in natural-key order,
-    through :func:`natural_order`. No copy of the instance is built: each body
-    is one join over its ids or pairs, where only payload entries are
+    through :func:`natural_order`, and each key order is proven once per
+    call: a table whose keys equal a box's or another table's reuses that
+    order (one list ``==``, an identity test per id when the strings are
+    shared, as in generated instances). No copy of the instance is built: each
+    body is one join over its ids or pairs, where only payload entries are
     formatted one by one, and the document is one join over its pieces, so
     no body is copied again.
     """
+    # (key count, first key) -> a dict with those keys, and their order
+    proven: dict[tuple[int, str], tuple[dict, list[str] | None]] = {}
+
+    def reorder(keyed: dict) -> list[str] | None:
+        """``natural_order(keyed)``, or None when that is its own order.
+        Holds the dicts, not copies of their keys, so no key list outlives
+        its comparison."""
+        keys = list(keyed)
+        known = proven.get((len(keys), keys[0]))
+        if known is None or list(known[0]) != keys:
+            ordered = natural_order(keys)
+            known = proven[len(keys), keys[0]] = (keyed, None if ordered == keys else ordered)
+        return known[1]
+
     sets, functions = instance.sets, instance.functions
     pieces = [f"instance {_quote(instance.name)} of {_quote(instance.schema_name)} {{\n"]
     for box_id in natural_order(sets):
         elems = sets[box_id]
         if not elems:
             continue
-        ids = natural_order(elems)
+        ids = reorder(elems) or elems
         if countOf(elems.values(), None) != len(elems):
             ids = [
                 eid if (payload := elems[eid]) is None else f"{eid} = {_payload_lit(payload)}"
@@ -691,10 +745,9 @@ def serialize_instance(instance: Instance) -> str:
         table = functions[arrow_id]
         if not table:
             continue
-        keys = list(table)
-        ordered = natural_order(keys)
         # in the table's own order its items are the pairs; else look each image up
-        if ordered == keys:
+        ordered = reorder(table)
+        if ordered is None:
             pairs = table.items()
         else:
             pairs = zip(ordered, map(table.__getitem__, ordered))

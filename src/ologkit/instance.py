@@ -400,8 +400,9 @@ def _pullback_columns(
 ) -> tuple[list[str], list[str]]:
     """:func:`compute_pullback` as two columns, the pairs' lefts and rights.
 
-    Each x's run of partners is one group of the index, so both columns are
-    built by C-level passes over the groups, with no Python step per pair.
+    Each x's run of partners is one group of the index, so the rights are
+    the groups chained and the lefts each x repeated by its group's size, with
+    no Python step or object per pair or per x.
     """
     decl1, decl2 = _cospan(schema, instance, leg1, leg2)
     table1, table2 = instance.table(leg1), instance.table(leg2)
@@ -412,7 +413,8 @@ def _pullback_columns(
             by_image.setdefault(image, []).append(y)
     xs = natural_order(instance.elements(decl1.src))
     groups = list(map(by_image.get, map(table1.get, xs), repeat(())))
-    lefts = list(chain.from_iterable(map(repeat, xs, map(len, groups))))
+    sizes = np.fromiter(map(len, groups), np.intp, len(groups))
+    lefts = np.repeat(np.array(xs, dtype=object), sizes).tolist()
     return lefts, list(chain.from_iterable(groups))
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import string
 
 import numpy as np
 import pytest
@@ -39,6 +40,8 @@ from ologkit import (
     validate_instance,
     verify_all_fiber_products,
 )
+from ologkit.chains import _numbered_ids
+from ologkit.ordering import pad_width
 
 INF = math.inf
 
@@ -630,6 +633,22 @@ def test_no_two_generated_tables_share_a_dict(schema, chain, domain):
     inst = generate_instance(params, schema)
     tables = [*inst.sets.values(), *inst.functions.values()]
     assert len({id(table) for table in tables}) == len(tables)
+
+
+# Counts at every pad-width boundary, and where the kernel's integer type
+# widens (uint8 to uint16 to uint32).
+_ID_COUNTS = (0, 1, 9, 10, 99, 100, 255, 256, 999, 1000, 9999, 10000, 65535, 65536)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    prefix=st.text(alphabet=string.ascii_letters + string.digits + "_", max_size=4),
+    count=st.one_of(st.sampled_from(_ID_COUNTS), st.integers(0, 200_000)),
+)
+def test_numbered_ids_kernel_matches_the_format(prefix, count):
+    width = pad_width(count)
+    expected = [f"{prefix}{i:0{width}d}" for i in range(1, count + 1)]
+    assert _numbered_ids(prefix, count) == expected
 
 
 def test_domain_flavors_name_the_blocks():

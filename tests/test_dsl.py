@@ -2,6 +2,7 @@ import hashlib
 import math
 import random
 import re
+from dataclasses import replace
 from pathlib import Path as FsPath
 
 import pytest
@@ -571,6 +572,27 @@ def test_pullback_corners_must_match_arrows():
     assert "pullback P" in exc.value.bare_message
 
 
+@pytest.mark.parametrize(
+    "square, message",
+    [
+        ("proj (p1, p2) legs (g, g)", "arrow g runs Y->Z, but the declaration needs X->Z"),
+        ("proj (p2, p2) legs (f, g)", "arrow p2 runs P->Y, but the declaration needs P->X"),
+    ],
+    ids=["legs-g-g", "proj-p2-p2"],
+)
+def test_an_arrow_named_twice_in_a_pullback_is_checked_in_each_role(square, message):
+    # g : Y -> Z cannot be the first leg out of X, whatever its second role
+    text = (
+        'schema "x" {\n  box P "a p"\n  box X "an x"\n  box Y "a y"\n  box Z "a z"\n'
+        "  arrow p1 : P -> X\n  arrow p2 : P -> Y\n  arrow f : X -> Z\n  arrow g : Y -> Z\n"
+        f"  pullback P = X ×[Z] Y {square}\n}}\n"
+    )
+    with pytest.raises(ParseError) as exc:
+        parse_schema(text)
+    assert (exc.value.span.line, exc.value.span.column) == (10, 3)
+    assert exc.value.bare_message == f"pullback P: {message}"
+
+
 def test_parser_supplies_missing_square_equations():
     s = parse_schema(
         'schema "x" { box P "a p" box X "an x" box Y "a y" box Z "a z" '
@@ -778,6 +800,7 @@ _reals = st.floats(allow_nan=False)
 
 
 _NOT_DECLARED = "NO1"  # an arrow id no schema below declares: _ids has no capitals
+_BROKEN = ("box id", "arrow id", "tag", "label", "path arrow", "note", "name")
 
 
 @st.composite
@@ -786,12 +809,26 @@ def _schemas(draw):
 
     Now and then a draw breaks one: an undeclared arrow in a path, projection
     or leg; an equation whose sides are not parallel or start apart; a
-    pullback arrow bent off its square; a box, arrow or apex declared twice.
+    pullback arrow bent off its square; a box, arrow or apex declared twice;
+    an id that is not an identifier, or a string with a raw newline.
     """
     rare = st.integers(0, 7).map(lambda n: n == 3)  # about one draw in eight
+    # now and then one word the text cannot hold: an id that is not an
+    # identifier, or a name, label or note with a raw newline
+    broken = draw(st.sampled_from((None,) * 28 + _BROKEN))  # one draw in five
+    odd = draw(st.sampled_from(["a b", "x-y", "é", ""]))
+    lines = "two\nlines"
     box_ids = draw(st.lists(_ids, min_size=1, max_size=5, unique=True))
+    if broken == "box id":
+        box_ids[-1] = odd
     boxes = [BoxDecl(b, draw(_labels), draw(_tags)) for b in box_ids]
+    if broken == "tag":
+        boxes[0] = replace(boxes[0], tags=boxes[0].tags | {odd})
+    if broken == "label":
+        boxes[-1] = replace(boxes[-1], label=lines)
     arrow_ids = draw(st.lists(_ids, max_size=6, unique=True))
+    if arrow_ids and broken == "arrow id":
+        arrow_ids[0] = odd
     arrows = [
         ArrowDecl(
             a,
@@ -828,7 +865,10 @@ def _schemas(draw):
             rhs = Path(rhs.start, rhs.arrows + (_NOT_DECLARED,))
         if draw(rare):
             lhs = Path(lhs.start, (_NOT_DECLARED,) + lhs.arrows)
-        eqs.append(PathEquation(lhs, rhs, draw(st.one_of(st.just(""), _labels))))
+        if broken == "path arrow":
+            rhs = Path(rhs.start, rhs.arrows + (odd,))
+        note = lines if broken == "note" else draw(st.one_of(st.just(""), _labels))
+        eqs.append(PathEquation(lhs, rhs, note))
 
     fps = []
     if draw(st.booleans()):
@@ -848,7 +888,8 @@ def _schemas(draw):
         twice = draw(st.sampled_from(arrows))
         arrows.append(ArrowDecl(twice.id, twice.dst, twice.src))
 
-    schema = OlogSchema(draw(_quoted), tuple(boxes), tuple(arrows), tuple(eqs), tuple(fps))
+    name = lines if broken == "name" else draw(_quoted)
+    schema = OlogSchema(name, tuple(boxes), tuple(arrows), tuple(eqs), tuple(fps))
     return with_fiber_product_squares(schema) if draw(st.booleans()) else schema
 
 
@@ -856,11 +897,21 @@ _REFUSED = {"DUP_BOX_ID", "DUP_ARROW_ID", "DUP_FP_APEX", "EQ_ENDPOINT_MISMATCH",
 
 
 def _unwritable(schema):
-    """Whether the text cannot hold the schema with its squares added: validation
+    """Whether the text cannot hold the schema with its squares added: an id it
+    writes is not an identifier, or a string holds a raw newline; validation
     reports a duplicate, sides that run apart, a bent square, or a left side that
     does not resolve; or an equation's sides start apart, or a pullback's arrows
     give no corners."""
     full = with_fiber_product_squares(schema)
+    ids = [b.id for b in full.boxes] + [t for d in full.boxes + full.arrows for t in d.tags]
+    ids += [i for a in full.arrows for i in (a.id, a.src, a.dst)]
+    ids += [i for fp in full.fiber_products for i in (fp.apex, fp.proj1, fp.proj2, fp.leg1, fp.leg2)]
+    for eq in full.equations:
+        ids += [eq.lhs.start, eq.rhs.start, *eq.lhs.arrows, *eq.rhs.arrows]
+    texts = [full.name] + [d.label for d in full.boxes + full.arrows]
+    texts += [eq.note for eq in full.equations]
+    if not all(re.fullmatch(r"[A-Za-z0-9_]+", i) for i in ids) or any("\n" in t for t in texts):
+        return True
     for diag in validate_schema(full):
         left_unresolved = diag.code == "MALFORMED_PATH" and diag.message.startswith("lhs ")
         if diag.code in _REFUSED or left_unresolved:
@@ -997,6 +1048,63 @@ def test_a_schema_the_text_cannot_hold_is_refused(schema, code, message):
     assert (exc.value.code, exc.value.message) == ("UNWRITABLE_SCHEMA", message)
 
 
+@pytest.mark.parametrize(
+    "schema, message",
+    [
+        (
+            OlogSchema("s", (BoxDecl("a b", "x"),)),
+            "box a b cannot be written: 'a b' is not an identifier",
+        ),
+        (
+            OlogSchema("s", (BoxDecl("A", "x", frozenset({"con-jecture"})),)),
+            "box A cannot be written: 'con-jecture' is not an identifier",
+        ),
+        (
+            _pq(("f-1", "X", "Z")),
+            "arrow f-1 cannot be written: 'f-1' is not an identifier",
+        ),
+        (
+            _pq(("f", "X", "Z é")),
+            "arrow f cannot be written: 'Z é' is not an identifier",
+        ),
+        (
+            _pq(*_CORNERS, fiber_products=(FiberProductDecl("P Q", "p1", "p2", "f", "g"),)),
+            "pullback P Q cannot be written: 'P Q' is not an identifier",
+        ),
+        (
+            _pq(*_CORNERS, equations=(PathEquation(Path("X", ("f",)), Path("X", ("f", "g h"))),)),
+            "equation [f] = [f,g h] from X cannot be written: 'g h' is not an identifier",
+        ),
+        (
+            OlogSchema("two\nlines", (BoxDecl("A", "x"),)),
+            "schema cannot be written: its name holds a raw newline",
+        ),
+        (
+            OlogSchema("s", (BoxDecl("A", "two\nlines"),)),
+            "box A cannot be written: its label holds a raw newline",
+        ),
+        (
+            _pq(("f", "X", "Z", "two\nlines")),
+            "arrow f cannot be written: its label holds a raw newline",
+        ),
+        (
+            _pq(*_CORNERS, equations=(replace(_SQUARE[0], note="two\nlines"),)),
+            "equation [p1,f] = [p2,g] from P cannot be written: its note holds a raw newline",
+        ),
+    ],
+    ids=[
+        "box-id", "tag", "arrow-id", "arrow-target", "apex-id", "path-arrow", "name",
+        "box-label", "arrow-label", "note",
+    ],
+)
+def test_a_word_the_text_cannot_hold_is_refused_naming_its_declaration(schema, message):
+    # Written out, an id with a space or a dash would read as two words, and
+    # a raw newline would end a string; the error names where it sits.
+    with pytest.raises(UnwritableSchemaError) as exc:
+        serialize_schema(schema)
+    assert exc.value.message == message
+
+
 def test_a_squareless_schema_is_written_with_its_square():
     squareless = _pq(*_CORNERS, fiber_products=_PULLBACK)
     text = serialize_schema(squareless)
@@ -1045,10 +1153,17 @@ def ref_serialize_instance(instance):
     return "\n".join(lines) + "\n"
 
 
+_SHARED_KEYS = ("same", "reversed", "copied", "first kept")
+
+
 @st.composite
 def _padded_instances(draw):
     """``_instances()`` plus runs of zero-padded ids, as the generator writes
-    them: in order, which ``natural_order`` proves, or shuffled, which it sorts."""
+    them: in order, which ``natural_order`` proves, or shuffled, which it sorts.
+    Each run's tables share its box's key list, as the serializer's memo of
+    proven orders sees them: the same strings in the same order, reversed,
+    equal strings that are other objects (as a parsed file gives), or
+    reordered behind the same first key."""
     base = draw(_instances())
     sets, functions = dict(base.sets), dict(base.functions)
     for _ in range(draw(st.integers(1, 3))):
@@ -1060,7 +1175,15 @@ def _padded_instances(draw):
             ids = draw(st.permutations(ids))
         payloads = st.none() if draw(st.booleans()) else _payloads
         sets[draw(_ids)] = {eid: draw(payloads) for eid in ids}
-        functions[draw(_ids)] = dict(zip(ids, draw(st.permutations(ids))))
+        for shared in draw(st.lists(st.sampled_from(_SHARED_KEYS), min_size=1, max_size=3)):
+            keys = ids
+            if shared == "reversed":
+                keys = ids[::-1]
+            elif shared == "copied":
+                keys = [eid.encode().decode() for eid in ids]
+            elif shared == "first kept":
+                keys = ids[:1] + draw(st.permutations(ids[1:]))
+            functions[draw(_ids)] = dict(zip(keys, draw(st.permutations(ids))))
     return Instance(base.name, base.schema_name, sets, functions)
 
 

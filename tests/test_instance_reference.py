@@ -9,7 +9,9 @@ exception with the same message.
 """
 
 import random
+from operator import countOf
 from functools import cache, partial
+from itertools import chain, repeat
 
 import pytest
 from hypothesis import given, settings
@@ -33,7 +35,13 @@ from ologkit import (
 )
 from ologkit.diagnostics import error
 from ologkit.errors import CospanMismatchError, ElementNotInSourceError, SchemaMismatchError
-from ologkit.instance import EquationReport, FiberProductReport, payload_type_name
+from ologkit.instance import (
+    EquationReport,
+    FiberProductReport,
+    _cospan,
+    _pullback_columns,
+    payload_type_name,
+)
 from ologkit.ordering import natural_key, natural_order
 from ologkit.schema import Path, path_endpoints
 
@@ -188,6 +196,21 @@ def _ref_pullback(schema, instance, leg1, leg2, orders):
         if (image := table1.get(x)) is not None
         for y in by_image.get(image, ())
     ]
+
+
+def ref_pullback_columns(schema, instance, leg1, leg2):
+    """The pullback's two columns as they were built, one ``repeat`` per left."""
+    decl1, decl2 = _cospan(schema, instance, leg1, leg2)
+    table1, table2 = instance.table(leg1), instance.table(leg2)
+    by_image = {}
+    for y in natural_order(instance.elements(decl2.src)):
+        image = table2.get(y)
+        if image is not None:
+            by_image.setdefault(image, []).append(y)
+    xs = natural_order(instance.elements(decl1.src))
+    groups = list(map(by_image.get, map(table1.get, xs), repeat(())))
+    lefts = list(chain.from_iterable(map(repeat, xs, map(len, groups))))
+    return lefts, list(chain.from_iterable(groups))
 
 
 def _ref_verify_fiber_product(schema, instance, decl, orders):
@@ -414,6 +437,43 @@ def test_random_instances_reach_every_outcome():
         "PAYLOAD_MIXED", "UNKNOWN_BOX", "UNKNOWN_ARROW",
         "AllHold", "Counterexample", "raised",
         "PASS", "COLLIDING_PAIR", "EXTRA_PAIR", "MISSING_PAIR",
+    }
+
+
+def _columns_case(seed):
+    """The kernel's and the reference's columns over f, g (and g, f) on one
+    random instance; the shapes of the groups seen."""
+    inst = _random_instance(random.Random(seed))
+    seen = set()
+    for leg1, leg2 in (("f", "g"), ("g", "f")):
+        got = _pullback_columns(_SCHEMA, inst, leg1, leg2)
+        assert got == ref_pullback_columns(_SCHEMA, inst, leg1, leg2)
+        assert list(zip(*got)) == _ref_pullback(_SCHEMA, inst, leg1, leg2, _box_orders(inst))
+        xs, ys = (inst.elements(_SCHEMA.arrow(leg).src) for leg in (leg1, leg2))
+        table1, table2 = inst.table(leg1), inst.table(leg2)
+        zs = inst.elements("Z")
+        for x in xs:
+            image = table1.get(x)
+            size = 0 if image is None else countOf(map(table2.get, ys), image)
+            seen.add("empty group" if size == 0 else "single" if size == 1 else "larger group")
+            if image is None:
+                seen.add("missing image")
+            elif image not in zs:
+                seen.add("image outside Z" if size == 0 else "paired outside Z")
+    return seen
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_pullback_columns_kernel_agrees_with_one_repeat_per_left(seed):
+    _columns_case(seed)
+
+
+def test_pullback_column_cases_reach_every_group_shape():
+    seen = set().union(*(_columns_case(seed) for seed in range(200)))
+    assert seen == {
+        "empty group", "single", "larger group", "missing image", "image outside Z",
+        "paired outside Z",
     }
 
 
