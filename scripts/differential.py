@@ -19,6 +19,11 @@ records one outcome per case:
                 outcome;
   derive        ``derive_equality`` (64 steps) and ``replay_witness`` on every
                 parallel path pair of the bundled schema;
+  presentations ``derive_equality`` and ``replay_witness`` on presentations
+                built in Python: the benchmark's one-box commuting ones
+                (k = 2, 3, 4) on seeded words, random ones over 2-3 boxes whose
+                equations may have an identity side, and one pair whose search
+                runs into the 100 000-state cap;
   check         ``olog check`` reports, minus ``elapsed_ms``, on ductile,
                 bonded and brittle instances of both domains at small n;
   simulate      ``olog simulate -o`` on ductile, bonded, brittle (with and
@@ -60,6 +65,8 @@ MUTATED_DOCUMENTS = 2000
 BUILT_SCHEMAS = 1000
 SHOWN = 5
 SIMULATE_SIZES = (2, 9, 10, 11, 32, 40)
+COMMUTING_PAIRS = 60  # per presentation
+MULTI_BOX_PRESENTATIONS = 300
 
 # `olog simulate` flags per chain kind, given with --domain and --bricks.
 _SIMULATE_FLAGS = {
@@ -184,6 +191,102 @@ def _built_schema(rng: random.Random) -> dict:
             "squares": squares}
 
 
+def _commuting(k: int) -> dict:
+    """The benchmark's one-box presentation: k loops on X, every two commuting."""
+    letters = "abcd"[:k]
+    return {
+        "name": f"commuting-{k}",
+        "boxes": ["X"],
+        "arrows": [[x, "X", "X"] for x in letters],
+        "equations": [
+            [["X", [x, y]], ["X", [y, x]]] for i, x in enumerate(letters) for y in letters[i + 1 :]
+        ],
+    }
+
+
+def _commuting_queries(rng: random.Random, k: int) -> list:
+    """Seeded pairs: a word and a shuffle of it, or of it with one letter changed."""
+    letters = "abcd"[:k]
+    queries = []
+    for _ in range(COMMUTING_PAIRS):
+        p = [rng.choice(letters) for _ in range(rng.randint(2, 10))]
+        q = rng.sample(p, len(p))
+        if rng.random() < 0.5:
+            at = rng.randrange(len(q))
+            q[at] = rng.choice([x for x in letters if x != q[at]])
+        queries.append(["X", p, q, 1000])
+    return queries
+
+
+def _multi_box(rng: random.Random, index: int) -> tuple[dict, list]:
+    """A presentation over 2-3 boxes: a loop ``a`` at X and 1-4 more arrows,
+    loops or between boxes; 1-3 equations between parallel paths of at most
+    three arrows, the first most often a cycle set equal to the identity; and
+    queries of at most four arrows: any parallel pair, or a path
+    and a few rewrites of it by the equations' nonempty sides."""
+    boxes = "XYZ"[: rng.choice((2, 3))]
+    arrows = [["a", "X", "X"]] + [
+        [x, rng.choice(boxes), rng.choice(boxes)] for x in "bcde"[: rng.randint(1, 4)]
+    ]
+    by_ends, frontier = {}, [((b, ()), b) for b in boxes]
+    for _ in range(5):
+        for path, end in frontier:
+            by_ends.setdefault((path[0], end), []).append(path)
+        frontier = [
+            ((p[0], p[1] + (x,)), dst)
+            for p, end in frontier
+            for x, src, dst in arrows
+            if src == end
+        ]
+    pools = [[p for p in pool if len(p[1]) <= 3] for pool in by_ends.values()]
+    pools = [pool for pool in pools if len(pool) >= 2]
+    equations = []
+    for n in range(rng.randint(1, 3)):
+        pool = rng.choice(pools)
+        lhs, rhs = rng.sample(pool, 2)
+        if n == 0 and rng.random() < 0.7:
+            loops = [pool for pool in pools if pool[0][1] == ()]
+            if loops:
+                pool = rng.choice(loops)
+                lhs, rhs = rng.choice(pool[1:]), pool[0]
+        equations.append([lhs, rhs])
+    spec = {
+        "name": f"multi-box-{index}",
+        "boxes": list(boxes),
+        "arrows": arrows,
+        "equations": [[[s, list(p)] for s, p in eq] for eq in equations],
+    }
+    sides = [pair for (_, lhs), (_, rhs) in equations for pair in ((lhs, rhs), (rhs, lhs))]
+    queries = []
+    for _ in range(4):
+        pool = rng.choice(list(by_ends.values()))
+        start, p = rng.choice(pool)
+        q = rng.choice(pool)[1]
+        if rng.random() < 0.5:
+            q = p
+            for _ in range(rng.randint(1, 3)):
+                options = [
+                    q[:at] + r + q[at + len(l) :]
+                    for l, r in sides
+                    if l  # an identity side would need the box at each position
+                    for at in range(len(q) - len(l) + 1)
+                    if q[at : at + len(l)] == l
+                ]
+                q = rng.choice(options) if options else q
+        queries.append([start, list(p), list(q), rng.randint(0, 5)])
+    return spec, queries
+
+
+def _presentations(rng: random.Random) -> list:
+    cases = [[_commuting(k), _commuting_queries(rng, k)] for k in (2, 3, 4)]
+    cases += [list(_multi_box(rng, index)) for index in range(MULTI_BOX_PRESENTATIONS)]
+    # equal letter counts, so the normal forms agree and the search runs; the
+    # class holds 756 756 words and q is farthest from p, so it stops at the cap
+    p = [x for x in "abc" for _ in range(5)]
+    cases.append([_commuting(3), [["X", p, p[::-1], 1000]]])
+    return cases
+
+
 def _corpus() -> dict:
     rng = random.Random(SEED)
     bundled = (ROOT / "src" / "ologkit" / "data" / "paper.olog").read_text(encoding="utf-8")
@@ -196,6 +299,7 @@ def _corpus() -> dict:
     return {
         "documents": bases + mutated,
         "built": [_built_schema(rng) for _ in range(BUILT_SCHEMAS)],
+        "presentations": _presentations(random.Random(SEED + 1)),
         "instances": [
             [kind, domain, n]
             for kind in ("ductile", "bonded", "brittle")
@@ -274,6 +378,21 @@ def _schema_built(ok, spec: dict) -> dict:
     }
 
 
+def _derived(ok, schema, left, right, max_steps: int) -> list:
+    """The whole EqualityResult and whether its witness replays, or the error."""
+    try:
+        res = ok.derive_equality(schema, left, right, max_steps)
+        return [
+            res.verdict.value,
+            res.steps,
+            [str(w) for w in res.witness],
+            [[r.eq_index, r.position, r.direction] for r in res.rewrites],
+            ok.replay_witness(schema, res),
+        ]
+    except Exception as exc:  # the outcome under comparison
+        return _raised(exc)
+
+
 def _derive_cases(ok) -> dict:
     """Every parallel pair of paths of the bundled schema, walked from the
     declarations alone so the enumeration does not depend on the code."""
@@ -290,18 +409,27 @@ def _derive_cases(ok) -> dict:
             if (s, e) != (s2, e2):
                 continue
             left, right = ok.Path(s, p), ok.Path(s, q)
-            try:
-                res = ok.derive_equality(schema, left, right, 64)
-                got = [
-                    res.verdict.value,
-                    res.steps,
-                    [str(w) for w in res.witness],
-                    [[r.eq_index, r.position, r.direction] for r in res.rewrites],
-                    ok.replay_witness(schema, res),
-                ]
-            except Exception as exc:  # the outcome under comparison
-                got = _raised(exc)
-            out[f"{left} = {right}"] = got
+            out[f"{left} = {right}"] = _derived(ok, schema, left, right, 64)
+    return out
+
+
+def _presentation_cases(ok, presentations: list) -> dict:
+    s = ok.schema
+    out = {}
+    for spec, queries in presentations:
+        schema = s.OlogSchema(
+            spec["name"],
+            tuple(s.BoxDecl(b, f"a {b}") for b in spec["boxes"]),
+            tuple(s.ArrowDecl(*a) for a in spec["arrows"]),
+            tuple(
+                s.PathEquation(s.Path(ls, tuple(la)), s.Path(rs, tuple(ra)))
+                for (ls, la), (rs, ra) in spec["equations"]
+            ),
+        )
+        for start, p, q, max_steps in queries:
+            left, right = s.Path(start, tuple(p)), s.Path(start, tuple(q))
+            key = f"{spec['name']} {left} = {right} in {max_steps}"
+            out[key] = _derived(ok, schema, left, right, max_steps)
     return out
 
 
@@ -362,6 +490,7 @@ def _work(corpus_path: str, out_path: str, tree: str) -> None:
         "schema-doc": {str(i): _schema_doc(ok, t) for i, t in enumerate(corpus["documents"])},
         "schema-built": {str(i): _schema_built(ok, s) for i, s in enumerate(corpus["built"])},
         "derive": _derive_cases(ok),
+        "presentations": _presentation_cases(ok, corpus["presentations"]),
         "check": _check_cases(ok, corpus["instances"]),
         "simulate": _simulate_cases(corpus["simulate"]),
     }

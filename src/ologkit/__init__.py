@@ -58,6 +58,7 @@ from .errors import (
     ParseError,
     SchemaMismatchError,
     SourceSpan,
+    UnwritableInstanceError,
     UnwritableSchemaError,
 )
 from .graphs import Graph, is_chain, line_graph

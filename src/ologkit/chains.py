@@ -17,8 +17,6 @@ import operator
 from dataclasses import dataclass
 from typing import NoReturn
 
-import numpy as np
-
 from .errors import (
     DomainError,
     InconsistentComparatorsError,
@@ -40,6 +38,8 @@ from .instance import (
 )
 from .ordering import natural_key, pad_width
 from .schema import OlogSchema
+
+# numpy is imported in the functions that call it, as in .instance.
 
 __all__ = [
     "Comparators",
@@ -298,6 +298,8 @@ def estimate_link_failure_noise_mc(
     exactly when the trial minimum is at least p, so the threshold is the
     (1 - tau) quantile of the per-trial minima, located here by bisection.
     """
+    import numpy as np
+
     tau = _check_link_args(tau, length)
     if trials < 10_000:
         raise DomainError(f"at least 10000 trials required, got {trials!r}")
@@ -504,6 +506,8 @@ def _numbered_ids(prefix: str, count: int) -> list[str]:
     one split of the decoded rows gives the ids; ``prefix`` must be an ASCII
     identifier, so it holds no space.
     """
+    import numpy as np
+
     head = prefix.encode()
     width = pad_width(count)
     rows = np.empty((count, len(head) + width + 1), np.uint8)

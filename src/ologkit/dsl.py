@@ -41,7 +41,13 @@ from operator import countOf
 from pathlib import Path as FsPath
 from typing import TypeVar
 
-from .errors import DuplicateIdError, ParseError, SourceSpan, UnwritableSchemaError
+from .errors import (
+    DuplicateIdError,
+    ParseError,
+    SourceSpan,
+    UnwritableInstanceError,
+    UnwritableSchemaError,
+)
 from .graphs import Graph
 from .instance import (
     GraphPayload,
@@ -585,9 +591,17 @@ def load_instance(path: str | FsPath) -> Instance:
 
 
 def _quote(text: str) -> str:
-    if "\n" in text:
-        raise ValueError("strings in the text format cannot contain raw newlines")
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+def _raw_break(text: str) -> str:
+    """Which raw line break ``text`` holds, as an error names it, or "".  A
+    string in the text holds neither: a newline ends it, and reading a file
+    turns a carriage return into a newline."""
+    for char, name in (("\n", "newline"), ("\r", "carriage return")):
+        if char in text:
+            return f"a raw {name}"
+    return ""
 
 
 def _tag_suffix(tags: frozenset[str]) -> str:
@@ -613,7 +627,7 @@ def _words(s: OlogSchema) -> Iterator[tuple[str, tuple[str, ...], dict[str, str]
 
 def _refuse_unwritable_words(s: OlogSchema) -> None:
     """Raise UnwritableSchemaError naming the first declaration that holds an
-    id that is not an identifier, or a name, label or note with a raw newline.
+    id that is not an identifier, or a name, label or note with a raw line break.
     Pullbacks come before equations, so a pullback is named before its square."""
     for owner, ids, texts in _words(s):
         for ident in ids:
@@ -622,10 +636,8 @@ def _refuse_unwritable_words(s: OlogSchema) -> None:
                     f"{owner} cannot be written: {ident!r} is not an identifier"
                 )
         for what, text in texts.items():
-            if "\n" in text:
-                raise UnwritableSchemaError(
-                    f"{owner} cannot be written: its {what} holds a raw newline"
-                )
+            if held := _raw_break(text):
+                raise UnwritableSchemaError(f"{owner} cannot be written: its {what} holds {held}")
 
 
 def serialize_schema(schema: OlogSchema) -> str:
@@ -633,9 +645,9 @@ def serialize_schema(schema: OlogSchema) -> str:
 
     Missing fiber-product squares are written, as the parser adds them.  An id
     declared twice, an id that is not an identifier, a name, label or note
-    holding a raw newline, an equation whose sides the text cannot state, or a
-    pullback whose arrows give no corners raises UnwritableSchemaError naming
-    the declaration: no text parses back.
+    holding a raw newline or carriage return, an equation whose sides the
+    text cannot state, or a pullback whose arrows give no corners raises
+    UnwritableSchemaError naming the declaration: no text parses back.
     """
     s = with_fiber_product_squares(schema).canonical()
     for diag in s._diagnostics:
@@ -702,6 +714,16 @@ def _payload_lit(payload: Payload) -> str:
     raise TypeError(f"unknown payload {payload!r}")
 
 
+def _entry(box_id: str, eid: str, payload: Payload) -> str:
+    """A set body's entry for an element with a payload; UnwritableInstanceError
+    naming the set and element when its text holds a raw line break."""
+    if isinstance(payload, TextPayload) and (held := _raw_break(payload.text)):
+        raise UnwritableInstanceError(
+            f"set {box_id} cannot be written: the text of {eid} holds {held}"
+        )
+    return f"{eid} = {_payload_lit(payload)}"
+
+
 def serialize_instance(instance: Instance) -> str:
     """Canonical text for an instance (sorted, empties dropped, stable bytes).
 
@@ -712,7 +734,9 @@ def serialize_instance(instance: Instance) -> str:
     shared, as in generated instances). No copy of the instance is built: each
     body is one join over its ids or pairs, where only payload entries are
     formatted one by one, and the document is one join over its pieces, so
-    no body is copied again.
+    no body is copied again.  An instance name, schema name or text payload
+    holding a raw newline or carriage return raises UnwritableInstanceError
+    naming where it sits: no text reads back.
     """
     # (key count, first key) -> a dict with those keys, and their order
     proven: dict[tuple[int, str], tuple[dict, list[str] | None]] = {}
@@ -728,6 +752,9 @@ def serialize_instance(instance: Instance) -> str:
             known = proven[len(keys), keys[0]] = (keyed, None if ordered == keys else ordered)
         return known[1]
 
+    for what, text in (("name", instance.name), ("schema name", instance.schema_name)):
+        if held := _raw_break(text):
+            raise UnwritableInstanceError(f"instance cannot be written: its {what} holds {held}")
     sets, functions = instance.sets, instance.functions
     pieces = [f"instance {_quote(instance.name)} of {_quote(instance.schema_name)} {{\n"]
     for box_id in natural_order(sets):
@@ -737,7 +764,7 @@ def serialize_instance(instance: Instance) -> str:
         ids = reorder(elems) or elems
         if countOf(elems.values(), None) != len(elems):
             ids = [
-                eid if (payload := elems[eid]) is None else f"{eid} = {_payload_lit(payload)}"
+                eid if (payload := elems[eid]) is None else _entry(box_id, eid, payload)
                 for eid in ids
             ]
         pieces += (f"  set {box_id} {{\n    ", _ENTRY_SEP.join(ids), "\n  }\n")

@@ -39,6 +39,12 @@ class UnwritableSchemaError(OlogError):
     code = "UNWRITABLE_SCHEMA"
 
 
+class UnwritableInstanceError(OlogError):
+    """An instance holds a name or text the text format cannot write so that it reads back."""
+
+    code = "UNWRITABLE_INSTANCE"
+
+
 class ElementNotInSourceError(OlogError):
     """A path was evaluated at an element outside its start box."""
 

@@ -14,8 +14,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import accumulate, chain, groupby, repeat
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .diagnostics import Diagnostic, error
 from .errors import (
@@ -33,6 +32,12 @@ from .schema import (
     PathEquation,
     path_endpoints,
 )
+
+# numpy is imported in the functions that call it, so that a process that
+# never does (deriving path equalities, say) does not load it: about 13 MB
+# of RSS and 80-170 ms of start-up on a two-CPU host.
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "RealPayload",
@@ -404,6 +409,8 @@ def _pullback_columns(
     the groups chained and the lefts each x repeated by its group's size, with
     no Python step or object per pair or per x.
     """
+    import numpy as np
+
     decl1, decl2 = _cospan(schema, instance, leg1, leg2)
     table1, table2 = instance.table(leg1), instance.table(leg2)
     by_image: dict[str, list[str]] = {}
@@ -604,6 +611,8 @@ class _PairIndex:
 
 def _index_pair(schema: OlogSchema, pair: tuple[Instance, Instance]) -> _PairIndex:
     """Number the elements of both instances and turn every table into number arrays."""
+    import numpy as np
+
     ends = [end for arrow in schema.arrows for end in (arrow.src, arrow.dst)]
     box_ids = list(dict.fromkeys([*(box.id for box in schema.boxes), *ends]))
     box_at = {box_id: k for k, box_id in enumerate(box_ids)}
@@ -662,6 +671,8 @@ def _rank_rows(rows: np.ndarray) -> tuple[np.ndarray, int]:
     Returns the rank of every row and the number of distinct rows.  One
     ``np.lexsort`` of the columns, then a comparison of neighbouring rows.
     """
+    import numpy as np
+
     order = np.lexsort(rows.T[::-1])
     ordered = rows[order]
     starts = np.ones(len(rows), bool)
@@ -690,6 +701,8 @@ def _refine_colors(pair: _PairIndex) -> tuple[np.ndarray, int, str | None]:
     Python tuples; the colour labels themselves are arbitrary and are only
     ever compared with each other.
     """
+    import numpy as np
+
     split = pair.split
     source, arrow, image = pair.edges
     kinds = int(pair.payload.max(initial=0)) + 1
@@ -741,6 +754,8 @@ def check_instance_isomorphism(
     original tables before being reported, and each box's map lists its
     a-elements in natural-key order.
     """
+    import numpy as np
+
     for inst in (a, b):
         _require_schema(schema, inst)
 

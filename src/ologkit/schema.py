@@ -170,17 +170,20 @@ class OlogSchema:
         return tuple(_diagnose(self))
 
     @functools.cached_property
-    def _rewriting(self) -> tuple[tuple, dict[str, str], dict[str, str] | None]:
-        """Both rewrite sides of each usable equation (see _rewrite_neighbors), a
-        letter per declared arrow in sorted-id order, and the completed rules or None."""
-        code = {a: chr(i) for i, a in enumerate(sorted(self._arrow_by_id))}
-        sides, words = [], []
+    def _rewriting(self) -> _Rewriting:
+        """Both rewrite sides of each usable equation as words (see
+        _rewrite_neighbors), a letter per declared arrow in sorted-id order, the
+        arrow of each letter, and the completed rules or None."""
+        letter = {a: chr(i) for i, a in enumerate(sorted(self._arrow_by_id))}
+        sides = []
         for index in self._resolution.usable:
             eq = self.equations[index]
-            sides.append((index, eq.lhs.start, eq.lhs.arrows, "lhs->rhs", eq.rhs.arrows))
-            sides.append((index, eq.rhs.start, eq.rhs.arrows, "rhs->lhs", eq.lhs.arrows))
-            words.append(tuple("".join(map(code.get, side.arrows)) for side in (eq.lhs, eq.rhs)))
-        return tuple(sides), code, _shortlex_system(words)
+            lhs, rhs = ("".join(map(letter.get, side.arrows)) for side in (eq.lhs, eq.rhs))
+            sides.append((index, eq.lhs.start, lhs, "lhs->rhs", rhs))
+            sides.append((index, eq.rhs.start, rhs, "rhs->lhs", lhs))
+        arrow = {c: self._arrow_by_id[a] for a, c in letter.items()}
+        rules = _shortlex_system([(lhs, rhs) for _, _, lhs, _, rhs in sides[::2]])
+        return _Rewriting(tuple(sides), letter, arrow, rules)
 
     def canonical(self) -> "OlogSchema":
         """The same schema with all declarations in canonical sorted order."""
@@ -263,6 +266,7 @@ def path_endpoints(schema: OlogSchema, path: Path) -> tuple[str, str]:
 
 
 _Resolution = namedtuple("_Resolution", "sides usable corners")
+_Rewriting = namedtuple("_Rewriting", "sides letter arrow rules")
 
 
 def _corners(schema: OlogSchema, fp: FiberProductDecl) -> tuple[str, str, str] | str:
@@ -476,36 +480,29 @@ class EqualityResult:
         return self.verdict is EqVerdict.HOLDS
 
 
-def _rewrite_neighbors(
-    schema: OlogSchema,
-    start_box: str,
-    arrows: tuple[str, ...],
-    sides: tuple[tuple[int, str, tuple[str, ...], str, tuple[str, ...]], ...],
-):
-    """Yield (new_arrows, RewriteStep) for every single rewrite of the path.
+def _rewrite_neighbors(start_box: str, word: str, sides: tuple, arrow: dict[str, ArrowDecl]):
+    """Yield (new_word, RewriteStep) for every single rewrite of the word.
 
     ``sides`` carries (eq_index, pattern_start_box, pattern, direction,
-    replacement) for both orientations of every equation.
+    replacement) for both orientations of every equation, one letter per
+    arrow; ``arrow`` gives each letter's declaration.
     """
-    boxes = [start_box]
-    for arrow_id in arrows:
-        boxes.append(schema.arrow(arrow_id).dst)
-    n = len(arrows)
     for eq_index, pat_start, pattern, direction, replacement in sides:
-        k = len(pattern)
-        if k == 0:
-            # identity side: insert the replacement wherever the box matches
-            for pos in range(n + 1):
-                if boxes[pos] == pat_start:
-                    yield (
-                        arrows[:pos] + replacement + arrows[pos:],
-                        RewriteStep(eq_index, pos, direction),
-                    )
+        if pattern:
+            pos = word.find(pattern)
+            while pos >= 0:  # overlapping matches too, in ascending order
+                yield (
+                    word[:pos] + replacement + word[pos + len(pattern) :],
+                    RewriteStep(eq_index, pos, direction),
+                )
+                pos = word.find(pattern, pos + 1)
         else:
-            for pos in range(n - k + 1):
-                if arrows[pos : pos + k] == pattern:
+            # identity side: insert the replacement wherever the box matches
+            boxes = [start_box, *(arrow[c].dst for c in word)]
+            for pos, box in enumerate(boxes):
+                if box == pat_start:
                     yield (
-                        arrows[:pos] + replacement + arrows[pos + k :],
+                        word[:pos] + replacement + word[pos:],
                         RewriteStep(eq_index, pos, direction),
                     )
 
@@ -571,9 +568,11 @@ def derive_equality(
     """Try to prove p = q by at most ``max_steps`` equation rewrites.
 
     Breadth-first over rewrite applications, both directions of every declared
-    equation, matching any contiguous subpath.  Deterministic; emits the full
-    witness chain on success.  Raises EndpointMismatchError when the two paths
-    are not even parallel, and DomainError unless ``max_steps`` is an integer.
+    equation, matching any contiguous subpath.  The search runs on the words
+    the completion reads, one letter per arrow, and decodes only the witness.
+    Deterministic; emits the full witness chain on success.  Raises
+    EndpointMismatchError when the two paths are not even parallel, and
+    DomainError unless ``max_steps`` is an integer.
 
     When the schema's usable equations complete into a shortlex system (once
     per schema, and kept) and p and q have different normal forms there, no
@@ -594,48 +593,35 @@ def derive_equality(
     if p.arrows == q.arrows:
         return EqualityResult(EqVerdict.HOLDS, steps=0, witness=(p,))
 
-    sides, code, rules = schema._rewriting
-    if rules is not None:
-        p_form, q_form = (_normal_form(rules, "".join(map(code.get, x.arrows))) for x in (p, q))
-        if p_form != q_form:
-            return EqualityResult(EqVerdict.UNKNOWN)  # no rewrite chain joins them
+    sides, letter, arrow, rules = schema._rewriting
+    start, target = ("".join(map(letter.get, x.arrows)) for x in (p, q))
+    if rules is not None and _normal_form(rules, start) != _normal_form(rules, target):
+        return EqualityResult(EqVerdict.UNKNOWN)  # no rewrite chain joins them
 
-    start = p.arrows
-    target = q.arrows
-    parents: dict[tuple[str, ...], tuple[tuple[str, ...], RewriteStep] | None] = {
-        start: None
-    }
-    frontier: list[tuple[str, ...]] = [start]
+    parents: dict[str, tuple[str, RewriteStep] | None] = {start: None}
+    frontier = [start]
     for depth in range(1, budget + 1):
-        next_frontier: list[tuple[str, ...]] = []
+        next_frontier: list[str] = []
         for state in frontier:
-            for new_arrows, step in _rewrite_neighbors(schema, p.start, state, sides):
-                if new_arrows in parents:
+            for new_word, step in _rewrite_neighbors(p.start, state, sides, arrow):
+                if new_word in parents:
                     continue
-                parents[new_arrows] = (state, step)
-                if new_arrows == target:
-                    chain: list[Path] = []
-                    rewrites: list[RewriteStep] = []
-                    cursor: tuple[str, ...] | None = new_arrows
-                    while cursor is not None:
-                        chain.append(Path(p.start, cursor))
-                        entry = parents[cursor]
-                        if entry is None:
-                            cursor = None
-                        else:
-                            cursor, used = entry
-                            rewrites.append(used)
-                    chain.reverse()
-                    rewrites.reverse()
+                parents[new_word] = (state, step)
+                if new_word == target:
+                    chain, rewrites = [new_word], []
+                    while (entry := parents[chain[-1]]) is not None:
+                        chain.append(entry[0])
+                        rewrites.append(entry[1])
+                    witness = [Path(p.start, tuple(arrow[c].id for c in w)) for w in chain]
                     return EqualityResult(
                         EqVerdict.HOLDS,
                         steps=depth,
-                        witness=tuple(chain),
-                        rewrites=tuple(rewrites),
+                        witness=tuple(reversed(witness)),
+                        rewrites=tuple(reversed(rewrites)),
                     )
                 if len(parents) >= _STATE_CAP:
                     return EqualityResult(EqVerdict.UNKNOWN)
-                next_frontier.append(new_arrows)
+                next_frontier.append(new_word)
         if not next_frontier:
             break  # saturated: no new paths reachable at any larger budget
         frontier = next_frontier

@@ -22,6 +22,7 @@ from ologkit import (
     Graph,
     GraphPayload,
     Instance,
+    OlogError,
     OlogSchema,
     PROTEIN_DEFAULTS,
     SOCIAL_MATCHED_DEFAULTS,
@@ -791,8 +792,8 @@ _labels = st.text(
     ),
     max_size=20,
 ).map(lambda t: t + "x")  # never empty, so optional-label round trips stay exact
-_quoted = st.text(
-    alphabet=st.characters(min_codepoint=32, max_codepoint=0x24F),
+_quoted = st.text(  # now and then a raw line break, which the writers refuse
+    alphabet=st.characters(min_codepoint=32, max_codepoint=0x24F, include_characters="\r\n"),
     max_size=20,
 )
 _tags = st.frozensets(_ids, max_size=2)
@@ -810,14 +811,14 @@ def _schemas(draw):
     Now and then a draw breaks one: an undeclared arrow in a path, projection
     or leg; an equation whose sides are not parallel or start apart; a
     pullback arrow bent off its square; a box, arrow or apex declared twice;
-    an id that is not an identifier, or a string with a raw newline.
+    an id that is not an identifier, or a string with a raw line break.
     """
     rare = st.integers(0, 7).map(lambda n: n == 3)  # about one draw in eight
     # now and then one word the text cannot hold: an id that is not an
-    # identifier, or a name, label or note with a raw newline
+    # identifier, or a name, label or note with a raw line break
     broken = draw(st.sampled_from((None,) * 28 + _BROKEN))  # one draw in five
     odd = draw(st.sampled_from(["a b", "x-y", "é", ""]))
-    lines = "two\nlines"
+    lines = draw(st.sampled_from(["two\nlines", "two\rlines", "two\r\nlines"]))
     box_ids = draw(st.lists(_ids, min_size=1, max_size=5, unique=True))
     if broken == "box id":
         box_ids[-1] = odd
@@ -898,7 +899,7 @@ _REFUSED = {"DUP_BOX_ID", "DUP_ARROW_ID", "DUP_FP_APEX", "EQ_ENDPOINT_MISMATCH",
 
 def _unwritable(schema):
     """Whether the text cannot hold the schema with its squares added: an id it
-    writes is not an identifier, or a string holds a raw newline; validation
+    writes is not an identifier, or a string holds a raw line break; validation
     reports a duplicate, sides that run apart, a bent square, or a left side that
     does not resolve; or an equation's sides start apart, or a pullback's arrows
     give no corners."""
@@ -910,7 +911,7 @@ def _unwritable(schema):
         ids += [eq.lhs.start, eq.rhs.start, *eq.lhs.arrows, *eq.rhs.arrows]
     texts = [full.name] + [d.label for d in full.boxes + full.arrows]
     texts += [eq.note for eq in full.equations]
-    if not all(re.fullmatch(r"[A-Za-z0-9_]+", i) for i in ids) or any("\n" in t for t in texts):
+    if not all(re.fullmatch(r"[A-Za-z0-9_]+", i) for i in ids) or any(map(_broken, texts)):
         return True
     for diag in validate_schema(full):
         left_unresolved = diag.code == "MALFORMED_PATH" and diag.message.startswith("lhs ")
@@ -965,19 +966,29 @@ def _instances(draw):
     return Instance(draw(_quoted), draw(_quoted), sets, functions)
 
 
+def _broken(text):
+    return "\n" in text or "\r" in text
+
+
+@pytest.fixture(scope="module")
+def law_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("laws")
+
+
 @settings(max_examples=120, deadline=None)
 @given(schema=_schemas())
-def test_schema_serialization_is_byte_stable(schema):
+def test_schema_serialization_is_byte_stable(schema, law_dir):
     # serialize_schema refuses exactly the schemas the text cannot hold, and
-    # what it writes parses back to the same bytes
+    # what it writes loads back from a file to the same bytes
     try:
         text = serialize_schema(schema)
     except UnwritableSchemaError:
         assert _unwritable(schema)
         return
     assert not _unwritable(schema)
-    reparsed = parse_schema(text)
-    assert serialize_schema(reparsed) == text
+    written = law_dir / "law.olog"
+    written.write_text(text, encoding="utf-8")
+    assert serialize_schema(load_schema(written)) == text
 
 
 def _pq(*arrows, equations=(), fiber_products=()):
@@ -1091,15 +1102,34 @@ def test_a_schema_the_text_cannot_hold_is_refused(schema, code, message):
             _pq(*_CORNERS, equations=(replace(_SQUARE[0], note="two\nlines"),)),
             "equation [p1,f] = [p2,g] from P cannot be written: its note holds a raw newline",
         ),
+        (
+            OlogSchema("two\rlines", (BoxDecl("A", "x"),)),
+            "schema cannot be written: its name holds a raw carriage return",
+        ),
+        (
+            OlogSchema("s", (BoxDecl("A", "a\rb"),)),
+            "box A cannot be written: its label holds a raw carriage return",
+        ),
+        (
+            _pq(("f", "X", "Z", "two\rlines")),
+            "arrow f cannot be written: its label holds a raw carriage return",
+        ),
+        (
+            _pq(*_CORNERS, equations=(replace(_SQUARE[0], note="ends in\r"),)),
+            "equation [p1,f] = [p2,g] from P cannot be written: "
+            "its note holds a raw carriage return",
+        ),
     ],
     ids=[
         "box-id", "tag", "arrow-id", "arrow-target", "apex-id", "path-arrow", "name",
-        "box-label", "arrow-label", "note",
+        "box-label", "arrow-label", "note", "name-cr", "box-label-cr", "arrow-label-cr",
+        "note-cr",
     ],
 )
 def test_a_word_the_text_cannot_hold_is_refused_naming_its_declaration(schema, message):
-    # Written out, an id with a space or a dash would read as two words, and
-    # a raw newline would end a string; the error names where it sits.
+    # Written out, an id with a space or a dash would read as two words, a
+    # raw newline would end a string, and a raw carriage return would end it
+    # once a file is read back; the error names where it sits.
     with pytest.raises(UnwritableSchemaError) as exc:
         serialize_schema(schema)
     assert exc.value.message == message
@@ -1113,14 +1143,65 @@ def test_a_squareless_schema_is_written_with_its_square():
     assert serialize_schema(parse_schema(text)) == text
 
 
+def _unwritable_instance(instance):
+    """Whether a name, the schema name or a text payload holds a raw line break."""
+    texts = [instance.name, instance.schema_name]
+    payloads = [p for elems in instance.sets.values() for p in elems.values()]
+    texts += [p.text for p in payloads if isinstance(p, TextPayload)]
+    return any(map(_broken, texts))
+
+
 @settings(max_examples=120, deadline=None)
 @given(instance=_instances())
-def test_instance_serialization_is_byte_stable(instance):
-    text = serialize_instance(instance)
-    reparsed = parse_instance(text)
+def test_instance_serialization_is_byte_stable(instance, law_dir):
+    # serialize_instance refuses exactly the strings the text cannot hold, and
+    # what it writes loads back from a file to the same bytes
+    try:
+        text = serialize_instance(instance)
+    except OlogError as exc:
+        assert exc.code == "UNWRITABLE_INSTANCE" and _unwritable_instance(instance)
+        return
+    assert not _unwritable_instance(instance)
+    written = law_dir / "law.oinst"
+    written.write_text(text, encoding="utf-8")
+    reparsed = load_instance(written)
     assert serialize_instance(reparsed) == text
     # a second pass stays put as well
     assert serialize_instance(parse_instance(serialize_instance(reparsed))) == text
+
+
+@pytest.mark.parametrize(
+    "instance, message",
+    [
+        (
+            Instance("two\nlines", "s", {}, {}),
+            "instance cannot be written: its name holds a raw newline",
+        ),
+        (
+            Instance("i", "a\rb", {}, {}),
+            "instance cannot be written: its schema name holds a raw carriage return",
+        ),
+        (
+            Instance("i", "s", {"U": {"u1": TextPayload("ok"), "u2": TextPayload("x\ny")}}, {}),
+            "set U cannot be written: the text of u2 holds a raw newline",
+        ),
+        (
+            Instance("i", "s", {"U": {"u1": TextPayload("x\r\ny")}, "V": {"v1": None}}, {}),
+            "set U cannot be written: the text of u1 holds a raw newline",
+        ),
+        (
+            Instance("i", "s", {"J": {"j1": TextPayload("ends in\r")}}, {}),
+            "set J cannot be written: the text of j1 holds a raw carriage return",
+        ),
+    ],
+    ids=["name", "schema-name-cr", "text", "text-crlf", "text-cr"],
+)
+def test_a_string_the_instance_text_cannot_hold_is_refused_naming_where(instance, message):
+    # A raw newline would end the string; a raw carriage return would end it
+    # once the file is read back.
+    with pytest.raises(OlogError) as exc:
+        serialize_instance(instance)
+    assert (exc.value.code, exc.value.message) == ("UNWRITABLE_INSTANCE", message)
 
 
 def ref_serialize_instance(instance):
@@ -1190,7 +1271,11 @@ def _padded_instances(draw):
 @settings(max_examples=200, deadline=None)
 @given(instance=st.one_of(_instances(), _padded_instances()))
 def test_instance_bodies_join_to_the_entry_by_entry_bytes(instance):
-    assert serialize_instance(instance) == ref_serialize_instance(instance)
+    if _unwritable_instance(instance):
+        with pytest.raises(OlogError):
+            serialize_instance(instance)
+    else:
+        assert serialize_instance(instance) == ref_serialize_instance(instance)
 
 
 @settings(max_examples=60, deadline=None)

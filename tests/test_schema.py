@@ -1,5 +1,7 @@
 import dataclasses
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -399,6 +401,20 @@ def test_unknown_on_saturated_space_is_fast(schema):
     assert time.perf_counter() - t0 < 0.5
 
 
+def test_deriving_path_equalities_never_loads_numpy():
+    # The instance engine and the generator import numpy where they call it,
+    # so a process that loads every module and only derives goes without.
+    code = (
+        "import sys, ologkit.cli\n"
+        "from ologkit import Path, bundled_schema, derive_equality, replay_witness\n"
+        "p, q = Path('A', ('1', '10', '14')), Path('A', ('2', '14'))\n"
+        "assert replay_witness(bundled_schema(), derive_equality(bundled_schema(), p, q, 3))\n"
+        "sys.exit('numpy' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_state_cap_degrades_to_unknown(monkeypatch):
     # An equation with an identity side generates unboundedly many paths;
     # the cap must turn that into UNKNOWN instead of a hang.
@@ -474,12 +490,12 @@ def _one_box(letters, equations, name="one-box"):
 
 
 def _completes(schema):
-    return schema._rewriting[2] is not None
+    return schema._rewriting.rules is not None
 
 
 def _normal_forms(schema, paths):
-    _, code, rules = schema._rewriting
-    return [schema_mod._normal_form(rules, "".join(map(code.get, p.arrows))) for p in paths]
+    _, letter, _, rules = schema._rewriting
+    return [schema_mod._normal_form(rules, "".join(map(letter.get, p.arrows))) for p in paths]
 
 
 BRAID = _one_box("ab", [(("a", "b", "a"), ("b", "a", "b"))], "braid")
@@ -673,6 +689,186 @@ def test_normal_forms_change_no_result_of_the_search(seed):
         assert derive_equality(schema, Path("X", p), Path("X", q), max_steps) == expected
 
 
+def _reference_neighbors(schema, start_box, arrows, sides):
+    """Every single rewrite of a path, as (new arrows, RewriteStep): the
+    neighbour search on arrow-id tuples that derive_equality once ran, each
+    side's pattern compared at every position and each box looked up in the
+    schema."""
+    boxes = [start_box]
+    for arrow_id in arrows:
+        boxes.append(schema.arrow(arrow_id).dst)
+    n = len(arrows)
+    for eq_index, pat_start, pattern, direction, replacement in sides:
+        k = len(pattern)
+        if k == 0:
+            # identity side: insert the replacement wherever the box matches
+            for pos in range(n + 1):
+                if boxes[pos] == pat_start:
+                    yield (
+                        arrows[:pos] + replacement + arrows[pos:],
+                        RewriteStep(eq_index, pos, direction),
+                    )
+        else:
+            for pos in range(n - k + 1):
+                if arrows[pos : pos + k] == pattern:
+                    yield (
+                        arrows[:pos] + replacement + arrows[pos + k :],
+                        RewriteStep(eq_index, pos, direction),
+                    )
+
+
+def _reference_sides(schema):
+    """Both orientations of each equation whose sides are parallel, as tuples."""
+    sides = []
+    for index, eq in enumerate(schema.equations):
+        try:
+            parallel = path_endpoints(schema, eq.lhs) == path_endpoints(schema, eq.rhs)
+        except MalformedPathError:
+            parallel = False
+        if parallel:
+            sides.append((index, eq.lhs.start, eq.lhs.arrows, "lhs->rhs", eq.rhs.arrows))
+            sides.append((index, eq.rhs.start, eq.rhs.arrows, "rhs->lhs", eq.lhs.arrows))
+    return sides
+
+
+def _reference_search(schema, p, q, max_steps):
+    """derive_equality as a breadth-first search over _reference_neighbors,
+    with no normal forms."""
+    if p.arrows == q.arrows:
+        return EqualityResult(EqVerdict.HOLDS, steps=0, witness=(p,))
+    sides = _reference_sides(schema)
+    parents = {p.arrows: None}
+    frontier = [p.arrows]
+    for depth in range(1, max_steps + 1):
+        found = []
+        for arrows in frontier:
+            for new, step in _reference_neighbors(schema, p.start, arrows, sides):
+                if new in parents:
+                    continue
+                parents[new] = (arrows, step)
+                if new == q.arrows:
+                    chain, steps = [new], []
+                    while parents[chain[-1]] is not None:
+                        before, step = parents[chain[-1]]
+                        chain.append(before)
+                        steps.append(step)
+                    return EqualityResult(
+                        EqVerdict.HOLDS,
+                        steps=depth,
+                        witness=tuple(Path(p.start, w) for w in reversed(chain)),
+                        rewrites=tuple(reversed(steps)),
+                    )
+                if len(parents) >= schema_mod._STATE_CAP:
+                    return EqualityResult(EqVerdict.UNKNOWN)
+                found.append(new)
+        if not found:
+            break
+        frontier = found
+    return EqualityResult(EqVerdict.UNKNOWN)
+
+
+def _random_multi_box(seed):
+    """A presentation over 2-3 boxes: a loop ``a`` at X and 1-4 more arrows,
+    loops or between boxes; 1-3 equations between parallel paths of at most
+    three arrows, where a path back to its box may be the identity; and
+    queries of at most four arrows, some a few rewrites apart, some any
+    parallel path."""
+    rng = random.Random(seed)
+    boxes = "XYZ"[: rng.choice((2, 3))]
+    arrows = [ArrowDecl("a", "X", "X")]
+    for x in "bcde"[: rng.randint(1, 4)]:
+        arrows.append(ArrowDecl(x, rng.choice(boxes), rng.choice(boxes)))
+    by_ends, frontier = {}, [(Path(b, ()), b) for b in boxes]
+    for _ in range(5):
+        for path, end in frontier:
+            by_ends.setdefault((path.start, end), []).append(path)
+        frontier = [
+            (Path(p.start, p.arrows + (x.id,)), x.dst)
+            for p, end in frontier
+            for x in arrows
+            if x.src == end
+        ]
+    pools = [pool for pool in by_ends.values() if len(pool) >= 2]
+    equations = []
+    for _ in range(rng.randint(1, 3)):
+        lhs, rhs = rng.sample([p for p in rng.choice(pools) if len(p.arrows) <= 3], 2)
+        equations.append(PathEquation(lhs, rhs))
+    schema = OlogSchema(
+        "multi-box", tuple(BoxDecl(b, f"a {b}") for b in boxes), tuple(arrows), tuple(equations)
+    )
+    sides = _reference_sides(schema)
+    queries = []
+    for _ in range(4):
+        pool = rng.choice(list(by_ends.values()))
+        p = rng.choice(pool)
+        q = p.arrows
+        for _ in range(rng.randint(1, 3)):
+            options = [new for new, _ in _reference_neighbors(schema, p.start, q, sides)]
+            q = rng.choice(options) if options else q
+        q = Path(p.start, q) if rng.random() < 0.5 else rng.choice(pool)
+        queries.append((p, q, rng.randint(0, 4)))
+    return schema, queries
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_word_search_matches_the_tuple_search_on_multi_box_schemas(seed):
+    schema, queries = _random_multi_box(seed)
+    for p, q, max_steps in queries:
+        result = derive_equality(schema, p, q, max_steps)
+        assert result == _reference_search(schema, p, q, max_steps)
+        assert not result.holds or replay_witness(schema, result)
+
+
+def test_random_multi_box_presentations_reach_every_case():
+    held = unknown = box_tested = overlapping = 0
+    for seed in range(200):
+        schema, queries = _random_multi_box(seed)
+        sides = _reference_sides(schema)
+        for p, q, max_steps in queries:
+            holds = _reference_search(schema, p, q, max_steps).holds
+            held += holds and p != q
+            unknown += not holds
+            boxes = {p.start} | {schema.arrow(x).dst for x in p.arrows}
+            # an identity side that the box test keeps off some position of p
+            box_tested += any(not pattern and boxes != {at} for _, at, pattern, _, _ in sides)
+            # a side that matches p at two overlapping positions
+            overlapping += any(
+                0 < len(pattern) and p.arrows[i : i + len(pattern)] == pattern
+                and p.arrows[i + 1 : i + 1 + len(pattern)] == pattern
+                for _, _, pattern, _, _ in sides
+                for i in range(len(p.arrows))
+            )
+    counts = (held, unknown, box_tested, overlapping)
+    assert min(counts) >= 20, counts
+
+
+def test_a_pattern_is_matched_at_overlapping_positions():
+    # [a,a] occurs in [a,a,a] at 0 and at 1; only the second rewrite gives [a,b].
+    s = _one_box("ab", [(("a", "a"), ("b",))])
+    res = derive_equality(s, Path("X", ("a", "a", "a")), Path("X", ("a", "b")), 1)
+    assert res.rewrites == (RewriteStep(0, 1, "lhs->rhs"),)
+    assert replay_witness(s, res)
+
+
+def test_an_identity_side_is_inserted_only_where_the_path_is_at_its_box():
+    # [f,g] = [] at X: [g] runs Y->X, so [f,g] goes in at 1, after g, and
+    # never at 0, where the path is at Y.
+    s = OlogSchema(
+        "two-box",
+        (BoxDecl("X", "an x"), BoxDecl("Y", "a y")),
+        (ArrowDecl("f", "X", "Y"), ArrowDecl("g", "Y", "X")),
+        (PathEquation(Path("X", ("f", "g")), Path("X", ())),),
+    )
+    sides, letter, arrow, _ = s._rewriting
+    word = letter["g"]
+    found = list(schema_mod._rewrite_neighbors("Y", word, sides, arrow))
+    assert found == [(word + letter["f"] + letter["g"], RewriteStep(0, 1, "rhs->lhs"))]
+    res = derive_equality(s, Path("Y", ("g",)), Path("Y", ("g", "f", "g")), 3)
+    assert res.steps == 1 and res.rewrites == (RewriteStep(0, 1, "rhs->lhs"),)
+    assert replay_witness(s, res)
+
+
 def _critical_pairs(rules):
     """Both one-step rewrites of every word where two left sides overlap or
     one contains the other."""
@@ -689,7 +885,7 @@ def _critical_pairs(rules):
 def _assert_completed(presentation):
     """The rules decrease in shortlex, join every critical pair and join each
     equation's two sides."""
-    _, _, rules = presentation._rewriting
+    rules = presentation._rewriting.rules
     for lhs, rhs in rules.items():
         assert (len(lhs), lhs) > (len(rhs), rhs)  # shortlex-decreasing: terminates
     for u, v in _critical_pairs(rules):
