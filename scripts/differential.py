@@ -26,6 +26,14 @@ records one outcome per case:
                 runs into the 100 000-state cap;
   check         ``olog check`` reports, minus ``elapsed_ms``, on ductile,
                 bonded and brittle instances of both domains at small n;
+  iso           ``check_instance_isomorphism`` on 2 000 random small pairs
+                (partial tables, None images, images and sources outside
+                their boxes, mixed payload types, empty boxes) and on
+                protein/social twins, aligned and with the social ids renamed
+                at random within each box, at ductile n = 5, 10, 20 and
+                bonded n = 4, 8, 10, plus the bundled pair and one pair with
+                an arrow-35 entry rewired: the outcome, certificate, detail,
+                the sha256 of the map and ``verify_isomorphism`` of it;
   simulate      ``olog simulate -o`` on ductile, bonded, brittle (with and
                 without lifeline) chains of both domains and social message
                 chains (with and without lifeline), at n = 2, 9, 10, 11, 32
@@ -67,6 +75,7 @@ SHOWN = 5
 SIMULATE_SIZES = (2, 9, 10, 11, 32, 40)
 COMMUTING_PAIRS = 60  # per presentation
 MULTI_BOX_PRESENTATIONS = 300
+ISO_PAIRS = 2000
 
 # `olog simulate` flags per chain kind, given with --domain and --bricks.
 _SIMULATE_FLAGS = {
@@ -287,6 +296,76 @@ def _presentations(rng: random.Random) -> list:
     return cases
 
 
+_PAYLOAD_KINDS = ("none", "real", "pair", "text")
+_ID_POOL = ("", "x1", "x2", "x10", "b1", "b01", "y")
+
+
+def _random_pair(rng: random.Random) -> dict:
+    """A random small schema and two instances of it as plain data, drawn as
+    the tests' ``_random_pair`` draws them; half the time b is a relabelled
+    copy of a, sometimes with one table entry moved."""
+    box_ids = ["X", "Y", "Z"][: rng.randint(1, 3)]
+    arrows = [
+        [f"f{j}", rng.choice(box_ids), rng.choice(box_ids)] for j in range(rng.randint(1, 4))
+    ]
+
+    def instance() -> dict:
+        mixed = rng.random() < 0.2
+        sets = {}
+        for box_id in box_ids:
+            kind = rng.choice(_PAYLOAD_KINDS)
+            sets[box_id] = {
+                eid: rng.choice(_PAYLOAD_KINDS) if mixed else kind
+                for eid in rng.sample(_ID_POOL, rng.randint(0, 5))
+            }
+        functions = {}
+        for arrow_id, src, dst in arrows:
+            targets = list(sets[dst]) if rng.random() < 0.9 else list(_ID_POOL)
+            table = {eid: rng.choice(targets) for eid in sets[src] if rng.random() < 0.9 and targets}
+            if rng.random() < 0.1:
+                table[rng.choice(("ghost", *_ID_POOL))] = rng.choice(_ID_POOL)
+            if rng.random() < 0.1 and table:
+                table[rng.choice(list(table))] = None
+            functions[arrow_id] = table
+        return {"sets": sets, "functions": functions}
+
+    a = instance()
+    if rng.random() < 0.5:
+        return {"boxes": box_ids, "arrows": arrows, "a": a, "b": instance()}
+    rename = {}
+    for box_id, elems in a["sets"].items():
+        ids = list(elems)
+        rename[box_id] = dict(zip(ids, rng.sample(ids, len(ids))))
+    sets = {
+        box_id: {rename[box_id][eid]: kind for eid, kind in reversed(elems.items())}
+        for box_id, elems in a["sets"].items()
+    }
+    functions = {
+        arrow_id: {
+            rename[src].get(eid, eid): rename[dst].get(image, image)
+            for eid, image in a["functions"][arrow_id].items()
+        }
+        for arrow_id, src, dst in arrows
+    }
+    arrow_id, _, dst = rng.choice(arrows)
+    if rng.random() < 0.3 and functions[arrow_id] and sets[dst]:
+        entry = rng.choice(list(functions[arrow_id]))
+        functions[arrow_id][entry] = rng.choice(list(sets[dst]))
+    return {"boxes": box_ids, "arrows": arrows, "a": a, "b": {"sets": sets, "functions": functions}}
+
+
+def _iso_corpus(rng: random.Random) -> dict:
+    """Random pairs, and twins as [kind, n, rename seed or None, rewire seed or None]."""
+    twins = [
+        [kind, n, rename, None]
+        for kind, sizes in (("ductile", (5, 10, 20)), ("bonded", (4, 8, 10)))
+        for n in sizes
+        for rename in (None, rng.randrange(2**32))
+    ]
+    twins.append(["bonded", 8, None, rng.randrange(2**32)])
+    return {"pairs": [_random_pair(rng) for _ in range(ISO_PAIRS)], "twins": twins}
+
+
 def _corpus() -> dict:
     rng = random.Random(SEED)
     bundled = (ROOT / "src" / "ologkit" / "data" / "paper.olog").read_text(encoding="utf-8")
@@ -300,6 +379,7 @@ def _corpus() -> dict:
         "documents": bases + mutated,
         "built": [_built_schema(rng) for _ in range(BUILT_SCHEMAS)],
         "presentations": _presentations(random.Random(SEED + 1)),
+        "iso": _iso_corpus(random.Random(SEED + 2)),
         "instances": [
             [kind, domain, n]
             for kind in ("ductile", "bonded", "brittle")
@@ -461,22 +541,99 @@ def _simulate_cases(cases: list) -> dict:
     return out
 
 
-def _check_cases(ok, instances: list) -> dict:
-    from ologkit.chains import SimParams
+def _chain(ok, schema, kind: str, domain: str, n: int):
+    """The generated instance of a ductile, bonded or brittle chain of n bricks."""
+    if kind == "ductile":
+        params = ok.SimParams(n, 20.6, math.inf, True, 23.45, 100.0, domain)
+    elif kind == "bonded":
+        params = ok.SimParams(n, 20.6, 100.0, True, 23.45, 110.0, domain)
+    else:
+        params = ok.SimParams(n, 20.6, math.inf, False, domain=domain)
+    return ok.generate_instance(params, schema)
 
+
+def _check_cases(ok, instances: list) -> dict:
     out = {}
     schema = ok.bundled_schema()
     for kind, domain, n in instances:
-        if kind == "ductile":
-            params = SimParams(n, 20.6, math.inf, True, 23.45, 100.0, domain)
-        elif kind == "bonded":
-            params = SimParams(n, 20.6, 100.0, True, 23.45, 110.0, domain)
-        else:
-            params = SimParams(n, 20.6, math.inf, False, domain=domain)
         name = f"{kind}-{domain}-{n}.oinst"
-        instance = ok.generate_instance(params, schema)
+        instance = _chain(ok, schema, kind, domain, n)
         Path(name).write_text(ok.serialize_instance(instance), encoding="utf-8")
         out[name] = _cli(["check", "paper.olog", name])
+    return out
+
+
+def _iso_outcome(ok, schema, a, b) -> list:
+    """The search's answer, the map by hash, and whether the map re-verifies."""
+    try:
+        res = ok.check_instance_isomorphism(schema, a, b)
+    except Exception as exc:  # the outcome under comparison
+        return _raised(exc)
+    mapping = json.dumps(res.mapping).encode()
+    verified = ok.verify_isomorphism(schema, a, b, res.mapping) if res.found else None
+    return [res.outcome.value, res.certificate, res.detail,
+            hashlib.sha256(mapping).hexdigest()[:16], verified]
+
+
+def _renamed(ok, schema, instance, rng: random.Random):
+    """The instance with its ids permuted at random within each box."""
+    rename = {
+        box_id: dict(zip(elems, rng.sample(list(elems), len(elems))))
+        for box_id, elems in instance.sets.items()
+    }
+    return ok.Instance(
+        instance.name, instance.schema_name,
+        {box_id: {rename[box_id][eid]: p for eid, p in elems.items()}
+         for box_id, elems in instance.sets.items()},
+        {arrow.id: {rename[arrow.src][eid]: rename[arrow.dst][image]
+                    for eid, image in instance.table(arrow.id).items()}
+         for arrow in schema.arrows},
+    )
+
+
+def _rewired(ok, instance, rng: random.Random):
+    """The instance with one arrow-35 entry sent to another brick."""
+    functions = dict(instance.functions)
+    table = functions["35"] = dict(functions["35"])
+    entry = rng.choice(list(table))
+    table[entry] = rng.choice([x for x in instance.elements("R") if x != table[entry]])
+    return ok.Instance(instance.name, instance.schema_name, instance.sets, functions)
+
+
+def _iso_cases(ok, corpus: dict) -> dict:
+    s = ok.schema
+    payloads = {
+        "none": None, "real": ok.RealPayload(1.5), "pair": ok.PairPayload(0.0, 1.0),
+        "text": ok.TextPayload("t"),
+    }
+    out = {}
+    for index, spec in enumerate(corpus["pairs"]):
+        schema = s.OlogSchema(
+            "random",
+            tuple(s.BoxDecl(b, b) for b in spec["boxes"]),
+            tuple(s.ArrowDecl(*arrow) for arrow in spec["arrows"]),
+        )
+        a, b = (
+            ok.Instance(
+                side, "random",
+                {box_id: {eid: payloads[kind] for eid, kind in elems.items()}
+                 for box_id, elems in spec[side]["sets"].items()},
+                spec[side]["functions"],
+            )
+            for side in ("a", "b")
+        )
+        out[f"random-{index}"] = _iso_outcome(ok, schema, a, b)
+    schema = ok.bundled_schema()
+    out["bundled"] = _iso_outcome(ok, schema, ok.protein_instance(), ok.social_instance())
+    for kind, n, rename, rewire in corpus["twins"]:
+        a = _chain(ok, schema, kind, "protein", n)
+        b = _chain(ok, schema, kind, "social", n)
+        name = f"twins-{kind}-{n}"
+        if rename is not None:
+            b, name = _renamed(ok, schema, b, random.Random(rename)), f"{name}-renamed"
+        if rewire is not None:
+            b, name = _rewired(ok, b, random.Random(rewire)), f"{name}-rewired"
+        out[name] = _iso_outcome(ok, schema, a, b)
     return out
 
 
@@ -492,6 +649,7 @@ def _work(corpus_path: str, out_path: str, tree: str) -> None:
         "derive": _derive_cases(ok),
         "presentations": _presentation_cases(ok, corpus["presentations"]),
         "check": _check_cases(ok, corpus["instances"]),
+        "iso": _iso_cases(ok, corpus["iso"]),
         "simulate": _simulate_cases(corpus["simulate"]),
     }
     Path(out_path).write_text(json.dumps(results), encoding="utf-8")

@@ -13,7 +13,7 @@ import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import accumulate, chain, groupby, repeat
+from itertools import chain, groupby, repeat
 from typing import TYPE_CHECKING
 
 from .diagnostics import Diagnostic, error
@@ -552,8 +552,9 @@ class IsoResult:
     natural-key order of the a-elements, and has been re-verified by the
     search's table rule (:func:`verify_isomorphism`); a found map that fails
     that check raises RuntimeError instead of becoming a result.  The rule:
-    no image maps to no image, an image outside its target box commutes with
-    nothing, and an entry whose source is outside its box is never read.
+    no image maps to no image, an image outside its target box (an explicit
+    None among them) commutes with nothing, and an entry whose source is
+    outside its box is never read.
     On NOT_FOUND, ``certificate``
     names the first obstruction: CARDINALITY_MISMATCH, PAYLOAD_TYPE_MISMATCH,
     SIGNATURE_MISMATCH (structural refinement separated the instances), or
@@ -578,45 +579,46 @@ class IsoResult:
 # Image codes in the integer view, next to element numbers (which are >= 0).
 _MISSING = -1  # the table has no entry for the element
 _OUTSIDE = -2  # the table's entry is not an element of the arrow's target box
+# A table's default for a missing entry: an explicit None entry is an image
+# outside the target box, as validate_instance reads it, not a missing one.
+_ABSENT = object()
 
 
 @dataclass(frozen=True)
 class _PairIndex:
     """Both instances of an isomorphism check, their elements numbered.
 
-    Side a's elements come first, then side b's (``split`` is b's first
-    number).  Within a side, boxes come in schema order, then any arrow
-    endpoint that no box declares, read as :func:`validate_instance` reads
-    it.  Each box's elements are numbered in natural-key order:
-    ``numbers[side * len(box_ids) + k]`` maps the ids of box k to their run
-    of numbers, and ``ids`` maps numbers back.
+    Side a's boxes come first, then side b's.  Within a side, boxes come in
+    schema order, then any arrow endpoint that no box declares, read as
+    :func:`validate_instance` reads it.  (side, box) k holds the numbers
+    ``starts[k]`` up to ``starts[k + 1]``, so side b starts at
+    ``starts[len(box_ids)]``; a box's elements are numbered in natural-key
+    order, and ``ids`` maps numbers back to element ids.
     ``images[e, t]`` is the number of e's image under its box's t-th
     out-arrow in schema order, or _MISSING / _OUTSIDE (also _MISSING past
-    the box's ``degree``).  ``edges`` holds (source, arrow index, image) of
-    every table entry whose source and image are both in their boxes; entries
-    whose source is not in the arrow's source box are dropped everywhere.
+    the box's ``degree``).  It is the only view of the tables: each is read
+    over its source box's elements, so an entry whose source is not in that
+    box is never read.
     """
 
     box_ids: list[str]
-    numbers: list[dict[str, int]]
+    starts: list[int]
     ids: list[str]
-    split: int
     box: np.ndarray
     payload: np.ndarray
     degree: list[int]
     images: np.ndarray
-    edges: tuple[np.ndarray, np.ndarray, np.ndarray]
-    arrows: int
 
 
 def _index_pair(schema: OlogSchema, pair: tuple[Instance, Instance]) -> _PairIndex:
-    """Number the elements of both instances and turn every table into number arrays."""
+    """Number the elements of both instances and read every table into one image matrix."""
     import numpy as np
 
     ends = [end for arrow in schema.arrows for end in (arrow.src, arrow.dst)]
     box_ids = list(dict.fromkeys([*(box.id for box in schema.boxes), *ends]))
     box_at = {box_id: k for k, box_id in enumerate(box_ids)}
-    numbers: list[dict[str, int]] = []
+    numbers: list[dict[object, int]] = []
+    starts = [0]
     ids: list[str] = []
     payload: list[int] = []
     # A value type that is not a payload type gets the next code when first met.
@@ -626,43 +628,29 @@ def _index_pair(schema: OlogSchema, pair: tuple[Instance, Instance]) -> _PairInd
             elems = instance.elements(box_id)
             ordered = natural_order(elems)
             numbers.append(dict(zip(ordered, range(len(ids), len(ids) + len(elems)))))
+            numbers[-1][_ABSENT] = _MISSING
             ids += ordered
+            starts.append(len(ids))
             payload += [codes[type(elems[eid])] for eid in ordered]
 
     degree = [0] * len(box_ids)
-    slot = []
+    slots = []
     for arrow in schema.arrows:
-        slot.append(degree[box_at[arrow.src]])
+        slots.append(degree[box_at[arrow.src]])
         degree[box_at[arrow.src]] += 1
-    tables = [
-        (j, numbers[base + box_at[arrow.src]], numbers[base + box_at[arrow.dst]], table)
-        for base, instance in ((0, pair[0]), (len(box_ids), pair[1]))
-        for j, arrow in enumerate(schema.arrows)
-        if (table := instance.table(arrow.id))
-    ]
-    total = sum(len(table) for *_, table in tables)
-    source = np.fromiter(
-        chain.from_iterable(map(src.get, table, repeat(_MISSING)) for _, src, _, table in tables),
-        np.intp, total,
-    )
-    image = np.fromiter(
-        chain.from_iterable(
-            map(dst.get, table.values(), repeat(_OUTSIDE)) for _, _, dst, table in tables
-        ),
-        np.intp, total,
-    )
-    arrow = np.repeat(np.array([j for j, *_ in tables], np.intp), [len(t) for *_, t in tables])
-    kept = source >= 0
-    source, arrow, image = source[kept], arrow[kept], image[kept]
     images = np.full((len(ids), max(degree, default=0)), _MISSING, np.intp)
-    images[source, np.array(slot, np.intp)[arrow]] = image
-    inside = image >= 0
-    box = np.repeat(np.tile(np.arange(len(box_ids)), 2), list(map(len, numbers)))
-    return _PairIndex(
-        box_ids, numbers, ids, sum(map(len, numbers[: len(box_ids)])), box,
-        np.array(payload, np.intp), degree, images,
-        (source[inside], arrow[inside], image[inside]), len(schema.arrows),
-    )
+    for base, instance in ((0, pair[0]), (len(box_ids), pair[1])):
+        for arrow, slot in zip(schema.arrows, slots):
+            if table := instance.table(arrow.id):
+                k = base + box_at[arrow.src]
+                lo, hi = starts[k], starts[k + 1]
+                dst = numbers[base + box_at[arrow.dst]]
+                images[lo:hi, slot] = np.fromiter(
+                    map(dst.get, map(table.get, ids[lo:hi], repeat(_ABSENT)), repeat(_OUTSIDE)),
+                    np.intp, hi - lo,
+                )
+    box = np.repeat(np.tile(np.arange(len(box_ids)), 2), np.diff(starts))
+    return _PairIndex(box_ids, starts, ids, box, np.array(payload, np.intp), degree, images)
 
 
 def _rank_rows(rows: np.ndarray) -> tuple[np.ndarray, int]:
@@ -690,10 +678,11 @@ def _refine_colors(pair: _PairIndex) -> tuple[np.ndarray, int, str | None]:
     round, no per-element Python).  Round 0 ranks (box, value type).
     Every later round ranks one row per element: its colour, the colours of
     its images by out-arrow slot (-1 for no image or one outside the target
-    box), and its preimages as (arrow, colour, count) pairs in sorted order,
-    padded with -1.  Rows lead with the current colour, so a colour never
-    spans two boxes and the partition only splits.  Per-side histograms are
-    ``np.bincount``s, compared after every round.  Returns ``(colour, round,
+    box), and its preimages, read from the same matrix, as (slot, colour,
+    count) triples in sorted order, padded with -1.  Rows lead with the
+    current colour, so a colour never spans two boxes and the partition only
+    splits; a source's colour fixes its box, so a slot names one arrow.
+    Per-side histograms are ``np.bincount``s, compared after every round.  Returns ``(colour, round,
     box)``: ``colour[e]`` is element e's colour, and ``box`` is the first
     box in schema order whose per-side histograms differ at the first round
     where any do, or None at the fixed point.  The partition of every round,
@@ -703,8 +692,9 @@ def _refine_colors(pair: _PairIndex) -> tuple[np.ndarray, int, str | None]:
     """
     import numpy as np
 
-    split = pair.split
-    source, arrow, image = pair.edges
+    split = pair.starts[len(pair.box_ids)]
+    source, slot = np.nonzero(pair.images >= 0)
+    image = pair.images[source, slot]
     kinds = int(pair.payload.max(initial=0)) + 1
     colour, classes = _rank_rows((pair.box * kinds + pair.payload)[:, None])
     round_ = 0
@@ -718,8 +708,8 @@ def _refine_colors(pair: _PairIndex) -> tuple[np.ndarray, int, str | None]:
             return colour, round_, pair.box_ids[box_of[differ].min()]
         # Both image codes index one of the two trailing -1s.
         out = np.append(colour, (-1, -1))[pair.images]
-        span = pair.arrows * classes
-        preimages = image * span + arrow * classes + colour[source]
+        span = pair.images.shape[1] * classes
+        preimages = image * span + slot * classes + colour[source]
         keys, counts = np.unique(preimages, return_counts=True)
         target, code = np.divmod(keys, span)
         column = 2 * (np.arange(len(keys)) - np.searchsorted(target, target))
@@ -771,11 +761,10 @@ def check_instance_isomorphism(
             certificate, detail = "PAYLOAD_TYPE_MISMATCH", box_id
         return IsoResult(IsoOutcome.NOT_FOUND, certificate=certificate, detail=detail)
 
-    size, split = len(pair.ids), pair.split
+    starts = pair.starts
+    size, split = len(pair.ids), starts[len(pair.box_ids)]
     classes = int(colour.max(initial=-1)) + 1
     pool_sizes = np.bincount(colour[split:], minlength=classes)
-    # (side, box) k holds the numbers starts[k] up to starts[k + 1].
-    starts = [0, *accumulate(map(len, pair.numbers))]
 
     # Pools: colour c's unused b-elements in one circular list through head
     # node size + c, in natural-key order, which is number order in a box.
@@ -884,8 +873,9 @@ def verify_isomorphism(
     """True iff ``mapping`` is a family of bijections commuting with every arrow.
 
     Tables are read as the search reads them, over each arrow's source box:
-    no image must map to no image, an image outside the target box commutes
-    with nothing, and an entry whose source is outside its box is not read.
+    no image must map to no image, an image outside the target box (None
+    included) commutes with nothing, and an entry whose source is outside
+    its box is not read.
     Raises SchemaMismatchError when either instance names a different schema.
     """
     _require_schema(schema, a)
@@ -899,9 +889,10 @@ def verify_isomorphism(
             return False
     for arrow in schema.arrows:
         m_src, m_dst = mapping.get(arrow.src, {}), mapping.get(arrow.dst, {})
-        images = list(map(a.table(arrow.id).get, m_src))  # None: no image
-        if not m_dst.keys() >= set(images) - {None}:  # an image outside the target box
+        images = list(map(a.table(arrow.id).get, m_src, repeat(_ABSENT)))
+        if not m_dst.keys() >= set(images) - {_ABSENT}:  # an image outside the target box
             return False
-        if list(map(m_dst.get, images)) != list(map(b.table(arrow.id).get, m_src.values())):
+        mapped = map(m_dst.get, images, repeat(_ABSENT))
+        if list(mapped) != list(map(b.table(arrow.id).get, m_src.values(), repeat(_ABSENT))):
             return False
     return True

@@ -1096,6 +1096,19 @@ def test_verify_reads_an_image_outside_the_target_box_as_the_search_does():
     assert not verify_isomorphism(_XY, a, b, {"X": {"x": "x"}, "Y": {"y": "y"}})
 
 
+def test_verify_reads_an_explicit_none_image_as_one_outside_the_target_box():
+    # f = {x: None} is an image outside Y, as validation reads it, not a
+    # missing entry: it commutes with nothing, not even under the identity.
+    a = Instance("a", "xy", {"X": {"x": None}, "Y": {}}, {"f": {"x": None}})
+    b = Instance("b", "xy", {"X": {"x2": None}, "Y": {}}, {"f": {}})
+    assert [d.code for d in validate_instance(_XY, a)] == ["IMAGE_NOT_IN_TARGET"]
+    assert check_instance_isomorphism(_XY, a, b).certificate == "SEARCH_EXHAUSTED"
+    assert check_instance_isomorphism(_XY, a, a).certificate == "SEARCH_EXHAUSTED"
+    assert not _reference_verify(_XY, a, b, {"X": {"x": "x2"}})
+    assert not verify_isomorphism(_XY, a, b, {"X": {"x": "x2"}})
+    assert not verify_isomorphism(_XY, a, a, {"X": {"x": "x"}})
+
+
 def test_verify_rejects_a_map_onto_a_smaller_box():
     sets = {"X": {"x1": None, "x2": None}, "Y": {"y": None}}
     a = Instance("a", "xy", sets, {"f": {"x1": "y", "x2": "y"}})
@@ -1164,9 +1177,10 @@ _ID_POOL = ("", "x1", "x2", "x10", "b1", "b01", "y")
 def _random_pair(rng):
     """A random small schema and two instances of it, often near-isomorphic.
 
-    Tables may be partial, send elements outside the target box, or carry
-    sources outside the source box; payload types may mix within a box;
-    boxes may be empty; arrows may be self-arrows; ids include "".
+    Tables may be partial, send elements outside the target box (an explicit
+    None among them), or carry sources outside the source box; payload types
+    may mix within a box; boxes may be empty; arrows may be self-arrows; ids
+    include "".
     """
     box_ids = ["X", "Y", "Z"][: rng.randint(1, 3)]
     s = OlogSchema(
@@ -1197,6 +1211,8 @@ def _random_pair(rng):
             }
             if rng.random() < 0.1:
                 table[rng.choice(("ghost", *_ID_POOL))] = rng.choice(_ID_POOL)
+            if rng.random() < 0.1 and table:
+                table[rng.choice(list(table))] = None
             functions[arrow.id] = table
         return Instance(name, "random", sets, functions)
 
@@ -1233,9 +1249,9 @@ def _refinement_of(s, a, b):
     colour, round_, box_id = ologkit.instance._refine_colors(pair)
     boxes = len(pair.box_ids)
     keyed = {
-        (k // boxes, pair.box_ids[k % boxes], eid): int(colour[e])
-        for k, numbers in enumerate(pair.numbers)
-        for eid, e in numbers.items()
+        (k // boxes, pair.box_ids[k % boxes], pair.ids[e]): int(colour[e])
+        for k, (lo, hi) in enumerate(zip(pair.starts, pair.starts[1:]))
+        for e in range(lo, hi)
     }
     return keyed, round_, box_id
 
@@ -1274,10 +1290,13 @@ def test_random_pairs_reach_every_refinement_outcome_and_input_shape():
                 shapes |= {"image outside"} if any(
                     image not in dst for eid, image in table.items() if eid in src
                 ) else set()
+                shapes |= {"None image"} if any(
+                    image is None for eid, image in table.items() if eid in src
+                ) else set()
     assert outcomes == {"fixed point", "round 0", "later"}
     assert shapes == {
         "empty box", 'id ""', "mixed payloads", "self-arrow", "partial table",
-        "source outside", "image outside",
+        "source outside", "image outside", "None image",
     }
 
 

@@ -403,12 +403,14 @@ def test_unknown_on_saturated_space_is_fast(schema):
 
 def test_deriving_path_equalities_never_loads_numpy():
     # The instance engine and the generator import numpy where they call it,
-    # so a process that loads every module and only derives goes without.
+    # so a process that loads every module and only derives, or checks an
+    # instance with `olog check`, goes without.
     code = (
         "import sys, ologkit.cli\n"
         "from ologkit import Path, bundled_schema, derive_equality, replay_witness\n"
         "p, q = Path('A', ('1', '10', '14')), Path('A', ('2', '14'))\n"
         "assert replay_witness(bundled_schema(), derive_equality(bundled_schema(), p, q, 3))\n"
+        "assert ologkit.cli.main(['check', 'paper.olog', 'protein.oinst']) == 0\n"
         "sys.exit('numpy' in sys.modules)\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
@@ -788,10 +790,11 @@ def _random_multi_box(seed):
             for x in arrows
             if x.src == end
         ]
-    pools = [pool for pool in by_ends.values() if len(pool) >= 2]
+    pools = [[p for p in pool if len(p.arrows) <= 3] for pool in by_ends.values()]
+    pools = [pool for pool in pools if len(pool) >= 2]
     equations = []
     for _ in range(rng.randint(1, 3)):
-        lhs, rhs = rng.sample([p for p in rng.choice(pools) if len(p.arrows) <= 3], 2)
+        lhs, rhs = rng.sample(rng.choice(pools), 2)
         equations.append(PathEquation(lhs, rhs))
     schema = OlogSchema(
         "multi-box", tuple(BoxDecl(b, f"a {b}") for b in boxes), tuple(arrows), tuple(equations)
@@ -812,6 +815,8 @@ def _random_multi_box(seed):
 
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
+@example(seed=1898)  # a pool of parallel paths with fewer than two short ones
+@example(seed=2513478)
 def test_word_search_matches_the_tuple_search_on_multi_box_schemas(seed):
     schema, queries = _random_multi_box(seed)
     for p, q, max_steps in queries:
