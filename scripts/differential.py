@@ -26,6 +26,12 @@ records one outcome per case:
                 runs into the 100 000-state cap;
   check         ``olog check`` reports, minus ``elapsed_ms``, on ductile,
                 bonded and brittle instances of both domains at small n;
+  cli-instances ``olog check``, ``olog pullback paper.olog FILE 30 27`` and
+                ``olog iso`` against the other domain's twin, on ductile and
+                bonded instances of both domains at n = 2..5, each with one
+                seeded table entry dropped or rewired to another element of
+                its target box: the exit code and the report minus
+                ``elapsed_ms``;
   iso           ``check_instance_isomorphism`` on 2 000 random small pairs
                 (partial tables, None images, images and sources outside
                 their boxes, mixed payload types, empty boxes) and on
@@ -76,6 +82,7 @@ SIMULATE_SIZES = (2, 9, 10, 11, 32, 40)
 COMMUTING_PAIRS = 60  # per presentation
 MULTI_BOX_PRESENTATIONS = 300
 ISO_PAIRS = 2000
+EDITED_PER_CHAIN = 2  # per chain, domain, size and edit
 
 # `olog simulate` flags per chain kind, given with --domain and --bricks.
 _SIMULATE_FLAGS = {
@@ -367,7 +374,7 @@ def _iso_corpus(rng: random.Random) -> dict:
 
 
 def _corpus() -> dict:
-    rng = random.Random(SEED)
+    rng, edit_rng = random.Random(SEED), random.Random(SEED + 3)
     bundled = (ROOT / "src" / "ologkit" / "data" / "paper.olog").read_text(encoding="utf-8")
     bases = [bundled, *_hand_written_schemas()]
     # half from the bundled schema, whose equations and pullbacks the edits move
@@ -385,6 +392,14 @@ def _corpus() -> dict:
             for kind in ("ductile", "bonded", "brittle")
             for domain in ("protein", "social")
             for n in (2, 5)
+        ],
+        "edited": [
+            [kind, domain, n, edit, edit_rng.randrange(2**32)]
+            for kind in ("ductile", "bonded")
+            for domain in ("protein", "social")
+            for n in (2, 3, 4, 5)
+            for edit in ("drop", "rewire")
+            for _ in range(EDITED_PER_CHAIN)
         ],
         "simulate": [
             [kind, domain, n]
@@ -563,6 +578,43 @@ def _check_cases(ok, instances: list) -> dict:
     return out
 
 
+def _edited(ok, schema, instance, edit: str, rng: random.Random):
+    """The instance with one seeded table entry dropped, or rewired to another
+    element of its arrow's target box."""
+    targets = {arrow.id: sorted(instance.elements(arrow.dst)) for arrow in schema.arrows}
+    arrow_id = rng.choice(sorted(
+        arrow_id for arrow_id, table in instance.functions.items()
+        if table and (edit == "drop" or len(targets[arrow_id]) > 1)
+    ))
+    functions = dict(instance.functions)
+    table = functions[arrow_id] = dict(functions[arrow_id])
+    entry = rng.choice(sorted(table))
+    if edit == "drop":
+        del table[entry]
+    else:
+        table[entry] = rng.choice([x for x in targets[arrow_id] if x != table[entry]])
+    return ok.Instance(instance.name, instance.schema_name, instance.sets, functions)
+
+
+def _edited_cases(ok, cases: list) -> dict:
+    """check, pullback 30 27 and iso against the other domain's twin, each on
+    a generated instance with one table entry dropped or rewired."""
+    schema = ok.bundled_schema()
+    out = {}
+    for kind, domain, n, edit, seed in cases:
+        other = "social" if domain == "protein" else "protein"
+        instance = _chain(ok, schema, kind, domain, n)
+        edited = _edited(ok, schema, instance, edit, random.Random(seed))
+        name = f"{kind}-{domain}-{n}-{edit}-{seed}.oinst"
+        Path(name).write_text(ok.serialize_instance(edited), encoding="utf-8")
+        twin = ok.serialize_instance(_chain(ok, schema, kind, other, n))
+        Path("twin.oinst").write_text(twin, encoding="utf-8")
+        out[f"check {name}"] = _cli(["check", "paper.olog", name])
+        out[f"pullback {name}"] = _cli(["pullback", "paper.olog", name, "30", "27"])
+        out[f"iso {name}"] = _cli(["iso", "paper.olog", name, "twin.oinst"])
+    return out
+
+
 def _iso_outcome(ok, schema, a, b) -> list:
     """The search's answer, the map by hash, and whether the map re-verifies."""
     try:
@@ -649,6 +701,7 @@ def _work(corpus_path: str, out_path: str, tree: str) -> None:
         "derive": _derive_cases(ok),
         "presentations": _presentation_cases(ok, corpus["presentations"]),
         "check": _check_cases(ok, corpus["instances"]),
+        "cli-instances": _edited_cases(ok, corpus["edited"]),
         "iso": _iso_cases(ok, corpus["iso"]),
         "simulate": _simulate_cases(corpus["simulate"]),
     }

@@ -171,6 +171,10 @@ class Instance:
         return Instance(self.name, self.schema_name, sets, functions)
 
 
+# Every defaulted table read's default: a missing entry, never a stored image (None too).
+_ABSENT = object()
+
+
 def _require_schema(schema: OlogSchema, instance: Instance) -> None:
     if instance.schema_name != schema.name:
         raise SchemaMismatchError(
@@ -299,7 +303,8 @@ class EquationReport:
     """Outcome of checking one path equation over every element of its start box.
 
     The equation is decided in whole-box passes: each side is composed over
-    the whole start box, and the two image lists are compared.  Natural-key
+    the whole start box, and the two image lists are compared; a stored image
+    (None, or one outside the target box) compares as any other.  Natural-key
     order only decides which offender is named: on failure ``witness`` is
     (element, lhs image, rhs image) for the first offending element in that
     order, and ``checked`` counts the elements up to and including it.
@@ -320,7 +325,7 @@ def _composed(
 ) -> list:
     """The path's image of each element of the start box, in the box's order.
 
-    None where a table has no entry (and after it); one ``map(table.get, ...)``
+    _ABSENT where a table has no entry (and after it); one ``map(table.get, ...)``
     pass per arrow.  ``memo`` keeps each distinct (start, prefix) composed
     once, shared by every equation of one check.
     """
@@ -328,7 +333,7 @@ def _composed(
     if key not in memo:
         if arrows:
             images = _composed(instance, start, arrows[:-1], memo)
-            memo[key] = list(map(instance.table(arrows[-1]).get, images))
+            memo[key] = list(map(instance.table(arrows[-1]).get, images, repeat(_ABSENT)))
         else:
             memo[key] = list(instance.elements(start))
     return memo[key]
@@ -359,12 +364,12 @@ def _check_equation(
         path_endpoints(schema, equation.rhs)
     lhs = _composed(instance, start, equation.lhs.arrows, memo)
     rhs = _composed(instance, start, equation.rhs.arrows, memo)
-    if lhs == rhs and None not in lhs:
+    if lhs == rhs and _ABSENT not in lhs:
         return EquationReport(equation, holds=True, checked=len(elems))
     lhs_of, rhs_of = dict(zip(elems, lhs)), dict(zip(elems, rhs))
     for checked, eid in enumerate(natural_order(elems), 1):
         lhs_val, rhs_val = lhs_of[eid], rhs_of[eid]
-        if lhs_val is None or rhs_val is None:  # _chase raises the message naming the arrow
+        if lhs_val is _ABSENT or rhs_val is _ABSENT:  # _chase raises the message naming the arrow
             _chase(instance, equation.lhs, eid)
             _chase(instance, equation.rhs, eid)
         if lhs_val != rhs_val:
@@ -393,9 +398,11 @@ def compute_pullback(
 
     A hash join: leg 2's sources are indexed by image, so the cost is
     |X| + |Y| + the number of pairs, plus putting X and Y in natural-key
-    order with :func:`natural_order`.  The legs must form a cospan (same
-    target box); raises CospanMismatchError otherwise, and SchemaMismatchError
-    when the instance names a different schema.
+    order with :func:`natural_order`.  A missing entry pairs with nothing;
+    equal stored images pair, None or outside the target box too.  The legs
+    must form a cospan (same target box); raises CospanMismatchError
+    otherwise, and SchemaMismatchError when the instance names a different
+    schema.
     """
     return list(zip(*_pullback_columns(schema, instance, leg1, leg2)))
 
@@ -413,13 +420,12 @@ def _pullback_columns(
 
     decl1, decl2 = _cospan(schema, instance, leg1, leg2)
     table1, table2 = instance.table(leg1), instance.table(leg2)
-    by_image: dict[str, list[str]] = {}
+    by_image: dict[object, list[str]] = {}
     for y in natural_order(instance.elements(decl2.src)):
-        image = table2.get(y)
-        if image is not None:
-            by_image.setdefault(image, []).append(y)
+        by_image.setdefault(table2.get(y, _ABSENT), []).append(y)
+    by_image.pop(_ABSENT, None)  # a missing entry pairs with nothing
     xs = natural_order(instance.elements(decl1.src))
-    groups = list(map(by_image.get, map(table1.get, xs), repeat(())))
+    groups = list(map(by_image.get, map(table1.get, xs, repeat(_ABSENT)), repeat(())))
     sizes = np.fromiter(map(len, groups), np.intp, len(groups))
     lefts = np.repeat(np.array(xs, dtype=object), sizes).tolist()
     return lefts, list(chain.from_iterable(groups))
@@ -472,9 +478,10 @@ def verify_fiber_product(
     """Decide in whole-box passes whether the apex is the canonical pullback.
 
     It is when the apex elements project to pairwise distinct pairs, each
-    pair (x, y) lies in X × Y with leg1(x) defined and equal to leg2(y), and
+    pair (x, y) lies in X × Y with leg1(x) stored and equal to leg2(y), and
     there are as many apex elements as canonical pairs, counted per image
-    without listing them.  Only otherwise is the pullback listed and the apex
+    without listing them.  A missing projection is no element of X or Y, and
+    an EXTRA_PAIR witness shows it as "".  Only otherwise is the pullback listed and the apex
     walked in natural-key order to name the first offender: an apex element
     colliding with an earlier one, or projecting outside the canonical
     pullback, stops the walk; else the first canonical pair no apex element
@@ -483,19 +490,19 @@ def verify_fiber_product(
     decl1, decl2 = _cospan(schema, instance, decl.leg1, decl.leg2)
     xs, ys = instance.elements(decl1.src), instance.elements(decl2.src)
     leg1, leg2 = instance.table(decl.leg1), instance.table(decl.leg2)
-    over = Counter(map(leg2.get, ys))  # image -> how many y lie over it
-    over.pop(None, None)
-    size = sum(map(over.get, map(leg1.get, xs), repeat(0)))
+    over = Counter(map(leg2.get, ys, repeat(_ABSENT)))  # image -> how many y lie over it
+    del over[_ABSENT]
+    size = sum(map(over.get, map(leg1.get, xs, repeat(_ABSENT)), repeat(0)))
     apex = instance.elements(decl.apex)
-    proj1 = list(map(instance.table(decl.proj1).get, apex, repeat("")))
-    proj2 = list(map(instance.table(decl.proj2).get, apex, repeat("")))
-    images = list(map(leg1.get, proj1))
+    proj1 = list(map(instance.table(decl.proj1).get, apex, repeat(_ABSENT)))
+    proj2 = list(map(instance.table(decl.proj2).get, apex, repeat(_ABSENT)))
+    images = list(map(leg1.get, proj1, repeat(_ABSENT)))
     if (
         len(apex) == size
         and all(map(xs.__contains__, proj1))
         and all(map(ys.__contains__, proj2))
-        and None not in images
-        and images == list(map(leg2.get, proj2))
+        and _ABSENT not in images
+        and images == list(map(leg2.get, proj2, repeat(_ABSENT)))
         and len(set(zip(proj1, proj2))) == size
     ):
         return FiberProductReport(decl, holds=True, apex_size=size, pullback_size=size)
@@ -515,12 +522,13 @@ def _name_offender(
     )
     seen: dict[tuple[str, str], str] = {}
     for eid in apex:
-        pair = (proj1.get(eid, ""), proj2.get(eid, ""))
+        pair = (proj1.get(eid, _ABSENT), proj2.get(eid, _ABSENT))
         first = seen.setdefault(pair, eid)
         if first != eid:
             return report(holds=False, witness_kind="COLLIDING_PAIR", witness=(first, eid))
-        if pair not in canonical_set:
-            return report(holds=False, witness_kind="EXTRA_PAIR", witness=(eid,) + pair)
+        if pair not in canonical_set:  # a missing projection is shown as ""
+            shown = tuple("" if end is _ABSENT else end for end in pair)
+            return report(holds=False, witness_kind="EXTRA_PAIR", witness=(eid,) + shown)
     if len(seen) < len(canonical):  # seen is a subset of canonical_set by now
         missing = next(pair for pair in canonical if pair not in seen)
         return report(holds=False, witness_kind="MISSING_PAIR", witness=missing)
@@ -579,9 +587,6 @@ class IsoResult:
 # Image codes in the integer view, next to element numbers (which are >= 0).
 _MISSING = -1  # the table has no entry for the element
 _OUTSIDE = -2  # the table's entry is not an element of the arrow's target box
-# A table's default for a missing entry: an explicit None entry is an image
-# outside the target box, as validate_instance reads it, not a missing one.
-_ABSENT = object()
 
 
 @dataclass(frozen=True)

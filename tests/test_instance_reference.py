@@ -5,7 +5,11 @@ decide in whole-box passes and walk elements only to name an offender.  The
 walkers below decide element by element, in natural-key order, as those
 functions once did; on random small instances both must give equal reports,
 witnesses, ``checked`` counts and diagnostic lists, and raise the same
-exception with the same message.
+exception with the same message.  The walkers read a table entry by
+membership (``eid in table``): an entry is missing or stored, and a stored
+image, None or an id outside the target box, is an image like any other.
+They sort boxes with ``sorted(..., key=natural_key)``; the pullback is the
+brute-force X × Y.
 """
 
 import random
@@ -50,6 +54,10 @@ from ologkit.schema import Path, path_endpoints
 # ---------------------------------------------------------------------------
 
 
+def _ordered(ids):
+    return sorted(ids, key=natural_key)
+
+
 def _require_schema(schema, instance):
     if instance.schema_name != schema.name:
         raise SchemaMismatchError(
@@ -89,7 +97,7 @@ def ref_validate_instance(schema, instance):
         target = instance.elements(arrow.dst)
         missing = source.keys() - table.keys()
         if missing:
-            for eid in natural_order(eid for eid in source if eid in missing):
+            for eid in _ordered(eid for eid in source if eid in missing):
                 diags.append(
                     error(
                         "MISSING_IMAGE",
@@ -132,7 +140,7 @@ def _chase(instance, path, element):
 
 
 def _box_orders(instance):
-    return cache(lambda box_id: natural_order(instance.elements(box_id)))
+    return cache(lambda box_id: _ordered(instance.elements(box_id)))
 
 
 def _ref_check_equation(schema, instance, equation, orders):
@@ -140,20 +148,10 @@ def _ref_check_equation(schema, instance, equation, orders):
     if elems:
         path_endpoints(schema, equation.lhs)
         path_endpoints(schema, equation.rhs)
-    lhs_tables = [instance.table(arrow_id) for arrow_id in equation.lhs.arrows]
-    rhs_tables = [instance.table(arrow_id) for arrow_id in equation.rhs.arrows]
     checked = 0
     for checked, eid in enumerate(elems, 1):
-        lhs_val = rhs_val = eid
-        try:
-            for table in lhs_tables:
-                lhs_val = table[lhs_val]
-            for table in rhs_tables:
-                rhs_val = table[rhs_val]
-        except KeyError:
-            _chase(instance, equation.lhs, eid)
-            _chase(instance, equation.rhs, eid)
-            raise
+        lhs_val = _chase(instance, equation.lhs, eid)
+        rhs_val = _chase(instance, equation.rhs, eid)
         if lhs_val != rhs_val:
             return EquationReport(
                 equation, holds=False, checked=checked, witness=(eid, lhs_val, rhs_val)
@@ -172,7 +170,9 @@ def ref_check_all_equations(schema, instance):
     return [_ref_check_equation(schema, instance, eq, orders) for eq in schema.equations]
 
 
-def _ref_pullback(schema, instance, leg1, leg2, orders):
+def _ref_pullback(schema, instance, leg1, leg2):
+    """Brute force: every (x, y) in X × Y whose entries are stored and equal,
+    each box sorted by natural key, x-major."""
     _require_schema(schema, instance)
     decl1 = schema.arrow(leg1)
     decl2 = schema.arrow(leg2)
@@ -184,17 +184,12 @@ def _ref_pullback(schema, instance, leg1, leg2, orders):
             f"legs do not form a cospan: {leg1} ends at {decl1.dst}, "
             f"{leg2} ends at {decl2.dst}"
         )
-    table1, table2 = instance.table(leg1), instance.table(leg2)
-    by_image = {}
-    for y in orders(decl2.src):
-        image = table2.get(y)
-        if image is not None:
-            by_image.setdefault(image, []).append(y)
+    t1, t2 = instance.table(leg1), instance.table(leg2)
     return [
         (x, y)
-        for x in orders(decl1.src)
-        if (image := table1.get(x)) is not None
-        for y in by_image.get(image, ())
+        for x in _ordered(instance.elements(decl1.src))
+        for y in _ordered(instance.elements(decl2.src))
+        if x in t1 and y in t2 and t1[x] == t2[y]
     ]
 
 
@@ -203,18 +198,17 @@ def ref_pullback_columns(schema, instance, leg1, leg2):
     decl1, decl2 = _cospan(schema, instance, leg1, leg2)
     table1, table2 = instance.table(leg1), instance.table(leg2)
     by_image = {}
-    for y in natural_order(instance.elements(decl2.src)):
-        image = table2.get(y)
-        if image is not None:
-            by_image.setdefault(image, []).append(y)
-    xs = natural_order(instance.elements(decl1.src))
-    groups = list(map(by_image.get, map(table1.get, xs), repeat(())))
+    for y in _ordered(instance.elements(decl2.src)):
+        if y in table2:
+            by_image.setdefault(table2[y], []).append(y)
+    xs = _ordered(instance.elements(decl1.src))
+    groups = [by_image.get(table1[x], ()) if x in table1 else () for x in xs]
     lefts = list(chain.from_iterable(map(repeat, xs, map(len, groups))))
     return lefts, list(chain.from_iterable(groups))
 
 
 def _ref_verify_fiber_product(schema, instance, decl, orders):
-    canonical = _ref_pullback(schema, instance, decl.leg1, decl.leg2, orders)
+    canonical = _ref_pullback(schema, instance, decl.leg1, decl.leg2)
     canonical_set = set(canonical)
     proj1 = instance.table(decl.proj1)
     proj2 = instance.table(decl.proj2)
@@ -224,7 +218,10 @@ def _ref_verify_fiber_product(schema, instance, decl, orders):
     )
     seen = {}
     for eid in apex:
-        pair = (proj1.get(eid, ""), proj2.get(eid, ""))
+        if eid not in proj1 or eid not in proj2:  # no pair, so none of the pullback's
+            shown = (proj[eid] if eid in proj else "" for proj in (proj1, proj2))
+            return report(holds=False, witness_kind="EXTRA_PAIR", witness=(eid, *shown))
+        pair = (proj1[eid], proj2[eid])
         first = seen.setdefault(pair, eid)
         if first != eid:
             return report(holds=False, witness_kind="COLLIDING_PAIR", witness=(first, eid))
@@ -284,11 +281,12 @@ _PAYLOADS = (None, None, RealPayload(1.0), TextPayload("t"))
 
 
 def _random_instance(rng):
-    """Tables that may be partial, map outside their target box, or key an
-    element outside their source box; boxes that may be empty or hold "";
-    an apex that may collide, miss pairs, carry extra ones, or swap a
-    canonical pair for one that only a single test tells apart.  About one
-    in four instances is left clean, so every check also passes often."""
+    """Tables that may be partial, map outside their target box (None among
+    those images), or key an element outside their source box; boxes that
+    may be empty or hold ""; an apex that may collide, miss pairs, carry
+    extra ones, or swap a canonical pair for one that only a single test
+    tells apart.  About one in four instances is left clean, so every check
+    also passes often."""
     clean = rng.random() < 0.25
     boxes = {}
     for box, lo in (("B1", 0), ("B01", 0), ("Z", 1), ("W", 1)):
@@ -299,7 +297,7 @@ def _random_instance(rng):
 
     def image(box):
         if not clean and rng.random() < 0.08:
-            return rng.choice(("", "stray", boxes["Z" if box == "W" else "W"][0]))
+            return rng.choice(("", "stray", None, boxes["Z" if box == "W" else "W"][0]))
         return rng.choice(boxes[box])
 
     tables = {
@@ -310,11 +308,10 @@ def _random_instance(rng):
     tables["k"] = {x: tables["h"].get(z, "w?") for x, z in tables["f"].items()}
     if boxes["B1"] and not clean and rng.random() < 0.4:
         tables["k"][rng.choice(boxes["B1"])] = image("W")
+    if boxes["B1"] and boxes["B01"] and not clean and rng.random() < 0.15:
+        tables["f"][rng.choice(boxes["B1"])] = tables["g"][rng.choice(boxes["B01"])] = None
     pairs = [
-        (x, y)
-        for x in boxes["B1"]
-        for y in boxes["B01"]
-        if tables["f"][x] == tables["g"][y] and tables["f"][x] in boxes["Z"]
+        (x, y) for x in boxes["B1"] for y in boxes["B01"] if tables["f"][x] == tables["g"][y]
     ]
     if not clean:
         # b1_ and b01_ have no image under f and g, so they are in no pair.
@@ -418,8 +415,15 @@ def _compare(seed):
             seen.update([d.code for d in got[1]] or ["clean"])
         elif fn is check_equation:
             seen.add(got[1].verdict)
+            path = extra[0].lhs
+            if got[1].holds and None in (_chase(inst, path, e) for e in inst.elements(path.start)):
+                seen.add("AllHold through a None image")
         elif fn is verify_fiber_product:
             seen.add(got[1].witness_kind or "PASS")
+            if got[1].witness_kind == "EXTRA_PAIR":
+                eid, decl = got[1].witness[0], extra[0]
+                if eid not in inst.table(decl.proj1) or eid not in inst.table(decl.proj2):
+                    seen.add("EXTRA_PAIR with a projection missing")
     return seen
 
 
@@ -435,8 +439,9 @@ def test_random_instances_reach_every_outcome():
     assert seen == {
         "clean", "MISSING_IMAGE", "UNKNOWN_ELEMENT", "IMAGE_NOT_IN_TARGET",
         "PAYLOAD_MIXED", "UNKNOWN_BOX", "UNKNOWN_ARROW",
-        "AllHold", "Counterexample", "raised",
+        "AllHold", "Counterexample", "raised", "AllHold through a None image",
         "PASS", "COLLIDING_PAIR", "EXTRA_PAIR", "MISSING_PAIR",
+        "EXTRA_PAIR with a projection missing",
     }
 
 
@@ -448,16 +453,19 @@ def _columns_case(seed):
     for leg1, leg2 in (("f", "g"), ("g", "f")):
         got = _pullback_columns(_SCHEMA, inst, leg1, leg2)
         assert got == ref_pullback_columns(_SCHEMA, inst, leg1, leg2)
-        assert list(zip(*got)) == _ref_pullback(_SCHEMA, inst, leg1, leg2, _box_orders(inst))
+        assert list(zip(*got)) == _ref_pullback(_SCHEMA, inst, leg1, leg2)
         xs, ys = (inst.elements(_SCHEMA.arrow(leg).src) for leg in (leg1, leg2))
         table1, table2 = inst.table(leg1), inst.table(leg2)
         zs = inst.elements("Z")
         for x in xs:
-            image = table1.get(x)
-            size = 0 if image is None else countOf(map(table2.get, ys), image)
+            if x not in table1:
+                seen.update(["missing image", "empty group"])
+                continue
+            image = table1[x]
+            size = countOf((table2[y] for y in ys if y in table2), image)
             seen.add("empty group" if size == 0 else "single" if size == 1 else "larger group")
             if image is None:
-                seen.add("missing image")
+                seen.add("None image" if size == 0 else "paired None")
             elif image not in zs:
                 seen.add("image outside Z" if size == 0 else "paired outside Z")
     return seen
@@ -473,7 +481,7 @@ def test_pullback_column_cases_reach_every_group_shape():
     seen = set().union(*(_columns_case(seed) for seed in range(200)))
     assert seen == {
         "empty group", "single", "larger group", "missing image", "image outside Z",
-        "paired outside Z",
+        "paired outside Z", "None image", "paired None",
     }
 
 

@@ -620,51 +620,10 @@ def test_equations_with_unparallel_sides_drive_no_rewrite():
     assert res == EqualityResult(EqVerdict.UNKNOWN)
 
 
-def _reference_derive(equations, p, q, max_steps):
-    """derive_equality on a one-box schema as a plain breadth-first search."""
-    if p == q:
-        return EqualityResult(EqVerdict.HOLDS, steps=0, witness=(Path("X", p),))
-    sides = []
-    for index, (lhs, rhs) in enumerate(equations):
-        sides += [(index, lhs, "lhs->rhs", rhs), (index, rhs, "rhs->lhs", lhs)]
-    parents = {p: None}
-    frontier = [p]
-    for depth in range(1, max_steps + 1):
-        found = []
-        for word in frontier:
-            for index, pattern, direction, replacement in sides:
-                k = len(pattern)
-                for pos in range(len(word) - k + 1):
-                    if word[pos : pos + k] != pattern:
-                        continue
-                    new = word[:pos] + replacement + word[pos + k :]
-                    if new in parents:
-                        continue
-                    parents[new] = (word, RewriteStep(index, pos, direction))
-                    if new == q:
-                        chain, steps = [new], []
-                        while parents[chain[-1]] is not None:
-                            before, step = parents[chain[-1]]
-                            chain.append(before)
-                            steps.append(step)
-                        return EqualityResult(
-                            EqVerdict.HOLDS,
-                            steps=depth,
-                            witness=tuple(Path("X", w) for w in reversed(chain)),
-                            rewrites=tuple(reversed(steps)),
-                        )
-                    if len(parents) >= schema_mod._STATE_CAP:
-                        return EqualityResult(EqVerdict.UNKNOWN)
-                    found.append(new)
-        if not found:
-            break
-        frontier = found
-    return EqualityResult(EqVerdict.UNKNOWN)
-
-
 def _random_presentation(seed):
     """A one-box presentation over 2-3 letters with 1-3 equations (sides may
-    be empty), and queries: some pairs a few rewrites apart, some random."""
+    be empty), and queries on paths at X: some pairs a few rewrites apart,
+    some random."""
     rng = random.Random(seed)
     letters = "abc"[: rng.choice((2, 3))]
 
@@ -675,20 +634,20 @@ def _random_presentation(seed):
     schema = _one_box(letters, equations)
     queries = []
     for _ in range(4):
-        p = word(5)
-        q = _apply_random_rewrites(schema, Path("X", p), rng, rng.randint(1, 3)).arrows
-        queries.append((p, q if rng.random() < 0.5 else word(5), rng.randint(0, 4)))
-    return schema, equations, queries
+        p = Path("X", word(5))
+        q = _apply_random_rewrites(schema, p, rng, rng.randint(1, 3))
+        queries.append((p, q if rng.random() < 0.5 else Path("X", word(5)), rng.randint(0, 4)))
+    return schema, queries
 
 
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 @example(seed=56)  # over the rule budget; the search proves a query
 def test_normal_forms_change_no_result_of_the_search(seed):
-    schema, equations, queries = _random_presentation(seed)
+    schema, queries = _random_presentation(seed)
     for p, q, max_steps in queries:
-        expected = _reference_derive(equations, p, q, max_steps)
-        assert derive_equality(schema, Path("X", p), Path("X", q), max_steps) == expected
+        expected = _reference_search(schema, p, q, max_steps)
+        assert derive_equality(schema, p, q, max_steps) == expected
 
 
 def _reference_neighbors(schema, start_box, arrows, sides):
@@ -910,16 +869,16 @@ def test_completed_random_systems_are_confluent_and_keep_the_equations():
 def test_random_presentations_reach_every_case():
     over_budget = refuted = held = searched_over_budget = 0
     for seed in range(300):
-        schema, equations, queries = _random_presentation(seed)
+        schema, queries = _random_presentation(seed)
         completes = _completes(schema)
         over_budget += not completes
         for p, q, max_steps in queries:
             if completes:
-                forms = _normal_forms(schema, (Path("X", p), Path("X", q)))
+                forms = _normal_forms(schema, (p, q))
                 refuted += forms[0] != forms[1]
                 held += forms[0] == forms[1] and p != q
             else:
-                proved = _reference_derive(equations, p, q, max_steps).holds
+                proved = _reference_search(schema, p, q, max_steps).holds
                 searched_over_budget += proved and p != q
     counts = (over_budget, refuted, held, searched_over_budget)
     assert min(counts[:3]) >= 20 and searched_over_budget >= 5, counts
