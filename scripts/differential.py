@@ -13,6 +13,11 @@ records one outcome per case:
   schema-doc    the bundled schema, every hand-written schema in ``tests/`` and
                 2 000 mutated documents: the canonical bytes of the parsed
                 schema (or the error type and message), and its diagnostics;
+  instance-doc  the tests' bonded n = 2 file and hand-written instance
+                document, and 1 000 documents mutated from each by the tests'
+                edits: the sha256 of the parsed instance's canonical bytes and
+                of its ids in read order (or the error type and message, which
+                holds the span);
   schema-built  1 000 schemas built in Python, some with undeclared arrows,
                 non-parallel sides, bent pullbacks and duplicate ids:
                 ``validate_schema`` diagnostics and the ``serialize_schema``
@@ -76,6 +81,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 20240611
 MUTATED_DOCUMENTS = 2000
+MUTATED_INSTANCE_DOCUMENTS = 1000  # per base document
 BUILT_SCHEMAS = 1000
 SHOWN = 5
 SIMULATE_SIZES = (2, 9, 10, 11, 32, 40)
@@ -125,14 +131,28 @@ def _hand_written_schemas() -> list[str]:
     return found
 
 
-def _mutate(rng: random.Random, text: str) -> str:
+def _test_literals(*names: str) -> list:
+    """The values that ``tests/test_dsl.py`` assigns to ``names``, which are literals."""
+    tree = ast.parse((ROOT / "tests" / "test_dsl.py").read_text(encoding="utf-8"))
+    found = {
+        node.targets[0].id: ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+        and node.targets[0].id in names
+    }
+    return [found[name] for name in names]
+
+
+def _mutate(
+    rng: random.Random, text: str, edits: list[str] = _EDITS, pieces: list[str] = _PIECES
+) -> str:
     for _ in range(rng.randint(1, 3)):
-        op, at = rng.choice(_EDITS), rng.randrange(len(text) + 1)
+        op, at = rng.choice(edits), rng.randrange(len(text) + 1)
         lines = text.split("\n")
         if op == "delete":
             text = text[:at] + text[at + 1 :]
         elif op == "insert":
-            text = text[:at] + rng.choice(_PIECES) + text[at:]
+            text = text[:at] + rng.choice(pieces) + text[at:]
         elif op == "duplicate line":
             line = rng.randrange(len(lines))
             text = "\n".join(lines[:line] + [lines[line]] + lines[line:])
@@ -373,7 +393,17 @@ def _iso_corpus(rng: random.Random) -> dict:
     return {"pairs": [_random_pair(rng) for _ in range(ISO_PAIRS)], "twins": twins}
 
 
-def _corpus() -> dict:
+def _instance_documents(rng: random.Random, bonded_2: str) -> list[str]:
+    """The bulk-vs-token-loop property's bases, and documents mutated from them
+    as the property mutates them."""
+    hand_written, edits, pieces = _test_literals("_HAND_WRITTEN", "_EDITS", "_PIECES")
+    bases = [bonded_2, hand_written]
+    return bases + [
+        _mutate(rng, base, edits, pieces) for base in bases for _ in range(MUTATED_INSTANCE_DOCUMENTS)
+    ]
+
+
+def _corpus(bonded_2: str) -> dict:
     rng, edit_rng = random.Random(SEED), random.Random(SEED + 3)
     bundled = (ROOT / "src" / "ologkit" / "data" / "paper.olog").read_text(encoding="utf-8")
     bases = [bundled, *_hand_written_schemas()]
@@ -384,6 +414,7 @@ def _corpus() -> dict:
     ]
     return {
         "documents": bases + mutated,
+        "instance-documents": _instance_documents(random.Random(SEED + 4), bonded_2),
         "built": [_built_schema(rng) for _ in range(BUILT_SCHEMAS)],
         "presentations": _presentations(random.Random(SEED + 1)),
         "iso": _iso_corpus(random.Random(SEED + 2)),
@@ -450,6 +481,17 @@ def _schema_doc(ok, text: str) -> dict:
     except Exception as exc:  # a parse error is the outcome; so is a crash
         return {"parse": _raised(exc)}
     return {"diagnostics": _diagnostics(ok, schema), "serialize": _serialized(ok, schema)}
+
+
+def _instance_doc(ok, text: str) -> list:
+    try:
+        instance = ok.parse_instance(text, "doc.oinst")
+        canonical = ok.serialize_instance(instance)
+    except Exception as exc:  # a parse error is the outcome; so is a crash
+        return _raised(exc)
+    read = [list(map(list, instance.sets.items())), list(map(list, instance.functions.items()))]
+    ids = json.dumps(read, default=repr).encode()
+    return [hashlib.sha256(canonical.encode()).hexdigest()[:16], hashlib.sha256(ids).hexdigest()[:16]]
 
 
 def _schema_built(ok, spec: dict) -> dict:
@@ -697,6 +739,9 @@ def _work(corpus_path: str, out_path: str, tree: str) -> None:
     corpus = json.loads(Path(corpus_path).read_text(encoding="utf-8"))
     results = {
         "schema-doc": {str(i): _schema_doc(ok, t) for i, t in enumerate(corpus["documents"])},
+        "instance-doc": {
+            str(i): _instance_doc(ok, t) for i, t in enumerate(corpus["instance-documents"])
+        },
         "schema-built": {str(i): _schema_built(ok, s) for i, s in enumerate(corpus["built"])},
         "derive": _derive_cases(ok),
         "presentations": _presentation_cases(ok, corpus["presentations"]),
@@ -785,8 +830,16 @@ def main() -> int:
         base_tree = tmp / "base"
         base_tree.mkdir()
         _export(args.base, base_tree)
+        bonded_2 = tmp / "bonded-2.oinst"
+        subprocess.run(
+            [sys.executable, "-m", "ologkit.cli", "simulate", "--bricks", "2",
+             *_SIMULATE_FLAGS["bonded"], "-o", str(bonded_2)],
+            check=True,
+            stdout=subprocess.DEVNULL,
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        )
         corpus = tmp / "corpus.json"
-        corpus.write_text(json.dumps(_corpus()), encoding="utf-8")
+        corpus.write_text(json.dumps(_corpus(bonded_2.read_text(encoding="utf-8"))), encoding="utf-8")
         base = _run_worker(base_tree, corpus, tmp / "base.json", tmp / "base-work")
         head = _run_worker(ROOT, corpus, tmp / "head.json", tmp / "head-work")
 

@@ -115,24 +115,29 @@ _ESCAPE_RE = re.compile(r"\\(.)")
 # ends the run; the token loop, which owns every error message, reads it.
 _ID = r"[A-Za-z0-9_]+"
 _ID_RE = re.compile(_ID)
+
+
+def _listed(entry: str) -> str:
+    """The list rule ``{ (E ,)* E? }`` as a pattern.  Its repeats are
+    possessive, so a match keeps no backtracking state per entry (megabytes
+    on a body of 100 000 entries).  They accept what greedy repeats accept:
+    an entry that ended sooner would be followed by an id character, a blank
+    or a payload, never by the comma or brace that must follow it."""
+    return rf"\{{\s*+(?:{entry}\s*+,\s*+)*+(?:{entry}\s*+)?+\}}"
+
+
 _REAL = rf"({_NUMBER}|[0-9]+|inf)"
 _NODE = rf"{_ID}(?:\s*->\s*{_ID})?"
 _ENTRY_RE = re.compile(
     rf"({_ID})(?:\s*=\s*(?:real\b\s*{_REAL}|pair\s*\(\s*{_REAL}\s*,\s*{_REAL}\s*\)"
     rf'|text\s*("(?:[^"\\\n]|\\["\\])*")'
-    rf"|graph\s*(\{{\s*(?:{_NODE}\s*,\s*)*(?:{_NODE}\s*)?\}})))?"
+    rf"|graph\s*({_listed(_NODE)})))?"
 )
 _NODE_RE = re.compile(rf"({_ID})(?:\s*->\s*({_ID}))?")
 _HEAD_RE = re.compile(rf"\s*(set|fn)\s+({_ID})\s*")
-
-
-def _body_re(entry: str) -> re.Pattern[str]:
-    return re.compile(rf"\{{\s*(?:{entry}\s*,\s*)*(?:{entry}\s*)?\}}")
-
-
-_SET_BODY_RE = _body_re(_ID)
-_FN_BODY_RE = _body_re(rf"{_ID}\s*->\s*{_ID}")
-_PAYLOAD_BODY_RE = _body_re(_ENTRY_RE.pattern)
+_SET_BODY_RE = re.compile(_listed(_ID))
+_FN_BODY_RE = re.compile(_listed(rf"{_ID}\s*->\s*{_ID}"))
+_PAYLOAD_BODY_RE = re.compile(_listed(_ENTRY_RE.pattern))
 _PUNCT_TO_SPACE = str.maketrans("{},->", "     ")
 
 
@@ -153,32 +158,6 @@ def _payload(real: str, first: str, second: str, text: str, graph: str) -> Paylo
         nodes = dict.fromkeys(node for entry in entries for node in entry if node)
         return GraphPayload(Graph(tuple(nodes), tuple(e for e in entries if e[1])))
     return None
-
-
-def _set_body(text: str, pos: int) -> tuple[dict[str, Payload | None], int] | None:
-    """A set body read in bulk from ``pos``, and its end; None if refused."""
-    body = _SET_BODY_RE.match(text, pos)
-    if body:
-        entries = _body_ids(body)
-        elems: dict[str, Payload | None] = dict.fromkeys(entries)
-    else:
-        body = _PAYLOAD_BODY_RE.match(text, pos)
-        if body is None:
-            return None
-        entries = _ENTRY_RE.findall(body.group())
-        elems = {eid: _payload(*payload) for eid, *payload in entries}
-    return (elems, body.end()) if len(elems) == len(entries) else None
-
-
-def _fn_body(text: str, pos: int) -> tuple[dict[str, str], int] | None:
-    """A fn body read in bulk from ``pos``, and its end; None if refused."""
-    body = _FN_BODY_RE.match(text, pos)
-    if body is None:
-        return None
-    ids = _body_ids(body)
-    pairs = iter(ids)
-    table = dict(zip(pairs, pairs))
-    return (table, body.end()) if 2 * len(table) == len(ids) else None
 
 
 def _span(text: str, filename: str, offset: int) -> SourceSpan:
@@ -202,6 +181,10 @@ class _Parser:
     def __init__(self, text: str, filename: str):
         self.text = text
         self.filename = filename
+        # One string per id, as a generated instance holds: each set's key
+        # objects by id, and each set's key list by (length, first key).
+        self._view: dict[str, str] = {}
+        self._key_lists: dict[tuple[int, str], list[str]] = {}
         self._seek(0)
 
     # -- primitives --------------------------------------------------------
@@ -443,8 +426,8 @@ class _Parser:
         text, end = self.text, self.pos
         while head := _HEAD_RE.match(text, end):
             kind, key = head.groups()
-            blocks, body = (sets, _set_body) if kind == "set" else (functions, _fn_body)
-            read = None if key in blocks else body(text, head.end())
+            blocks, body = (sets, self._set_body) if kind == "set" else (functions, self._fn_body)
+            read = None if key in blocks else body(head.end())
             if read is None:
                 break
             blocks[key], end = read
@@ -452,8 +435,51 @@ class _Parser:
             self._seek(end)
         return self.at("punct", "}")
 
+    def _set_body(self, pos: int) -> tuple[dict[str, Payload | None], int] | None:
+        """A set body read in bulk from ``pos``, and its end; None if refused."""
+        view = self._view
+        body = _SET_BODY_RE.match(self.text, pos)
+        if body:
+            entries = _body_ids(body)
+            elems: dict[str, Payload | None] = dict.fromkeys(map(view.get, entries, entries))
+        else:
+            body = _PAYLOAD_BODY_RE.match(self.text, pos)
+            if body is None:
+                return None
+            entries = _ENTRY_RE.findall(body.group())
+            elems = {view.get(eid, eid): _payload(*payload) for eid, *payload in entries}
+        if len(elems) != len(entries):
+            return None
+        return self._shared_set(elems), body.end()
+
+    def _fn_body(self, pos: int) -> tuple[dict[str, str], int] | None:
+        """A fn body read in bulk from ``pos``, and its end; None if refused.
+        Keys listed as a set read before lists its keys, as canonical text
+        lists them, take that set's objects through one list ``==``; every
+        other id is looked up in the view."""
+        body = _FN_BODY_RE.match(self.text, pos)
+        if body is None:
+            return None
+        ids = _body_ids(body)
+        keys, images, view = ids[::2], ids[1::2], self._view
+        known = self._key_lists.get((len(keys), keys[0])) if keys else None
+        if known != keys:
+            known = map(view.get, keys, keys)
+        table = dict(zip(known, map(view.get, images, images)))
+        return (table, body.end()) if 2 * len(table) == len(ids) else None
+
+    def _shared_set(self, elems: dict[str, Payload | None]) -> dict[str, Payload | None]:
+        """``elems``, whose keys went through the view, now in it: the sets
+        and tables read after it take their objects for its ids."""
+        keys = list(elems)
+        if keys:
+            self._view.update(zip(keys, keys))
+            self._key_lists[len(keys), keys[0]] = keys
+        return elems
+
     def _set_entries(self, box_id: str) -> dict[str, Payload | None]:
         elems: dict[str, Payload | None] = {}
+        view = self._view
 
         def entry() -> None:
             here = self.pos
@@ -463,14 +489,15 @@ class _Parser:
                 raise DuplicateIdError(
                     f"element {eid!r} listed twice in box {box_id}", self.span(here)
                 )
-            elems[eid] = payload
+            elems[view.get(eid, eid)] = payload
 
         self.expect("punct", "{")
         self.listed("}", entry)
-        return elems
+        return self._shared_set(elems)
 
     def _fn_entries(self, arrow_id: str) -> dict[str, str]:
         table: dict[str, str] = {}
+        view = self._view
 
         def entry() -> None:
             here = self.pos
@@ -481,7 +508,7 @@ class _Parser:
                 raise DuplicateIdError(
                     f"element {src!r} mapped twice by arrow {arrow_id}", self.span(here)
                 )
-            table[src] = dst
+            table[view.get(src, src)] = view.get(dst, dst)
 
         self.expect("punct", "{")
         self.listed("}", entry)

@@ -64,7 +64,7 @@ class SchemaMismatchError(OlogError):
 
 
 class NonFiniteInputError(OlogError):
-    """roughly_equal requires both operands to be finite."""
+    """A NaN where a number is needed: an operand of roughly_equal or a payload."""
 
     code = "NONFINITE_INPUT"
 

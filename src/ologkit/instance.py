@@ -20,6 +20,7 @@ from .diagnostics import Diagnostic, error
 from .errors import (
     CospanMismatchError,
     ElementNotInSourceError,
+    NonFiniteInputError,
     SchemaMismatchError,
 )
 from .graphs import Graph
@@ -73,7 +74,7 @@ def _as_extended_real(value: object, what: str) -> float:
         raise TypeError(f"{what} needs a number, got {value!r}")
     result = float(value)
     if math.isnan(result):
-        raise ValueError(f"{what} cannot be NaN")
+        raise NonFiniteInputError(f"{what} cannot be NaN")
     return result
 
 

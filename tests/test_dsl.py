@@ -2,6 +2,7 @@ import hashlib
 import math
 import random
 import re
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path as FsPath
 
@@ -1396,6 +1397,66 @@ def test_mutated_documents_reach_bulk_and_token_loop_bodies(monkeypatch):
             ]
             _outcome(_mutate(base, edits))
     assert all(reached.values()), reached
+
+
+@pytest.mark.parametrize("reader", ["bulk", "token loop"])
+def test_a_parsed_instance_holds_one_string_per_id(reader, monkeypatch):
+    # As a generated instance does: every table key is its source set's key
+    # object and every image its target set's, and a box that lists ids of
+    # another box (U holds those of R, S and T) holds the same objects.
+    if reader == "token loop":
+        for name in _BULK_PATTERNS:
+            monkeypatch.setattr(dsl, name, _NEVER)
+    params = SimParams(
+        brick_count=4, brick_failure=100.0, lifeline_present=True, lifeline_failure=110.0
+    )
+    schema = bundled_schema()
+    inst = parse_instance(serialize_instance(generate_instance(params, schema)))
+    keys = {box_id: {eid: eid for eid in elems} for box_id, elems in inst.sets.items()}
+    for arrow in schema.arrows:
+        table = inst.table(arrow.id)
+        assert all(keys[arrow.src][eid] is eid for eid in table), arrow.id
+        assert all(keys[arrow.dst][image] is image for image in table.values()), arrow.id
+    assert sum(map(len, inst.functions.values())) > 400
+    assert keys["R"] and all(keys["U"][eid] is eid for box in "RST" for eid in keys[box])
+
+
+@pytest.mark.parametrize("reader", ["bulk", "token loop"])
+def test_a_table_that_lists_a_sets_length_and_first_key_keeps_its_own_keys(
+    reader, monkeypatch
+):
+    # The bulk reader takes a set's key objects for a fn body that lists the
+    # same keys; these bodies share the set's length and first key only.
+    if reader == "token loop":
+        for name in _BULK_PATTERNS:
+            monkeypatch.setattr(dsl, name, _NEVER)
+    inst = parse_instance(
+        'instance "i" of "s" {\n  fn g { a1 -> b1 }\n  set A { a1, a2, a3 }\n'
+        "  set B { b1, b2, b3 }\n  fn f { a1 -> b1, a3 -> b3, a2 -> b2 }\n"
+        "  fn h { a1 -> b9, a2 -> b2, zz -> b3 }\n}\n"
+    )
+    assert list(inst.table("f").items()) == [("a1", "b1"), ("a3", "b3"), ("a2", "b2")]
+    assert list(inst.table("h").items()) == [("a1", "b9"), ("a2", "b2"), ("zz", "b3")]
+    keys = {eid: eid for elems in inst.sets.values() for eid in elems}
+    assert all(keys[eid] is eid and keys[image] is image for eid, image in inst.table("f").items())
+    h = list(inst.table("h").items())
+    assert keys["a1"] is h[0][0] and keys["b2"] is h[1][1] and keys["b3"] is h[2][1]
+
+
+@pytest.mark.parametrize(
+    "pattern, entry",
+    [("_FN_BODY_RE", "a{i} -> b{i}"), ("_SET_BODY_RE", "a{i}"), ("_PAYLOAD_BODY_RE", "a{i} = real 1.5")],
+)
+def test_a_body_matches_without_backtracking_state_per_entry(pattern, entry):
+    body = "{\n    " + ",\n    ".join(entry.format(i=i) for i in range(100_000)) + "\n  }"
+    tracemalloc.start()
+    try:
+        match = getattr(dsl, pattern).match(body)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert match.end() == len(body)
+    assert peak < 1_000_000
 
 
 # ---------------------------------------------------------------------------

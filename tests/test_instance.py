@@ -25,6 +25,7 @@ from ologkit import (
     GraphPayload,
     Instance,
     IsoOutcome,
+    NonFiniteInputError,
     OlogSchema,
     PairPayload,
     Path,
@@ -72,7 +73,7 @@ def test_real_payload_accepts_extended_reals():
 
 
 def test_real_payload_rejects_nan_and_non_numbers():
-    with pytest.raises(ValueError):
+    with pytest.raises(NonFiniteInputError):
         RealPayload(float("nan"))
     with pytest.raises(TypeError):
         RealPayload("20.6")
@@ -83,7 +84,7 @@ def test_real_payload_rejects_nan_and_non_numbers():
 def test_pair_payload_checks_both_slots():
     p = PairPayload(100.0, 20.6)
     assert (p.first, p.second) == (100.0, 20.6)
-    with pytest.raises(ValueError):
+    with pytest.raises(NonFiniteInputError):
         PairPayload(1.0, float("nan"))
     with pytest.raises(TypeError):
         PairPayload(None, 1.0)
