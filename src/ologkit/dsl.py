@@ -182,9 +182,9 @@ class _Parser:
         self.text = text
         self.filename = filename
         # One string per id, as a generated instance holds: each set's key
-        # objects by id, and each set's key list by (length, first key).
+        # objects by id, and each set by (length, first key).
         self._view: dict[str, str] = {}
-        self._key_lists: dict[tuple[int, str], list[str]] = {}
+        self._sets: dict[tuple[int, str], dict[str, Payload | None]] = {}
         self._seek(0)
 
     # -- primitives --------------------------------------------------------
@@ -454,15 +454,16 @@ class _Parser:
 
     def _fn_body(self, pos: int) -> tuple[dict[str, str], int] | None:
         """A fn body read in bulk from ``pos``, and its end; None if refused.
-        Keys listed as a set read before lists its keys, as canonical text
-        lists them, take that set's objects through one list ``==``; every
+        Keys that list a set read before in its order, as canonical text lists
+        them, take that set's objects through one list ``==``, which reads
+        memory in order where a view lookup per key reads it at random; every
         other id is looked up in the view."""
         body = _FN_BODY_RE.match(self.text, pos)
         if body is None:
             return None
         ids = _body_ids(body)
         keys, images, view = ids[::2], ids[1::2], self._view
-        known = self._key_lists.get((len(keys), keys[0])) if keys else None
+        known = list(self._sets.get((len(keys), keys[0]), ())) if keys else keys
         if known != keys:
             known = map(view.get, keys, keys)
         table = dict(zip(known, map(view.get, images, images)))
@@ -470,11 +471,11 @@ class _Parser:
 
     def _shared_set(self, elems: dict[str, Payload | None]) -> dict[str, Payload | None]:
         """``elems``, whose keys went through the view, now in it: the sets
-        and tables read after it take their objects for its ids."""
-        keys = list(elems)
-        if keys:
-            self._view.update(zip(keys, keys))
-            self._key_lists[len(keys), keys[0]] = keys
+        and tables read after it take their objects for its ids.  Holds the
+        set, not a copy of its keys, as the serializer's memo does."""
+        self._view.update(zip(elems, elems))
+        if elems:
+            self._sets[len(elems), next(iter(elems))] = elems
         return elems
 
     def _set_entries(self, box_id: str) -> dict[str, Payload | None]:

@@ -1422,11 +1422,10 @@ def test_a_parsed_instance_holds_one_string_per_id(reader, monkeypatch):
 
 
 @pytest.mark.parametrize("reader", ["bulk", "token loop"])
-def test_a_table_that_lists_a_sets_length_and_first_key_keeps_its_own_keys(
-    reader, monkeypatch
-):
-    # The bulk reader takes a set's key objects for a fn body that lists the
-    # same keys; these bodies share the set's length and first key only.
+def test_a_table_shares_the_ids_a_set_read_before_names(reader, monkeypatch):
+    # g comes before every set, and h names ids (zz, b9) that no set holds:
+    # those ids stay as parsed; every other one is its set's object.  f and
+    # h list as many keys as A, from the same first key, but not A's list.
     if reader == "token loop":
         for name in _BULK_PATTERNS:
             monkeypatch.setattr(dsl, name, _NEVER)
@@ -1435,6 +1434,7 @@ def test_a_table_that_lists_a_sets_length_and_first_key_keeps_its_own_keys(
         "  set B { b1, b2, b3 }\n  fn f { a1 -> b1, a3 -> b3, a2 -> b2 }\n"
         "  fn h { a1 -> b9, a2 -> b2, zz -> b3 }\n}\n"
     )
+    assert inst.table("g") == {"a1": "b1"}
     assert list(inst.table("f").items()) == [("a1", "b1"), ("a3", "b3"), ("a2", "b2")]
     assert list(inst.table("h").items()) == [("a1", "b9"), ("a2", "b2"), ("zz", "b3")]
     keys = {eid: eid for elems in inst.sets.values() for eid in elems}
