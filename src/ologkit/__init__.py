@@ -7,6 +7,15 @@ chain-failure parameters.  Everything round-trips through a canonical text
 format, and the ``olog`` command line tool fronts the lot.
 """
 
+import sys
+
+# The block patterns in ``dsl`` use possessive repeats, which Python 3.10's
+# ``re`` refuses with a bare ``re.error`` at import.
+if sys.version_info < (3, 11):
+    raise ImportError(
+        "ologkit needs Python 3.11 or newer, not %d.%d" % tuple(sys.version_info[:2])
+    )
+
 from .bundled import (
     BUNDLED_FILES,
     bundled_schema,

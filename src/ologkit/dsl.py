@@ -113,7 +113,10 @@ _ESCAPE_RE = re.compile(r"\\(.)")
 # comment, since inside one a pattern could take a ``}`` or ``,`` for a real
 # one.  A refused block, or one repeating a block id, an element or a source,
 # ends the run; the token loop, which owns every error message, reads it.
-_ID = r"[A-Za-z0-9_]+"
+# An id run is never followed by an id character, so its repeat is
+# possessive, as are the blank runs around a head and a body's ``->``: a match
+# keeps no backtracking state for them, and accepts what greedy repeats accept.
+_ID = r"[A-Za-z0-9_]++"
 _ID_RE = re.compile(_ID)
 
 
@@ -134,9 +137,9 @@ _ENTRY_RE = re.compile(
     rf"|graph\s*({_listed(_NODE)})))?"
 )
 _NODE_RE = re.compile(rf"({_ID})(?:\s*->\s*({_ID}))?")
-_HEAD_RE = re.compile(rf"\s*(set|fn)\s+({_ID})\s*")
+_HEAD_RE = re.compile(rf"\s*+(set|fn)\s++({_ID})\s*+")
 _SET_BODY_RE = re.compile(_listed(_ID))
-_FN_BODY_RE = re.compile(_listed(rf"{_ID}\s*->\s*{_ID}"))
+_FN_BODY_RE = re.compile(_listed(rf"{_ID}\s*+->\s*+{_ID}"))
 _PAYLOAD_BODY_RE = re.compile(_listed(_ENTRY_RE.pattern))
 _PUNCT_TO_SPACE = str.maketrans("{},->", "     ")
 
@@ -441,13 +444,13 @@ class _Parser:
         body = _SET_BODY_RE.match(self.text, pos)
         if body:
             entries = _body_ids(body)
-            elems: dict[str, Payload | None] = dict.fromkeys(map(view.get, entries, entries))
+            elems: dict[str, Payload | None] = dict.fromkeys(map(view.setdefault, entries, entries))
         else:
             body = _PAYLOAD_BODY_RE.match(self.text, pos)
             if body is None:
                 return None
             entries = _ENTRY_RE.findall(body.group())
-            elems = {view.get(eid, eid): _payload(*payload) for eid, *payload in entries}
+            elems = {view.setdefault(eid, eid): _payload(*payload) for eid, *payload in entries}
         if len(elems) != len(entries):
             return None
         return self._shared_set(elems), body.end()
@@ -455,25 +458,27 @@ class _Parser:
     def _fn_body(self, pos: int) -> tuple[dict[str, str], int] | None:
         """A fn body read in bulk from ``pos``, and its end; None if refused.
         Keys that list a set read before in its order, as canonical text lists
-        them, take that set's objects through one list ``==``, which reads
-        memory in order where a view lookup per key reads it at random; every
-        other id is looked up in the view."""
+        them, are proven so by one list ``==``, which reads memory in order
+        where a view lookup per key reads it at random; the table is then that
+        set's copy, presized and keyed by its objects, with the images put in.
+        Every other id is looked up in the view."""
         body = _FN_BODY_RE.match(self.text, pos)
         if body is None:
             return None
         ids = _body_ids(body)
         keys, images, view = ids[::2], ids[1::2], self._view
-        known = list(self._sets.get((len(keys), keys[0]), ())) if keys else keys
-        if known != keys:
-            known = map(view.get, keys, keys)
-        table = dict(zip(known, map(view.get, images, images)))
+        elems = self._sets.get((len(keys), keys[0])) if keys else None
+        if elems is not None and list(elems) == keys:
+            table = elems.copy()  # presized, its keys hashed and shared already
+            table.update(zip(elems, map(view.get, images, images)))
+            return table, body.end()
+        table = dict(zip(map(view.get, keys, keys), map(view.get, images, images)))
         return (table, body.end()) if 2 * len(table) == len(ids) else None
 
     def _shared_set(self, elems: dict[str, Payload | None]) -> dict[str, Payload | None]:
-        """``elems``, whose keys went through the view, now in it: the sets
-        and tables read after it take their objects for its ids.  Holds the
-        set, not a copy of its keys, as the serializer's memo does."""
-        self._view.update(zip(elems, elems))
+        """``elems``, whose keys the view gave or took in one ``setdefault``
+        each, remembered for the fn bodies read after it: the set itself, not a
+        copy of its keys, as the serializer's memo does."""
         if elems:
             self._sets[len(elems), next(iter(elems))] = elems
         return elems
@@ -490,7 +495,7 @@ class _Parser:
                 raise DuplicateIdError(
                     f"element {eid!r} listed twice in box {box_id}", self.span(here)
                 )
-            elems[view.get(eid, eid)] = payload
+            elems[view.setdefault(eid, eid)] = payload
 
         self.expect("punct", "{")
         self.listed("}", entry)

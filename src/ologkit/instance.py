@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 import math
 from collections import Counter, defaultdict
+from collections.abc import Collection
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain, groupby, repeat
@@ -31,6 +32,8 @@ from .schema import (
     OlogSchema,
     Path,
     PathEquation,
+    _prefix_plan,
+    _SidePlan,
     path_endpoints,
 )
 
@@ -176,6 +179,25 @@ class Instance:
 _ABSENT = object()
 
 
+def _read(table: dict, keys: Collection) -> list:
+    """Each key's image under ``table``, in order, or _ABSENT where it has none.
+
+    Canonical and generated text lists a table over its source box, in the
+    box's order.  When ``table`` lists exactly ``keys`` in that order, its
+    values are the answer: one list ``==`` proves it, reading the shared key
+    objects in order, after an O(1) test of the first key, so a table read
+    out of order costs one ``get`` per key, as it did before.
+    """
+    if (
+        len(table) == len(keys)
+        and keys
+        and next(iter(table)) == next(iter(keys))
+        and list(table) == list(keys)
+    ):
+        return list(table.values())
+    return list(map(table.get, keys, repeat(_ABSENT)))
+
+
 def _require_schema(schema: OlogSchema, instance: Instance) -> None:
     if instance.schema_name != schema.name:
         raise SchemaMismatchError(
@@ -235,7 +257,8 @@ def validate_instance(schema: OlogSchema, instance: Instance) -> list[Diagnostic
         table = instance.table(arrow.id)
         source = instance.elements(arrow.src)
         target = instance.elements(arrow.dst)
-        if table.keys() == source.keys() and all(map(target.__contains__, table.values())):
+        # _ABSENT, a source element's missing entry, is in no box.
+        if len(table) == len(source) and all(map(target.__contains__, _read(table, source))):
             continue
         missing = source.keys() - table.keys()
         if missing:  # in natural-key order, ties in the box's order
@@ -322,22 +345,26 @@ class EquationReport:
 
 
 def _composed(
-    instance: Instance, start: str, arrows: tuple[str, ...], memo: dict[tuple, list]
+    instance: Instance, elems: list, arrows: tuple[str, ...], plan: _SidePlan, memo: dict
 ) -> list:
-    """The path's image of each element of the start box, in the box's order.
+    """The path's image of each of ``elems``, in their order; _ABSENT where a
+    table has no entry (and after it).
 
-    _ABSENT where a table has no entry (and after it); one ``map(table.get, ...)``
-    pass per arrow.  ``memo`` keeps each distinct (start, prefix) composed
-    once, shared by every equation of one check.
+    A loop of in-order reads (:func:`_read`), one per arrow, from the prefix
+    ``plan`` names in ``memo`` (see :func:`~ologkit.schema._prefix_plan`); the
+    prefixes a later side reads are kept there, and those it no longer needs
+    are dropped.
     """
-    key = (start, arrows)
-    if key not in memo:
-        if arrows:
-            images = _composed(instance, start, arrows[:-1], memo)
-            memo[key] = list(map(instance.table(arrows[-1]).get, images, repeat(_ABSENT)))
-        else:
-            memo[key] = list(instance.elements(start))
-    return memo[key]
+    depth, images = plan.depth, elems if plan.base is None else memo[plan.base]
+    for stop, node in (*plan.stops, (len(arrows), None)):
+        for arrow_id in arrows[depth:stop]:
+            images = _read(instance.table(arrow_id), images)
+        if node is not None:
+            memo[node] = images
+        depth = stop
+    for node in plan.release:
+        del memo[node]
+    return images
 
 
 def check_equation(
@@ -352,19 +379,24 @@ def check_equation(
     instance names a different schema.
     """
     _require_schema(schema, instance)
-    return _check_equation(schema, instance, equation, {})
+    return _check_equation(schema, instance, equation, _prefix_plan((equation,))[0], {})
 
 
 def _check_equation(
-    schema: OlogSchema, instance: Instance, equation: PathEquation, memo: dict[tuple, list]
+    schema: OlogSchema,
+    instance: Instance,
+    equation: PathEquation,
+    plans: tuple[_SidePlan, _SidePlan],
+    memo: dict,
 ) -> EquationReport:
-    start = equation.lhs.start
-    elems = _composed(instance, start, (), memo)
+    elems = list(instance.elements(equation.lhs.start))
     if elems:
         path_endpoints(schema, equation.lhs)  # raises MalformedPathError on bad paths
         path_endpoints(schema, equation.rhs)
-    lhs = _composed(instance, start, equation.lhs.arrows, memo)
-    rhs = _composed(instance, start, equation.rhs.arrows, memo)
+    lhs, rhs = (
+        _composed(instance, elems, side.arrows, plan, memo)
+        for side, plan in zip((equation.lhs, equation.rhs), plans)
+    )
     if lhs == rhs and _ABSENT not in lhs:
         return EquationReport(equation, holds=True, checked=len(elems))
     lhs_of, rhs_of = dict(zip(elems, lhs)), dict(zip(elems, rhs))
@@ -383,8 +415,11 @@ def _check_equation(
 
 def check_all_equations(schema: OlogSchema, instance: Instance) -> list[EquationReport]:
     _require_schema(schema, instance)
-    memo: dict[tuple, list] = {}
-    return [_check_equation(schema, instance, eq, memo) for eq in schema.equations]
+    memo: dict = {}
+    return [
+        _check_equation(schema, instance, eq, plans, memo)
+        for eq, plans in zip(schema.equations, schema._prefixes)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -422,11 +457,12 @@ def _pullback_columns(
     decl1, decl2 = _cospan(schema, instance, leg1, leg2)
     table1, table2 = instance.table(leg1), instance.table(leg2)
     by_image: dict[object, list[str]] = {}
-    for y in natural_order(instance.elements(decl2.src)):
-        by_image.setdefault(table2.get(y, _ABSENT), []).append(y)
+    ys = natural_order(instance.elements(decl2.src))
+    for y, image in zip(ys, _read(table2, ys)):
+        by_image.setdefault(image, []).append(y)
     by_image.pop(_ABSENT, None)  # a missing entry pairs with nothing
     xs = natural_order(instance.elements(decl1.src))
-    groups = list(map(by_image.get, map(table1.get, xs, repeat(_ABSENT)), repeat(())))
+    groups = list(map(by_image.get, _read(table1, xs), repeat(())))
     sizes = np.fromiter(map(len, groups), np.intp, len(groups))
     lefts = np.repeat(np.array(xs, dtype=object), sizes).tolist()
     return lefts, list(chain.from_iterable(groups))
@@ -491,19 +527,19 @@ def verify_fiber_product(
     decl1, decl2 = _cospan(schema, instance, decl.leg1, decl.leg2)
     xs, ys = instance.elements(decl1.src), instance.elements(decl2.src)
     leg1, leg2 = instance.table(decl.leg1), instance.table(decl.leg2)
-    over = Counter(map(leg2.get, ys, repeat(_ABSENT)))  # image -> how many y lie over it
+    over = Counter(_read(leg2, ys))  # image -> how many y lie over it
     del over[_ABSENT]
-    size = sum(map(over.get, map(leg1.get, xs, repeat(_ABSENT)), repeat(0)))
+    size = sum(map(over.get, _read(leg1, xs), repeat(0)))
     apex = instance.elements(decl.apex)
-    proj1 = list(map(instance.table(decl.proj1).get, apex, repeat(_ABSENT)))
-    proj2 = list(map(instance.table(decl.proj2).get, apex, repeat(_ABSENT)))
-    images = list(map(leg1.get, proj1, repeat(_ABSENT)))
+    proj1 = _read(instance.table(decl.proj1), apex)
+    proj2 = _read(instance.table(decl.proj2), apex)
+    images = _read(leg1, proj1)
     if (
         len(apex) == size
         and all(map(xs.__contains__, proj1))
         and all(map(ys.__contains__, proj2))
         and _ABSENT not in images
-        and images == list(map(leg2.get, proj2, repeat(_ABSENT)))
+        and images == _read(leg2, proj2)
         and len(set(zip(proj1, proj2))) == size
     ):
         return FiberProductReport(decl, holds=True, apex_size=size, pullback_size=size)
@@ -652,8 +688,7 @@ def _index_pair(schema: OlogSchema, pair: tuple[Instance, Instance]) -> _PairInd
                 lo, hi = starts[k], starts[k + 1]
                 dst = numbers[base + box_at[arrow.dst]]
                 images[lo:hi, slot] = np.fromiter(
-                    map(dst.get, map(table.get, ids[lo:hi], repeat(_ABSENT)), repeat(_OUTSIDE)),
-                    np.intp, hi - lo,
+                    map(dst.get, _read(table, ids[lo:hi]), repeat(_OUTSIDE)), np.intp, hi - lo
                 )
     box = np.repeat(np.tile(np.arange(len(box_ids)), 2), np.diff(starts))
     return _PairIndex(box_ids, starts, ids, box, np.array(payload, np.intp), degree, images)
@@ -895,10 +930,10 @@ def verify_isomorphism(
             return False
     for arrow in schema.arrows:
         m_src, m_dst = mapping.get(arrow.src, {}), mapping.get(arrow.dst, {})
-        images = list(map(a.table(arrow.id).get, m_src, repeat(_ABSENT)))
+        images = _read(a.table(arrow.id), m_src)
         if not m_dst.keys() >= set(images) - {_ABSENT}:  # an image outside the target box
             return False
         mapped = map(m_dst.get, images, repeat(_ABSENT))
-        if list(mapped) != list(map(b.table(arrow.id).get, m_src.values(), repeat(_ABSENT))):
+        if list(mapped) != _read(b.table(arrow.id), m_src.values()):
             return False
     return True

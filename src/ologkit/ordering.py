@@ -20,16 +20,24 @@ def natural_key(ident: str) -> tuple:
     """Sort key that orders digit runs numerically: br2 < br10, '9' < '42'.
 
     A digit run is what ``\\d`` matches (``str.isdecimal``), so a character
-    such as '²' is text, not a number.
+    such as '²' is text, not a number.  A run is ordered by its length without
+    leading zeros, then by its digits, after any non-ASCII digit becomes its
+    ASCII one: the order of its value, with no ``int`` built, so a run of any
+    length is a key.
 
     Used for canonical serialization so arrow ids 1..42 appear in numeric
     order, and by the instance engine to enumerate elements, so equation
     counterexamples and pullback pairs come first in this order too.
     """
-    parts: list[tuple[int, int | str]] = []
+    parts: list[tuple[int, int, str] | tuple[int, str]] = []
     for run in _RUNS.findall(ident):
         if run.isdecimal():
-            parts.append((0, int(run)))
+            if not run.isascii():
+                import unicodedata
+
+                run = "".join(str(unicodedata.decimal(digit)) for digit in run)
+            digits = run.lstrip("0")
+            parts.append((0, len(digits), digits))
         else:
             parts.append((1, run))
     return tuple(parts)

@@ -166,6 +166,12 @@ class OlogSchema:
         return _Resolution(sides, usable, tuple(_corners(self, fp) for fp in self.fiber_products))
 
     @functools.cached_property
+    def _prefixes(self) -> tuple[tuple[_SidePlan, _SidePlan], ...]:
+        """Per equation, how each side is composed when all are checked in order:
+        see :func:`_prefix_plan`."""
+        return _prefix_plan(self.equations)
+
+    @functools.cached_property
     def _diagnostics(self) -> tuple[Diagnostic, ...]:
         return tuple(_diagnose(self))
 
@@ -267,6 +273,61 @@ def path_endpoints(schema: OlogSchema, path: Path) -> tuple[str, str]:
 
 _Resolution = namedtuple("_Resolution", "sides usable corners")
 _Rewriting = namedtuple("_Rewriting", "sides letter arrow rules")
+_SidePlan = namedtuple("_SidePlan", "depth base stops release")
+
+
+def _prefix_plan(equations: tuple[PathEquation, ...]) -> tuple[tuple[_SidePlan, _SidePlan], ...]:
+    """How to compose every side of ``equations``, checked in order, over the
+    elements of its equation's start box, without composing a shared prefix
+    twice or keeping one that no later side reads.
+
+    Sides are numbered lhs then rhs, equation by equation.  The prefixes worth
+    keeping are where two sides part or one ends: the branch and end nodes of
+    a trie over the sides, each found in one walk, with the first and last
+    side through it.  A side starts from the longest such prefix an earlier
+    side kept (``depth`` arrows in, kept under node ``base``; depth 0 is the
+    box itself), keeps each longer one a later side reads as ``stops`` of
+    (depth, node), and then drops the kept ones it is the last to read
+    (``release``).
+    """
+    children: list[dict[str, int]] = []
+    first: list[int] = []
+    last: list[int] = []
+
+    def node(branches: dict[str, int], key: str) -> int:
+        """The node ``branches`` holds under ``key``, made for this side if new."""
+        if key not in branches:
+            branches[key] = len(children)
+            children.append({})
+            first.append(side)
+            last.append(side)
+        return branches[key]
+
+    roots: dict[str, int] = {}
+    paths: list[list[int]] = []
+    sides = ((eq.lhs.start, path.arrows) for eq in equations for path in (eq.lhs, eq.rhs))
+    for side, (start, arrows) in enumerate(sides):
+        at, path = node(roots, start), []
+        for arrow_id in arrows:
+            at = node(children[at], arrow_id)
+            last[at] = side
+            path.append(at)
+        paths.append(path)
+    ends = {path[-1] for path in paths if path}
+    plans = []
+    for side, path in enumerate(paths):
+        depth, base, stops, release = 0, None, [], []
+        for at, kept in enumerate(path, 1):
+            if kept not in ends and len(children[kept]) < 2:
+                continue
+            if first[kept] < side:
+                depth, base = at, kept
+                if last[kept] == side:
+                    release.append(kept)
+            elif last[kept] > side:
+                stops.append((at, kept))
+        plans.append(_SidePlan(depth, base, tuple(stops), tuple(release)))
+    return tuple(zip(plans[::2], plans[1::2]))
 
 
 def _corners(schema: OlogSchema, fp: FiberProductDecl) -> tuple[str, str, str] | str:

@@ -80,6 +80,21 @@ def test_check_reports_instance_violations(capsys, tmp_path):
     assert body_of(out)[-1] == "verdict: violation"
 
 
+_LOOP_SCHEMA = 'schema "loop" {{\n  box X "an x"\n  arrow a : X -> X\n  eq X..X : [{0}] = [{0}]\n}}\n'
+_LOOP_INSTANCE = 'instance "i" of "loop" {\n  set X { x1, x2 }\n  fn a { x1 -> x2, x2 -> x1 }\n}\n'
+
+
+@pytest.mark.parametrize("length", [10, 100, 1_000, 10_000])
+def test_check_a_path_equation_of_any_length(capsys, tmp_path, length):
+    # The equation check composes a side in a loop, not one call per arrow.
+    schema, instance = tmp_path / "loop.olog", tmp_path / "i.oinst"
+    schema.write_text(_LOOP_SCHEMA.format(", ".join(["a"] * length)))
+    instance.write_text(_LOOP_INSTANCE)
+    code, out = run_cli(capsys, "check", str(schema), str(instance))
+    assert code == 0
+    assert body_of(out)[-2].endswith(" AllHold (2 elements)")
+
+
 def _edited(tmp_path, bundled, *edits):
     """Write a bundled data file with each (old, new) edit made once; its path."""
     text = bundled_text(bundled)
@@ -311,6 +326,23 @@ def test_iso_on_ordered_ids_calls_natural_key_on_box_ids_only(capsys, tmp_path, 
     assert set(seen) <= {box.id for box in bundled_schema().boxes}
 
 
+def test_iso_on_twins_with_a_digit_run_past_the_int_limit(capsys, tmp_path):
+    # Two ids of different widths are put in natural-key order, which reads
+    # a 5 000-digit run without building an int.
+    huge = "x" + "9" * 5000
+    (tmp_path / "loop.olog").write_text(_LOOP_SCHEMA.format("a"))
+    for name in ("a", "b"):
+        (tmp_path / f"{name}.oinst").write_text(
+            _LOOP_INSTANCE.replace("x2", huge).replace('"i"', f'"{name}"')
+        )
+    code, out = run_cli(
+        capsys, "iso", str(tmp_path / "loop.olog"), str(tmp_path / "a.oinst"),
+        str(tmp_path / "b.oinst"),
+    )
+    assert code == 0
+    assert "Found" in body_of(out)
+
+
 def test_iso_reports_an_invalid_instance_and_stops(capsys, tmp_path):
     path = _edited(tmp_path, "social.oinst", ("    p001 -> tc1,\n", ""))
     code, out = run_cli(capsys, "iso", "paper.olog", "protein.oinst", path)
@@ -482,6 +514,25 @@ def test_module_is_runnable_as_a_script():
     )
     assert proc.returncode == 0
     assert proc.stdout == "ok\n"
+
+
+def test_python_3_10_is_told_the_version_it_needs():
+    # Before its first import, so that the block patterns' possessive repeats
+    # never reach a re that refuses them.
+    proc = subprocess.run(
+        [
+            sys.executable, "-c",
+            "import sys; sys.version_info = (3, 10, 13, 'final', 0); import ologkit",
+        ],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.rstrip().endswith(
+        "ImportError: ologkit needs Python 3.11 or newer, not 3.10"
+    )
+    assert "ologkit.dsl" not in proc.stderr
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import operator
 import random
 import re
 import tracemalloc
@@ -747,6 +748,17 @@ def test_serialized_bytes_do_not_depend_on_insertion_order(bonded12):
     assert serialize_instance(shuffled) == serialize_instance(bonded12)
 
 
+def test_an_id_with_a_digit_run_past_the_int_limit_is_written():
+    # int() refuses a run of more than 4 300 digits; natural_key builds none.
+    huge = "x" + "9" * 5000
+    inst = Instance("i", "s", {"X": {huge: None, "x10": None, "x0" + "9" * 4999: None}}, {})
+    text = serialize_instance(inst)
+    assert text == (
+        f'instance "i" of "s" {{\n  set X {{\n    x10,\n    x0{"9" * 4999},\n    {huge}\n  }}\n}}\n'
+    )
+    assert parse_instance(text).sets == inst.sets
+
+
 def test_canonical_returns_fresh_dicts(bonded12):
     canon = bonded12.canonical()
     canon.sets["K"]["k999"] = None
@@ -1441,6 +1453,43 @@ def test_a_table_shares_the_ids_a_set_read_before_names(reader, monkeypatch):
     assert all(keys[eid] is eid and keys[image] is image for eid, image in inst.table("f").items())
     h = list(inst.table("h").items())
     assert keys["a1"] is h[0][0] and keys["b2"] is h[1][1] and keys["b3"] is h[2][1]
+
+
+_BODY_SHAPES = ("in order", "reordered", "in order, partial", "reordered, partial")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    count=st.integers(1, 12),
+    shape=st.sampled_from(_BODY_SHAPES),
+    payloads=st.booleans(),
+    data=st.data(),
+)
+def test_fn_bodies_over_their_set_in_any_order_parse_as_the_token_loop_does(
+    count, shape, payloads, data
+):
+    # A body that lists its set in the set's order is built from that set;
+    # one in another order, or over part of the set, is not.  Each parses as
+    # the token loop parses it, and the in-order table's keys are the set's
+    # own key objects.
+    ids = [f"a{i}" for i in data.draw(st.permutations(range(1, count + 1)))]
+    keys = ids
+    if "reordered" in shape:
+        keys = data.draw(st.permutations(ids))
+    if "partial" in shape:
+        keys = [eid for eid in keys if data.draw(st.booleans(), label=eid)] or keys[:1]
+    images = [data.draw(st.sampled_from(["b1", "b2", "zz"])) for _ in keys]
+    entries = ", ".join(f"{eid} = real 1.5" if payloads else eid for eid in ids)
+    body = ", ".join(f"{eid} -> {image}" for eid, image in zip(keys, images))
+    text = (
+        f'instance "i" of "s" {{\n  set B {{ b1, b2 }}\n  set A {{ {entries} }}\n'
+        f"  fn f {{ {body} }}\n}}\n"
+    )
+    assert _outcome(text) == _token_loop_outcome(text)
+    inst = parse_instance(text)
+    assert list(inst.table("f").items()) == list(zip(keys, images))
+    if keys == ids:
+        assert all(map(operator.is_, inst.table("f"), inst.elements("A")))
 
 
 @pytest.mark.parametrize(

@@ -47,7 +47,7 @@ from ologkit import (
     verify_fiber_product,
     verify_isomorphism,
 )
-from ologkit.ordering import natural_key
+from ologkit.ordering import natural_key, natural_order
 
 
 def _reversed(inst):
@@ -1068,7 +1068,9 @@ def _random_pair(rng):
     Tables may be partial, send elements outside the target box (an explicit
     None among them), or carry sources outside the source box; payload types
     may mix within a box; boxes may be empty; arrows may be self-arrows; ids
-    include "".
+    include "".  Boxes are listed in natural-key order, as canonical text
+    lists them, or not, and tables in their box's order; b is often a
+    relabelled copy of a, and then sometimes a copy with every id kept.
     """
     box_ids = ["X", "Y", "Z"][: rng.randint(1, 3)]
     s = OlogSchema(
@@ -1082,12 +1084,14 @@ def _random_pair(rng):
 
     def instance(name):
         mixed = rng.random() < 0.2
+        ordered = rng.random() < 0.5
         sets = {}
         for box_id in box_ids:
             kind = rng.choice(_PAYLOAD_MAKERS)
+            ids = rng.sample(_ID_POOL, rng.randint(0, 5))
             sets[box_id] = {
                 eid: (rng.choice(_PAYLOAD_MAKERS) if mixed else kind)()
-                for eid in rng.sample(_ID_POOL, rng.randint(0, 5))
+                for eid in (natural_order(ids) if ordered else ids)
             }
         functions = {}
         for arrow in s.arrows:
@@ -1107,14 +1111,18 @@ def _random_pair(rng):
     a = instance("a")
     if rng.random() < 0.5:
         return s, a, instance("b")
-    # A relabelled copy of a, its dicts in another order, sometimes with one
-    # table entry moved.
+    # A relabelled copy of a, its dicts in another order, or a copy that keeps
+    # every id and order; sometimes with one table entry moved.
+    kept = rng.random() < 0.3
     rename = {}
     for box_id, elems in a.sets.items():
         ids = list(elems)
-        rename[box_id] = dict(zip(ids, rng.sample(ids, len(ids))))
+        rename[box_id] = dict(zip(ids, ids if kept else rng.sample(ids, len(ids))))
     sets = {
-        box_id: {rename[box_id][eid]: payload for eid, payload in reversed(elems.items())}
+        box_id: {
+            rename[box_id][eid]: payload
+            for eid, payload in (elems.items() if kept else reversed(elems.items()))
+        }
         for box_id, elems in a.sets.items()
     }
     functions = {
@@ -1181,10 +1189,14 @@ def test_random_pairs_reach_every_refinement_outcome_and_input_shape():
                 shapes |= {"None image"} if any(
                     image is None for eid, image in table.items() if eid in src
                 ) else set()
+                # Tables are read over their boxes in natural-key order.
+                if len(src) > 1 and table.keys() == src.keys():
+                    ordered = list(table) == list(src) == natural_order(src)
+                    shapes.add("in its box's order" if ordered else "out of order")
     assert outcomes == {"fixed point", "round 0", "later"}
     assert shapes == {
         "empty box", 'id ""', "mixed payloads", "self-arrow", "partial table",
-        "source outside", "image outside", "None image",
+        "source outside", "image outside", "None image", "in its box's order", "out of order",
     }
 
 

@@ -356,12 +356,29 @@ def _random_instance(rng):
     def shuffled(d):
         return dict(rng.sample(list(d.items()), len(d)))
 
+    def arranged(arrow, table):
+        """The table shuffled, or, as canonical text lists one, in its source
+        box's order (any other keys after)."""
+        if rng.random() < 0.5:
+            return shuffled(table)
+        source = sets.get(_SCHEMA.arrow(arrow).src if arrow != "q" else "Q", {})
+        return {**{eid: table[eid] for eid in source if eid in table}, **table}
+
+    sets = shuffled({box: shuffled(elems) for box, elems in sets.items()})
     return Instance(
-        "sq",
-        "square",
-        shuffled({box: shuffled(elems) for box, elems in sets.items()}),
-        shuffled({arrow: shuffled(table) for arrow, table in tables.items()}),
+        "sq", "square", sets, shuffled({arrow: arranged(arrow, t) for arrow, t in tables.items()})
     )
+
+
+def _table_shapes(instance):
+    """Whether each total table over two or more elements lists its source box
+    in the box's order, the order the checks read it in, or out of that order."""
+    shapes = set()
+    for arrow in _SCHEMA.arrows:
+        table, source = instance.table(arrow.id), instance.elements(arrow.src)
+        if len(source) > 1 and table.keys() == source.keys():
+            shapes.add("in its box's order" if list(table) == list(source) else "out of order")
+    return shapes
 
 
 def _outcome(fn, *args):
@@ -395,7 +412,7 @@ def _compare(seed):
             for fp in _SCHEMA.fiber_products
         ),
     ]
-    seen = set()
+    seen = _table_shapes(inst)
     for fn, ref, extra in pairs:
         orders = []
 
@@ -441,7 +458,7 @@ def test_random_instances_reach_every_outcome():
         "PAYLOAD_MIXED", "UNKNOWN_BOX", "UNKNOWN_ARROW",
         "AllHold", "Counterexample", "raised", "AllHold through a None image",
         "PASS", "COLLIDING_PAIR", "EXTRA_PAIR", "MISSING_PAIR",
-        "EXTRA_PAIR with a projection missing",
+        "EXTRA_PAIR with a projection missing", "in its box's order", "out of order",
     }
 
 

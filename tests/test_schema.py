@@ -966,3 +966,50 @@ def test_functor_skips_equation_images_that_part_at_an_undeclared_box():
     functor = SchemaFunctor(src, dst, {"X": "X"}, {"out": "l", "in": "r", "off": "m"})
     assert [d.code for d in validate_schema(src)] == ["DANGLING_ARROW"] * 3
     assert check_functor(functor) == []
+
+
+# ---------------------------------------------------------------------------
+# the prefix plan of the equation check
+# ---------------------------------------------------------------------------
+
+_plan_sides = st.lists(st.sampled_from("abc"), max_size=5).map(tuple)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from("PQ"), _plan_sides, _plan_sides), max_size=6))
+def test_prefix_plan_composes_each_shared_prefix_once_and_keeps_none_unread(triples):
+    # Run the plan on prefixes themselves: each side starts from the longest
+    # prefix it shares with an earlier side (of its start box), finds it
+    # kept, keeps only what a later side reads, and leaves nothing behind.
+    equations = tuple(
+        PathEquation(schema_mod.Path(start, lhs), schema_mod.Path(start, rhs))
+        for start, lhs, rhs in triples
+    )
+    sides = [(start, side) for start, lhs, rhs in triples for side in (lhs, rhs)]
+    plans = [plan for pair in schema_mod._prefix_plan(equations) for plan in pair]
+    assert len(plans) == len(sides)
+
+    def shared(a, b):
+        return next((n for n, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+
+    memo, stored, read = {}, set(), set()
+    for j, ((start, arrows), plan) in enumerate(zip(sides, plans)):
+        earlier = [shared(arrows, other) for s, other in sides[:j] if s == start]
+        assert plan.depth == max(earlier, default=0)
+        if plan.depth:
+            assert memo[plan.base] == (start, arrows[: plan.depth])
+            read.add(plan.base)
+        else:
+            assert plan.base is None
+        for depth, node in plan.stops:
+            assert plan.depth < depth <= len(arrows) and node not in memo
+            memo[node] = (start, arrows[:depth])
+            stored.add(node)
+        for node in plan.release:
+            del memo[node]
+        later = sides[j + 1 :]
+        assert all(
+            any(s == kept_start and other[: len(kept)] == kept for s, other in later)
+            for kept_start, kept in memo.values()
+        )
+    assert memo == {} and stored == read
