@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import corpus
+import ologkit
 from ologkit import (
     BuildingBlock,
     ChainSystem,
@@ -562,17 +564,9 @@ def test_generated_instances_pass_all_checks(schema):
 
 @pytest.mark.parametrize("domain", ["protein", "social", "generic"])
 @pytest.mark.parametrize("bricks", [2, 9, 12])
-@pytest.mark.parametrize(
-    "chain",
-    [
-        {"lifeline_present": True},  # ductile
-        {"lifeline_present": True, "brick_failure": 100.0, "lifeline_failure": 110.0},
-        {},  # brittle
-    ],
-    ids=["ductile", "bonded", "brittle"],
-)
+@pytest.mark.parametrize("chain", list(corpus.CHAINS))
 def test_generated_instance_is_already_canonical(schema, domain, bricks, chain):
-    inst = generate_instance(SimParams(brick_count=bricks, domain=domain, **chain), schema)
+    inst = corpus.chain(ologkit, schema, chain, domain, bricks)
     canon = inst.canonical()
     for got, want in ((inst.sets, canon.sets), (inst.functions, canon.functions)):
         assert list(got) == list(want)

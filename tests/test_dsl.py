@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import corpus
 import ologkit.dsl as dsl
 import ologkit.instance
 import ologkit.ordering
@@ -30,7 +31,6 @@ from ologkit import (
     SOCIAL_MATCHED_DEFAULTS,
     PairPayload,
     SchemaFunctor,
-    SimParams,
     ParseError,
     PathEquation,
     RealPayload,
@@ -472,10 +472,7 @@ def test_comments_inside_bodies(body, expected):
 
 
 def test_canonical_instance_is_read_without_a_token_per_entry(monkeypatch):
-    params = SimParams(
-        brick_count=6, brick_failure=100.0, lifeline_present=True, lifeline_failure=110.0
-    )
-    text = serialize_instance(generate_instance(params, bundled_schema()))
+    text = serialize_instance(corpus.chain(ologkit, bundled_schema(), "bonded", "protein", 6))
     blocks = re.finditer(r"\n  (?:set|fn) \w+ (\{.*?\n  \})", text, re.S)
     bodies = [block.span(1) for block in blocks]
 
@@ -697,23 +694,13 @@ def test_generated_instances_match_bundled_bytes(params, name):
 def test_generated_bonded_instance_bytes_are_pinned(bricks, domain, digest):
     # Bonded chains fill boxes K and I, which the bundled (ductile) files leave
     # empty, so these digests pin the K/I join's numbering too.
-    params = SimParams(
-        brick_count=bricks,
-        brick_failure=100.0,
-        lifeline_present=True,
-        lifeline_failure=110.0,
-        domain=domain,
-    )
-    text = serialize_instance(generate_instance(params, bundled_schema()))
+    text = serialize_instance(corpus.chain(ologkit, bundled_schema(), "bonded", domain, bricks))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
 @pytest.fixture(scope="module")
 def bonded12():
-    params = SimParams(
-        brick_count=12, brick_failure=100.0, lifeline_present=True, lifeline_failure=110.0
-    )
-    return generate_instance(params, bundled_schema())
+    return corpus.chain(ologkit, bundled_schema(), "bonded", "protein", 12)
 
 
 def test_serializing_ordered_ids_sorts_none_of_them(bonded12, monkeypatch):
@@ -799,112 +786,17 @@ def test_load_helpers_translate_newlines_and_reject_bytes_that_are_not_utf8(tmp_
 # ---------------------------------------------------------------------------
 
 _ids = st.text(alphabet="abcxyz_0123456789", min_size=1, max_size=6)
-_labels = st.text(
-    alphabet=st.characters(
-        min_codepoint=32, max_codepoint=0x24F, blacklist_characters='"\\\n'
-    ),
-    max_size=20,
-).map(lambda t: t + "x")  # never empty, so optional-label round trips stay exact
 _quoted = st.text(  # now and then a raw line break, which the writers refuse
     alphabet=st.characters(min_codepoint=32, max_codepoint=0x24F, include_characters="\r\n"),
     max_size=20,
 )
-_tags = st.frozensets(_ids, max_size=2)
 _reals = st.floats(allow_nan=False)
 
 
-_NOT_DECLARED = "NO1"  # an arrow id no schema below declares: _ids has no capitals
-_BROKEN = ("box id", "arrow id", "tag", "label", "path arrow", "note", "name")
-
-
-@st.composite
-def _schemas(draw):
-    """Schemas built in Python, most of which the text format can hold.
-
-    Now and then a draw breaks one: an undeclared arrow in a path, projection
-    or leg; an equation whose sides are not parallel or start apart; a
-    pullback arrow bent off its square; a box, arrow or apex declared twice;
-    an id that is not an identifier, or a string with a raw line break.
-    """
-    rare = st.integers(0, 7).map(lambda n: n == 3)  # about one draw in eight
-    # now and then one word the text cannot hold: an id that is not an
-    # identifier, or a name, label or note with a raw line break
-    broken = draw(st.sampled_from((None,) * 28 + _BROKEN))  # one draw in five
-    odd = draw(st.sampled_from(["a b", "x-y", "é", ""]))
-    lines = draw(st.sampled_from(["two\nlines", "two\rlines", "two\r\nlines"]))
-    box_ids = draw(st.lists(_ids, min_size=1, max_size=5, unique=True))
-    if broken == "box id":
-        box_ids[-1] = odd
-    boxes = [BoxDecl(b, draw(_labels), draw(_tags)) for b in box_ids]
-    if broken == "tag":
-        boxes[0] = replace(boxes[0], tags=boxes[0].tags | {odd})
-    if broken == "label":
-        boxes[-1] = replace(boxes[-1], label=lines)
-    arrow_ids = draw(st.lists(_ids, max_size=6, unique=True))
-    if arrow_ids and broken == "arrow id":
-        arrow_ids[0] = odd
-    arrows = [
-        ArrowDecl(
-            a,
-            draw(st.sampled_from(box_ids)),
-            draw(st.sampled_from(box_ids)),
-            draw(st.one_of(st.just(""), _labels)),
-            draw(_tags),
-        )
-        for a in arrow_ids
-    ]
-
-    # every path of at most three arrows, grouped by its ends
-    by_endpoints: dict[tuple[str, str], list[Path]] = {(b, b): [Path(b, ())] for b in box_ids}
-    frontier = [(Path(b, ()), b) for b in box_ids]
-    for _ in range(3):
-        frontier = [
-            (Path(p.start, p.arrows + (a.id,)), a.dst)
-            for p, end in frontier
-            for a in arrows
-            if a.src == end
-        ]
-        for q, end in frontier:
-            by_endpoints.setdefault((q.start, end), []).append(q)
-    paths = [p for ps in by_endpoints.values() for p in ps]
-    pools = [ps for ps in by_endpoints.values() if len(ps) >= 2]
-    eqs = []
-    for _ in range(draw(st.integers(0, 2))):
-        if pools and not draw(rare):
-            pool = draw(st.sampled_from(pools))
-            lhs, rhs = draw(st.sampled_from(pool)), draw(st.sampled_from(pool))
-        else:
-            lhs, rhs = draw(st.sampled_from(paths)), draw(st.sampled_from(paths))
-        if draw(rare):
-            rhs = Path(rhs.start, rhs.arrows + (_NOT_DECLARED,))
-        if draw(rare):
-            lhs = Path(lhs.start, (_NOT_DECLARED,) + lhs.arrows)
-        if broken == "path arrow":
-            rhs = Path(rhs.start, rhs.arrows + (odd,))
-        note = lines if broken == "note" else draw(st.one_of(st.just(""), _labels))
-        eqs.append(PathEquation(lhs, rhs, note))
-
-    fps = []
-    if draw(st.booleans()):
-        apex, x, y, z = (draw(st.sampled_from(box_ids)) for _ in range(4))
-        square = {"PR1": (apex, x), "PR2": (apex, y), "LG1": (x, z), "LG2": (y, z)}
-        for arrow_id, (src, dst) in square.items():
-            if draw(rare):  # bent off the square
-                src, dst = draw(st.sampled_from(box_ids)), draw(st.sampled_from(box_ids))
-            if not draw(rare):  # else left undeclared
-                arrows.append(ArrowDecl(arrow_id, src, dst))
-        fps.append(FiberProductDecl(apex, *square))
-        if draw(rare):
-            fps.append(FiberProductDecl(apex, *square))
-    if draw(rare):
-        boxes.append(BoxDecl(draw(st.sampled_from(box_ids)), draw(_labels)))
-    if arrows and draw(rare):
-        twice = draw(st.sampled_from(arrows))
-        arrows.append(ArrowDecl(twice.id, twice.dst, twice.src))
-
-    name = lines if broken == "name" else draw(_quoted)
-    schema = OlogSchema(name, tuple(boxes), tuple(arrows), tuple(eqs), tuple(fps))
-    return with_fiber_product_squares(schema) if draw(st.booleans()) else schema
+# Schemas built in Python, most of which the text format can hold
+_schemas = st.randoms(use_true_random=False).map(
+    lambda rng: corpus.build_schema(ologkit, corpus.schema(rng))
+)
 
 
 _REFUSED = {"DUP_BOX_ID", "DUP_ARROW_ID", "DUP_FP_APEX", "EQ_ENDPOINT_MISMATCH", "FP_SQUARE_SHAPE"}
@@ -989,7 +881,7 @@ def law_dir(tmp_path_factory):
 
 
 @settings(max_examples=120, deadline=None)
-@given(schema=_schemas())
+@given(schema=_schemas)
 def test_schema_serialization_is_byte_stable(schema, law_dir):
     # serialize_schema refuses exactly the schemas the text cannot hold, and
     # what it writes loads back from a file to the same bytes
@@ -1305,44 +1197,14 @@ def test_real_literals_round_trip_exactly(value):
 # property: bulk bodies read exactly what the token loop reads
 # ---------------------------------------------------------------------------
 
-_BONDED_2 = serialize_instance(
-    generate_instance(
-        SimParams(
-            brick_count=2, brick_failure=100.0, lifeline_present=True, lifeline_failure=110.0
-        ),
-        bundled_schema(),
-    )
-)
-_HAND_WRITTEN = (
-    'instance "d" of "s" {\n  set A { a1 = real 1.5, a2, }\n  set B {b1,b2}\n'
-    "  fn put { a1 -> b1, a2->b2, }\n  fn q {\n    x -> y,\n    z -> w\n  }\n"
-    "  set C {}\n"
-    '  set P { p1 = real 007, p2 = real -inf, p3 = real 1e+5, p4 = pair(1.0,2.0),\n'
-    '    p5 = text "a\\"b\\\\c", p6 = graph { n1 -> n2, n3 }, p7 = graph {} }\n}\n'
-)
-_PIECES = [
-    "#", "# } -> ,\n", "->", "}", "{", ",", "3e-4", '"', "é", " ", "\x1f", "\u2028",
-    "=", "real ", "(", ")", "\\", "\u0663", "-", ".", "e+", "inf",
-]
-_EDITS = ["delete", "insert", "duplicate line"]
+_BONDED_2 = serialize_instance(corpus.chain(ologkit, bundled_schema(), "bonded", "protein", 2))
 _edits = st.lists(
-    st.tuples(st.sampled_from(_EDITS), st.integers(0, 3000), st.sampled_from(_PIECES)),
+    st.tuples(
+        st.sampled_from(corpus.INSTANCE_EDITS), st.integers(0, 3000),
+        st.sampled_from(corpus.INSTANCE_PIECES),
+    ),
     max_size=3,
 )
-
-
-def _mutate(text, edits):
-    for op, at, piece in edits:
-        at %= len(text) + 1
-        if op == "delete":
-            text = text[:at] + text[at + 1 :]
-        elif op == "insert":
-            text = text[:at] + piece + text[at:]
-        else:
-            lines = text.split("\n")
-            lines.insert(at % len(lines), lines[at % len(lines)])
-            text = "\n".join(lines)
-    return text
 
 
 def _outcome(text):
@@ -1367,9 +1229,9 @@ def _token_loop_outcome(text):
 
 
 @settings(max_examples=300, deadline=None)
-@given(base=st.sampled_from([_BONDED_2, _HAND_WRITTEN]), edits=_edits)
+@given(base=st.sampled_from([_BONDED_2, corpus.HAND_WRITTEN]), edits=_edits)
 def test_bulk_bodies_parse_as_the_token_loop_does(base, edits):
-    text = _mutate(base, edits)
+    text = corpus.mutate(base, edits)
     assert _outcome(text) == _token_loop_outcome(text)
 
 
@@ -1401,13 +1263,10 @@ def test_mutated_documents_reach_bulk_and_token_loop_bodies(monkeypatch):
     for name in ("_set_entries", "_fn_entries"):
         monkeypatch.setattr(dsl._Parser, name, counting(name))
     rng = random.Random(0)
-    for base in (_BONDED_2, _HAND_WRITTEN):
+    for base in (_BONDED_2, corpus.HAND_WRITTEN):
         for _ in range(100):
-            edits = [
-                (rng.choice(_EDITS), rng.randrange(3000), rng.choice(_PIECES))
-                for _ in range(rng.randint(1, 3))
-            ]
-            _outcome(_mutate(base, edits))
+            edits = corpus.edits(rng, corpus.INSTANCE_EDITS, corpus.INSTANCE_PIECES)
+            _outcome(corpus.mutate(base, edits))
     assert all(reached.values()), reached
 
 
@@ -1419,11 +1278,8 @@ def test_a_parsed_instance_holds_one_string_per_id(reader, monkeypatch):
     if reader == "token loop":
         for name in _BULK_PATTERNS:
             monkeypatch.setattr(dsl, name, _NEVER)
-    params = SimParams(
-        brick_count=4, brick_failure=100.0, lifeline_present=True, lifeline_failure=110.0
-    )
     schema = bundled_schema()
-    inst = parse_instance(serialize_instance(generate_instance(params, schema)))
+    inst = parse_instance(serialize_instance(corpus.chain(ologkit, schema, "bonded", "protein", 4)))
     keys = {box_id: {eid: eid for eid in elems} for box_id, elems in inst.sets.items()}
     for arrow in schema.arrows:
         table = inst.table(arrow.id)

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import corpus
 import ologkit.instance
 import ologkit.ordering
 from ologkit import (
@@ -32,7 +33,6 @@ from ologkit import (
     PathEquation,
     RealPayload,
     SchemaMismatchError,
-    SimParams,
     TextPayload,
     check_all_equations,
     check_equation,
@@ -40,7 +40,6 @@ from ologkit import (
     compose,
     compute_pullback,
     eval_path,
-    generate_instance,
     identity,
     validate_instance,
     verify_all_fiber_products,
@@ -857,10 +856,7 @@ def test_verify_isomorphism_rejects_non_commuting_maps(schema, protein):
 def test_bonded_twins_past_the_old_recursion_line_are_found(schema):
     # Bonded n=12 twins need more search decisions than the default recursion
     # limit allows a recursive search.
-    a, b = (
-        generate_instance(SimParams(12, 20.6, 100.0, True, 23.45, 110.0, domain), schema)
-        for domain in ("protein", "social")
-    )
+    a, b = (corpus.chain(ologkit, schema, "bonded", domain, 12) for domain in ("protein", "social"))
     res = check_instance_isomorphism(schema, a, b)
     assert res.outcome is IsoOutcome.FOUND
     assert verify_isomorphism(schema, a, b, res.mapping)
@@ -908,10 +904,7 @@ def test_iso_order_merges_boxes_whose_ids_tie_under_natural_key():
 
 
 def test_checks_on_ordered_ids_call_natural_key_on_no_element(schema, monkeypatch):
-    params = SimParams(
-        brick_count=6, brick_failure=100.0, lifeline_present=True, lifeline_failure=110.0
-    )
-    inst = generate_instance(params, schema)
+    inst = corpus.chain(ologkit, schema, "bonded", "protein", 6)
     seen = []
 
     def counting_key(ident):
@@ -931,10 +924,7 @@ def test_checks_on_ordered_ids_call_natural_key_on_no_element(schema, monkeypatc
 def test_instance_checks_leave_no_reference_cycles(schema):
     # Garbage in a cycle waits for the cyclic collector: the whole-box
     # image lists of one check would stay alive into the next ones.
-    params = SimParams(
-        brick_count=6, brick_failure=100.0, lifeline_present=True, lifeline_failure=110.0
-    )
-    inst = generate_instance(params, schema)
+    inst = corpus.chain(ologkit, schema, "bonded", "protein", 6)
     gc.collect()
     assert validate_instance(schema, inst) == []
     assert all(r.holds for r in check_all_equations(schema, inst))
@@ -1056,89 +1046,6 @@ def _reference_refine_colors(schema, pair):
         round_ += 1
 
 
-_PAYLOAD_MAKERS = (
-    lambda: None, lambda: RealPayload(1.5), lambda: PairPayload(0.0, 1.0), lambda: TextPayload("t")
-)
-_ID_POOL = ("", "x1", "x2", "x10", "b1", "b01", "y")
-
-
-def _random_pair(rng):
-    """A random small schema and two instances of it, often near-isomorphic.
-
-    Tables may be partial, send elements outside the target box (an explicit
-    None among them), or carry sources outside the source box; payload types
-    may mix within a box; boxes may be empty; arrows may be self-arrows; ids
-    include "".  Boxes are listed in natural-key order, as canonical text
-    lists them, or not, and tables in their box's order; b is often a
-    relabelled copy of a, and then sometimes a copy with every id kept.
-    """
-    box_ids = ["X", "Y", "Z"][: rng.randint(1, 3)]
-    s = OlogSchema(
-        "random",
-        tuple(BoxDecl(box_id, box_id) for box_id in box_ids),
-        tuple(
-            ArrowDecl(f"f{j}", rng.choice(box_ids), rng.choice(box_ids))
-            for j in range(rng.randint(1, 4))
-        ),
-    )
-
-    def instance(name):
-        mixed = rng.random() < 0.2
-        ordered = rng.random() < 0.5
-        sets = {}
-        for box_id in box_ids:
-            kind = rng.choice(_PAYLOAD_MAKERS)
-            ids = rng.sample(_ID_POOL, rng.randint(0, 5))
-            sets[box_id] = {
-                eid: (rng.choice(_PAYLOAD_MAKERS) if mixed else kind)()
-                for eid in (natural_order(ids) if ordered else ids)
-            }
-        functions = {}
-        for arrow in s.arrows:
-            targets = list(sets[arrow.dst]) if rng.random() < 0.9 else list(_ID_POOL)
-            table = {
-                eid: rng.choice(targets)
-                for eid in sets[arrow.src]
-                if rng.random() < 0.9 and targets
-            }
-            if rng.random() < 0.1:
-                table[rng.choice(("ghost", *_ID_POOL))] = rng.choice(_ID_POOL)
-            if rng.random() < 0.1 and table:
-                table[rng.choice(list(table))] = None
-            functions[arrow.id] = table
-        return Instance(name, "random", sets, functions)
-
-    a = instance("a")
-    if rng.random() < 0.5:
-        return s, a, instance("b")
-    # A relabelled copy of a, its dicts in another order, or a copy that keeps
-    # every id and order; sometimes with one table entry moved.
-    kept = rng.random() < 0.3
-    rename = {}
-    for box_id, elems in a.sets.items():
-        ids = list(elems)
-        rename[box_id] = dict(zip(ids, ids if kept else rng.sample(ids, len(ids))))
-    sets = {
-        box_id: {
-            rename[box_id][eid]: payload
-            for eid, payload in (elems.items() if kept else reversed(elems.items()))
-        }
-        for box_id, elems in a.sets.items()
-    }
-    functions = {
-        arrow.id: {
-            rename[arrow.src].get(eid, eid): rename[arrow.dst].get(image, image)
-            for eid, image in a.table(arrow.id).items()
-        }
-        for arrow in s.arrows
-    }
-    arrow = rng.choice(s.arrows)
-    if rng.random() < 0.3 and functions[arrow.id] and sets[arrow.dst]:
-        entry = rng.choice(list(functions[arrow.id]))
-        functions[arrow.id][entry] = rng.choice(list(sets[arrow.dst]))
-    return s, a, Instance("b", "random", sets, functions)
-
-
 def _refinement_of(s, a, b):
     """``_refine_colors`` on the pair, its colours keyed (side, box id, element id)."""
     pair = ologkit.instance._index_pair(s, (a, b))
@@ -1155,7 +1062,7 @@ def _refinement_of(s, a, b):
 @settings(max_examples=300, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_refinement_matches_the_per_element_reference(seed):
-    s, a, b = _random_pair(random.Random(seed))
+    s, a, b = corpus.build_pair(ologkit, corpus.random_pair(random.Random(seed)))
     expected, expected_round, expected_box = _reference_refine_colors(s, (a, b))
     got, got_round, got_box = _refinement_of(s, a, b)
     assert (got_round, got_box) == (expected_round, expected_box)
@@ -1168,7 +1075,7 @@ def test_refinement_matches_the_per_element_reference(seed):
 def test_random_pairs_reach_every_refinement_outcome_and_input_shape():
     outcomes, shapes = set(), set()
     for seed in range(400):
-        s, a, b = _random_pair(random.Random(seed))
+        s, a, b = corpus.build_pair(ologkit, corpus.random_pair(random.Random(seed)))
         _, round_, box_id = _refinement_of(s, a, b)
         outcomes.add("fixed point" if box_id is None else "round 0" if round_ == 0 else "later")
         for inst in (a, b):
@@ -1259,7 +1166,7 @@ def _perturbed(rng, schema, a, b, mapping):
         x, y = rng.sample(keys, 2)
         m[x], m[y] = m[y], m[x]
     elif how == "replace" and keys:
-        m[rng.choice(keys)] = rng.choice([*b.elements(box_id), "ghost", *_ID_POOL])
+        m[rng.choice(keys)] = rng.choice([*b.elements(box_id), "ghost", *corpus.ID_POOL])
     elif keys:
         del m[rng.choice(keys)]
     return changed
@@ -1269,7 +1176,7 @@ def _perturbed(rng, schema, a, b, mapping):
 @given(seed=st.integers(0, 2**32 - 1))
 def test_iso_on_random_pairs_never_raises_and_agrees_with_a_brute_force_reference(seed):
     rng = random.Random(seed)
-    s, a, b = _random_pair(rng)
+    s, a, b = corpus.build_pair(ologkit, corpus.random_pair(rng))
     forward = check_instance_isomorphism(s, a, b)
     backward = check_instance_isomorphism(s, b, a)
     assert forward.found == backward.found

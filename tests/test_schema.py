@@ -7,6 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import corpus
+import ologkit
 import ologkit.schema as schema_mod
 from ologkit import (
     ArrowDecl,
@@ -729,47 +731,12 @@ def _reference_search(schema, p, q, max_steps):
 
 
 def _random_multi_box(seed):
-    """A presentation over 2-3 boxes: a loop ``a`` at X and 1-4 more arrows,
-    loops or between boxes; 1-3 equations between parallel paths of at most
-    three arrows, where a path back to its box may be the identity; and
-    queries of at most four arrows, some a few rewrites apart, some any
-    parallel path."""
-    rng = random.Random(seed)
-    boxes = "XYZ"[: rng.choice((2, 3))]
-    arrows = [ArrowDecl("a", "X", "X")]
-    for x in "bcde"[: rng.randint(1, 4)]:
-        arrows.append(ArrowDecl(x, rng.choice(boxes), rng.choice(boxes)))
-    by_ends, frontier = {}, [(Path(b, ()), b) for b in boxes]
-    for _ in range(5):
-        for path, end in frontier:
-            by_ends.setdefault((path.start, end), []).append(path)
-        frontier = [
-            (Path(p.start, p.arrows + (x.id,)), x.dst)
-            for p, end in frontier
-            for x in arrows
-            if x.src == end
-        ]
-    pools = [[p for p in pool if len(p.arrows) <= 3] for pool in by_ends.values()]
-    pools = [pool for pool in pools if len(pool) >= 2]
-    equations = []
-    for _ in range(rng.randint(1, 3)):
-        lhs, rhs = rng.sample(rng.choice(pools), 2)
-        equations.append(PathEquation(lhs, rhs))
-    schema = OlogSchema(
-        "multi-box", tuple(BoxDecl(b, f"a {b}") for b in boxes), tuple(arrows), tuple(equations)
-    )
-    sides = _reference_sides(schema)
-    queries = []
-    for _ in range(4):
-        pool = rng.choice(list(by_ends.values()))
-        p = rng.choice(pool)
-        q = p.arrows
-        for _ in range(rng.randint(1, 3)):
-            options = [new for new, _ in _reference_neighbors(schema, p.start, q, sides)]
-            q = rng.choice(options) if options else q
-        q = Path(p.start, q) if rng.random() < 0.5 else rng.choice(pool)
-        queries.append((p, q, rng.randint(0, 4)))
-    return schema, queries
+    """``corpus.multi_box`` at a seed: the schema, and queries (p, q, max_steps)."""
+    spec, queries = corpus.multi_box(random.Random(seed))
+    return corpus.build_schema(ologkit, spec), [
+        (Path(start, tuple(p)), Path(start, tuple(q)), max_steps)
+        for start, p, q, max_steps in queries
+    ]
 
 
 @settings(max_examples=150, deadline=None)
