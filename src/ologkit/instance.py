@@ -491,10 +491,11 @@ class FiberProductReport:
 
     The verdict is decided in whole-box passes; natural-key order only
     decides which offender is named.  ``witness_kind`` on failure is one of
-    COLLIDING_PAIR (two apex elements project to the same pair), MISSING_PAIR
-    (a canonical pair no apex element projects to), or EXTRA_PAIR (an apex
-    element projecting outside the canonical pullback, i.e. its square does
-    not commute).
+    MISSING_PROJECTION (an apex element and a projection arrow with no entry
+    for it), COLLIDING_PAIR (two apex elements project to the same pair),
+    MISSING_PAIR (a canonical pair no apex element projects to), or
+    EXTRA_PAIR (an apex element projecting outside the canonical pullback,
+    i.e. its square does not commute).
     """
 
     declaration: FiberProductDecl
@@ -517,9 +518,10 @@ def verify_fiber_product(
     It is when the apex elements project to pairwise distinct pairs, each
     pair (x, y) lies in X × Y with leg1(x) stored and equal to leg2(y), and
     there are as many apex elements as canonical pairs, counted per image
-    without listing them.  A missing projection is no element of X or Y, and
-    an EXTRA_PAIR witness shows it as "".  Only otherwise is the pullback listed and the apex
-    walked in natural-key order to name the first offender: an apex element
+    without listing them.  A missing projection is no element of X or Y.
+    Only otherwise is the pullback listed and the apex walked in natural-key
+    order to name the first offender: an apex element with a missing
+    projection (the first of proj1 and proj2 that has no entry for it),
     colliding with an earlier one, or projecting outside the canonical
     pullback, stops the walk; else the first canonical pair no apex element
     projected to is the MISSING_PAIR witness.
@@ -560,12 +562,14 @@ def _name_offender(
     seen: dict[tuple[str, str], str] = {}
     for eid in apex:
         pair = (proj1.get(eid, _ABSENT), proj2.get(eid, _ABSENT))
+        if _ABSENT in pair:
+            arrow_id = decl.proj1 if pair[0] is _ABSENT else decl.proj2
+            return report(holds=False, witness_kind="MISSING_PROJECTION", witness=(eid, arrow_id))
         first = seen.setdefault(pair, eid)
         if first != eid:
             return report(holds=False, witness_kind="COLLIDING_PAIR", witness=(first, eid))
-        if pair not in canonical_set:  # a missing projection is shown as ""
-            shown = tuple("" if end is _ABSENT else end for end in pair)
-            return report(holds=False, witness_kind="EXTRA_PAIR", witness=(eid,) + shown)
+        if pair not in canonical_set:
+            return report(holds=False, witness_kind="EXTRA_PAIR", witness=(eid,) + pair)
     if len(seen) < len(canonical):  # seen is a subset of canonical_set by now
         missing = next(pair for pair in canonical if pair not in seen)
         return report(holds=False, witness_kind="MISSING_PAIR", witness=missing)

@@ -581,8 +581,16 @@ def _square_tables(f, g, x="x", p1=True):
             lambda s, inst: attrgetter("witness_kind", "witness")(
                 verify_fiber_product(s, inst, s.fiber_products[0])
             ),
-            ("EXTRA_PAIR", ("p", "", "y")),
+            ("MISSING_PROJECTION", ("p", "p1")),
             id="a-missing-projection-is-not-the-id-empty-string",
+        ),
+        pytest.param(
+            _square_tables("z", "w", x=""),
+            lambda s, inst: attrgetter("witness_kind", "witness")(
+                verify_fiber_product(s, inst, s.fiber_products[0])
+            ),
+            ("EXTRA_PAIR", ("p", "", "y")),
+            id="a-stored-empty-string-projection-is-an-extra-pair",
         ),
         pytest.param(
             _square_tables(None, None),

@@ -218,9 +218,9 @@ def _ref_verify_fiber_product(schema, instance, decl, orders):
     )
     seen = {}
     for eid in apex:
-        if eid not in proj1 or eid not in proj2:  # no pair, so none of the pullback's
-            shown = (proj[eid] if eid in proj else "" for proj in (proj1, proj2))
-            return report(holds=False, witness_kind="EXTRA_PAIR", witness=(eid, *shown))
+        if eid not in proj1 or eid not in proj2:
+            arrow_id = decl.proj1 if eid not in proj1 else decl.proj2
+            return report(holds=False, witness_kind="MISSING_PROJECTION", witness=(eid, arrow_id))
         pair = (proj1[eid], proj2[eid])
         first = seen.setdefault(pair, eid)
         if first != eid:
@@ -437,10 +437,6 @@ def _compare(seed):
                 seen.add("AllHold through a None image")
         elif fn is verify_fiber_product:
             seen.add(got[1].witness_kind or "PASS")
-            if got[1].witness_kind == "EXTRA_PAIR":
-                eid, decl = got[1].witness[0], extra[0]
-                if eid not in inst.table(decl.proj1) or eid not in inst.table(decl.proj2):
-                    seen.add("EXTRA_PAIR with a projection missing")
     return seen
 
 
@@ -457,8 +453,8 @@ def test_random_instances_reach_every_outcome():
         "clean", "MISSING_IMAGE", "UNKNOWN_ELEMENT", "IMAGE_NOT_IN_TARGET",
         "PAYLOAD_MIXED", "UNKNOWN_BOX", "UNKNOWN_ARROW",
         "AllHold", "Counterexample", "raised", "AllHold through a None image",
-        "PASS", "COLLIDING_PAIR", "EXTRA_PAIR", "MISSING_PAIR",
-        "EXTRA_PAIR with a projection missing", "in its box's order", "out of order",
+        "PASS", "COLLIDING_PAIR", "EXTRA_PAIR", "MISSING_PAIR", "MISSING_PROJECTION",
+        "in its box's order", "out of order",
     }
 
 
