@@ -65,7 +65,8 @@ It prints, per slice, the count of identical outcomes and of each class of
 difference, then one example of each class and the first few differences
 that fit no expected class ("other").  It exits 0 only when every outcome is
 identical, so ``--base HEAD`` on a clean tree is a self-check.  Standard
-library only.
+library only.  ``tests/test_differential.py`` runs the worker on a few cases
+of each slice under two hash seeds.
 """
 
 from __future__ import annotations

@@ -349,7 +349,7 @@ def mutate(text: str, edits: list) -> str:
 
 
 # ---------------------------------------------------------------------------
-# generated chains
+# generated chains, and ladders of valid documents that grow one dimension
 # ---------------------------------------------------------------------------
 
 # SimParams fields past brick_count and domain, per chain kind
@@ -358,6 +358,47 @@ CHAINS = {
     "bonded": {"lifeline_present": True, "brick_failure": 100.0, "lifeline_failure": 110.0},
     "brittle": {},
 }
+
+# Each ladder grows one dimension of a document over `arrow a : X -> X`.
+LADDERS = {
+    "id length": (10, 10**3, 10**5),
+    "entries per body": (10, 10**3, 10**4),
+    "text payload length": (10, 10**3, 10**5),
+    "graph payload nodes": (10, 10**3, 10**4),
+    "boxes and arrows": (10, 10**2, 10**3),
+    "entries on one line": (10**4,),
+}
+
+
+def rung(ladder: str, size: int) -> tuple[str, str]:
+    """A valid schema and instance document at one rung of a ladder.
+
+    X holds two elements that ``a`` swaps, or ``size`` elements that ``a``
+    turns round a cycle; the boxes-and-arrows ladder adds boxes ``Bi`` of one
+    element each and arrows ``bi : X -> Bi``.
+    """
+    count = size if ladder.startswith("entries") else 2
+    width = size - 1 if ladder == "id length" else 1
+    ids = [f"x{i:0{width}d}" for i in range(1, count + 1)]
+    payload = ""
+    if ladder == "text payload length":
+        payload = f' = text "{"t" * size}"'
+    elif ladder == "graph payload nodes":
+        payload = f" = graph {{ {', '.join(f'n{i} -> n{i + 1}' for i in range(1, size))} }}"
+    extra = range(1, size if ladder == "boxes and arrows" else 1)
+    schema = "".join(
+        ['schema "s" {\n  box X "an x"\n  arrow a : X -> X\n']
+        + [f'  box B{i} "a b{i}"\n  arrow b{i} : X -> B{i}\n' for i in extra]
+        + ["}\n"]
+    )
+    instance = "".join(
+        ['instance "i" of "s" {\n  set X { ', ", ".join(e + payload for e in ids), " }\n"]
+        + ["  fn a { ", ", ".join(f"{x} -> {y}" for x, y in zip(ids, ids[1:] + ids[:1])), " }\n"]
+        + [f"  set B{i} {{ y }}\n  fn b{i} {{ {', '.join(f'{x} -> y' for x in ids)} }}\n"
+           for i in extra]
+        + ["}\n"]
+    )
+    return schema, instance.replace("\n", " ") if ladder == "entries on one line" else instance
 
 
 # ---------------------------------------------------------------------------

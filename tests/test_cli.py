@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+import corpus
 import ologkit.instance
 import ologkit.ordering
 import ologkit.schema
@@ -341,6 +342,21 @@ def test_iso_on_twins_with_a_digit_run_past_the_int_limit(capsys, tmp_path):
     )
     assert code == 0
     assert "Found" in body_of(out)
+
+
+@pytest.mark.parametrize(
+    "ladder, size", [(ladder, size) for ladder, sizes in corpus.LADDERS.items() for size in sizes]
+)
+def test_valid_documents_grown_along_one_dimension_never_crash(capsys, tmp_path, ladder, size):
+    # check, iso of the file against itself and pullback each end with a
+    # documented exit code, never 4, at every rung of every ladder.
+    schema, instance = tmp_path / "s.olog", tmp_path / "i.oinst"
+    for path, text in zip((schema, instance), corpus.rung(ladder, size)):
+        path.write_text(text, encoding="utf-8")
+    s, i = str(schema), str(instance)
+    for argv in (["check", s, i], ["iso", s, i, i], ["pullback", s, i, "a", "a"]):
+        code, out = run_cli(capsys, *argv)
+        assert code in (0, 1, 2, 3), (argv[0], out[-500:])
 
 
 def test_iso_reports_an_invalid_instance_and_stops(capsys, tmp_path):
